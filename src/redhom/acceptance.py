@@ -91,7 +91,8 @@ def criterion_2_negative_certificate():
     result = search_reducing(k, "ured", "pd", limits)
     ok = (not result.found) and result.exhaustive
     return ok, (f"found={result.found}, exhaustive={result.exhaustive}, "
-                f"tested={result.tested} extension classes")
+                f"tested={result.tested} extension classes, "
+                f"pruned={result.pruned} (n, a, b) triples")
 
 
 def criterion_3_betti():

@@ -18,7 +18,6 @@ import itertools
 import numpy as np
 
 from . import gf
-from .gf import Matrix
 
 
 class AlgebraError(ValueError):
@@ -204,17 +203,6 @@ class AlgebraRep:
         e = np.zeros(self.dim, dtype=np.int64)
         e[0] = 1
         return e
-
-    def element_label(self, v: np.ndarray) -> str:
-        parts = []
-        for c, lab in zip(np.asarray(v) % self.p, self.basis_labels):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(lab if lab != "1" else "1")
-            else:
-                parts.append(f"{c}*{lab}" if lab != "1" else str(c))
-        return " + ".join(parts) if parts else "0"
 
     # -- validation -------------------------------------------------------
 

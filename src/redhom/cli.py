@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -74,12 +73,10 @@ def _limits_from_args(args) -> SearchLimits:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    threads = int(os.environ.get("REDHOM_THREADS", "1") or 1)
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = values.get("seed", 0)
-    return SearchLimits(seed=int(seed), threads=max(1, threads),
-                        **{k: values[k] for k in _LIMIT_DEFAULTS})
+    return SearchLimits(seed=int(seed), **{k: values[k] for k in _LIMIT_DEFAULTS})
 
 
 def _load_ring(args):
@@ -233,9 +230,8 @@ def cmd_reduce(args):
     mod = _load_module(alg, args.module)
     limits = _limits_from_args(args)
     result = search_reducing(mod, args.mode, args.target, limits)
-    if result.found:
-        ok = verify_witness(mod, result)
-        assert ok, "emitted witness failed re-verification"
+    if result.found and not verify_witness(mod, result):
+        raise AssertionError("emitted witness failed re-verification")
     results = {"search": result.to_jsonable(),
                "witness_reverified": bool(result.found)}
     if result.found:
@@ -244,7 +240,8 @@ def cmd_reduce(args):
                 f"({'exhaustive' if result.exhaustive else 'sampled'})")
     else:
         line = (f"no witness within {limits.max_steps} steps "
-                f"(exhaustive={result.exhaustive}); tested {result.tested}")
+                f"(exhaustive={result.exhaustive}); tested {result.tested}, "
+                f"pruned {result.pruned}")
     return results, [line], alg
 
 

@@ -168,9 +168,6 @@ class ModuleComplex:
             out[i] = defect
         return out
 
-    def interior_positions(self) -> list[int]:
-        return list(range(self.hi - 1, self.lo, -1))
-
     def to_jsonable(self) -> dict:
         return {"kind": "modules",
                 "positions": [self.lo, self.hi],

@@ -191,12 +191,6 @@ def row_basis(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return red[: len(pivots)], pivots
 
 
-def column_basis(arr: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis of the column space, returned as columns."""
-    red, pivots = row_basis(np.asarray(arr, dtype=np.int64).T, p)
-    return red.T
-
-
 def reduce_mod_rowspace(rows: np.ndarray, pivots: tuple[int, ...],
                         vecs: np.ndarray, p: int) -> np.ndarray:
     """Reduce column vectors modulo a row space given in rref form.

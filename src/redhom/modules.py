@@ -15,7 +15,7 @@ subspace, so quotients, syzygies and witnesses are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,14 +111,6 @@ class ModuleRep:
             out = gf.mat_mul(self.algebra.gen_L(j), v3, p)
             return out.reshape(D, r, s).transpose(1, 0, 2).reshape(r * D, s)
         return gf.mat_mul(self.action_arr(j), vecs, p)
-
-    def act_element(self, v: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """Apply an arbitrary ring element (coefficient vector) to vectors."""
-        A = self.algebra
-        coeffs = gf.mat_mul(A.word_coords,
-                            np.asarray(v, dtype=np.int64)[:, None] % A.p, A.p)[:, 0]
-        op = gf.lincomb(coeffs, self._word_ops(), A.p)
-        return gf.mat_mul(op, vecs, A.p)
 
     def _word_ops(self) -> np.ndarray:
         if "word_ops" not in self._cache:
@@ -265,18 +257,11 @@ class ModuleMap:
         k, _ = gf.kernel(self.mat.a, self.mat.p)
         return gf.row_basis(k.T, self.mat.p)
 
-    def image_subspace(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        return gf.row_basis(self.mat.a.T, self.mat.p)
-
     def rank(self) -> int:
         return self.mat.rank()
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
-
-
-def identity_map(m: ModuleRep) -> ModuleMap:
-    return ModuleMap(m, m, Matrix.identity(m.algebra.p, m.dim))
 
 
 # -- basic constructions ---------------------------------------------------

@@ -23,7 +23,7 @@ enumeration was exhaustive inside them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .modules import (
     direct_sum_with_maps,
     hom_space,
     is_isomorphic,
+    minimal_generator_coords,
     projective_cover_and_syzygy,
     quotient_module,
     simple_module,
@@ -59,13 +60,11 @@ class SearchLimits:
     seed: int = 0
     tr_bound: int = 3
     samples: int = 64
-    threads: int = 1
 
     def to_jsonable(self) -> dict:
         return {"max_steps": self.max_steps, "n_max": self.n_max,
                 "ab_max": self.ab_max, "cap": self.cap, "seed": self.seed,
-                "tr_bound": self.tr_bound, "samples": self.samples,
-                "threads": self.threads}
+                "tr_bound": self.tr_bound, "samples": self.samples}
 
 
 # -- Ext^1 enumeration -------------------------------------------------------
@@ -178,7 +177,8 @@ def middle_term(element: ExtElement):
     graph = np.vstack([element.rep.mat.a,
                        (-cov.inclusion.mat.a) % p])    # columns = graph vectors
     rows, piv = gf.row_basis(graph.T, p)
-    assert rows.shape[0] == syz_dim, "graph of the extension class must be embedded"
+    if rows.shape[0] != syz_dim:
+        raise AssertionError("graph of the extension class must be embedded")
     middle, proj, embed = quotient_module(ambient, rows, piv)
     left = ModuleMap(A_mod, middle,
                      gf.mat_mul(proj.mat.a, injs[0].mat.a, p))
@@ -186,7 +186,8 @@ def middle_term(element: ExtElement):
                       gf.mat_mul(cov.cover.mat.a, embed[A_mod.dim:, :], p))
     seq = ModuleComplex({2: A_mod, 1: middle, 0: C}, {2: left, 1: right})
     defects = seq.exactness_defects([2, 1, 0])
-    assert set(defects.values()) == {0}, "pushout must produce a short exact sequence"
+    if set(defects.values()) != {0}:
+        raise AssertionError("pushout must produce a short exact sequence")
     return middle, seq
 
 
@@ -204,27 +205,44 @@ def gdim_is_finite(mod: ModuleRep, tr_bound: int) -> bool:
     return is_totally_reflexive_up_to(mod, tr_bound)
 
 
-def _middle_dim_can_be_free(dim_a: int, dim_c: int, ring_dim: int) -> bool:
-    return (dim_a + dim_c) % ring_dim == 0
+def _mu(mod: ModuleRep) -> int:
+    """Minimal number of generators, dim M/mM."""
+    return len(minimal_generator_coords(mod))
 
 
-def _quick_free_test(space: Ext1Space, element: ExtElement,
-                     radical_rows: np.ndarray) -> bool:
-    """Exact freeness test of the middle without building it.
+def connecting_rank(element: ExtElement) -> int:
+    """Rank of the connecting map delta: Tor_1(k, C) -> A/mA of the class.
 
-    dim m*N = dim(m*(A + P_0) + graph) - dim graph, since the radical of
-    a quotient is the image of the radical.
+    The cover of C is minimal, so Tor_1(k, C) = syz C / m syz C and
+    delta is the representative restricted to the minimal generators of
+    syz C, reduced mod mA: a mu(A) x mu(syz C) matrix.
     """
-    p = space.C.algebra.p
-    graph_rows = np.hstack([element.rep.mat.a.T,
-                            (-space.cover.inclusion.mat.a.T) % p])
-    amb_dim = space.A.dim + space.cover.free.dim
-    syz_dim = space.cover.syzygy.dim
-    joint = gf.rank(np.vstack([radical_rows, graph_rows]), p)
-    dim_n = amb_dim - syz_dim
-    dim_mn = joint - syz_dim
-    gens = dim_n - dim_mn
-    return gens * space.C.algebra.dim == dim_n
+    space = element.space
+    p = space.A.algebra.p
+    rows, piv = space.A.radical_rows()
+    syz_gens = list(minimal_generator_coords(space.cover.syzygy))
+    reduced = gf.reduce_mod_rowspace(rows, piv, element.rep.mat.a[:, syz_gens], p)
+    return gf.rank(reduced[list(minimal_generator_coords(space.A))], p)
+
+
+def free_middle_rank(left: ModuleRep, right: ModuleRep) -> int | None:
+    """Rank of delta at which the middle of 0 -> A -> N -> C -> 0 is free.
+
+    Here A = left and C = right.  The Tor(k, -) sequence
+    Tor_1(k, C) -> A/mA -> N/mN -> C/mC -> 0
+    gives mu(N) = mu(A) + mu(C) - rank delta, and over an artinian local
+    ring N is free iff mu(N) * dim R = dim A + dim C.  None when no rank
+    in [0, min(mu(A), mu(syz C))] qualifies: then no class of
+    Ext^1(right, left) has a free middle.
+    """
+    ring_dim = left.algebra.dim
+    total = left.dim + right.dim
+    if total % ring_dim:
+        return None
+    mu_left = _mu(left)
+    needed = mu_left + _mu(right) - total // ring_dim
+    mu_syz = _mu(projective_cover_and_syzygy(right).syzygy)
+    return needed if 0 <= needed <= min(mu_left, mu_syz) else None
 
 
 # -- witnesses and search ----------------------------------------------------
@@ -273,12 +291,14 @@ class SearchResult:
     mode: str
     target: str
     note: str = ""
+    pruned: int = 0
 
     def to_jsonable(self) -> dict:
         return {"found": self.found,
                 "witness": self.witness.to_jsonable() if self.witness else None,
                 "exhaustive": self.exhaustive,
                 "tested": self.tested,
+                "pruned": self.pruned,
                 "limits": self.limits.to_jsonable(),
                 "mode": self.mode, "target": self.target,
                 "note": self.note or
@@ -318,8 +338,16 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     Candidates at each level are ordered lexicographically in
     (n, a, b, extension coefficients); the first terminal middle found
     is returned, so the witness depth is minimal within the limits.
-    Middles whose dimension rules out a free module are pruned for the
-    pd target at the last level (an exact criterion, not a heuristic).
+
+    At the last level of a pd search no middle is built until one is
+    known to be free: the Tor(k, -) sequence of the class gives
+    mu(N) = mu(A) + mu(C) - rank delta (see free_middle_rank).  A triple
+    (n, a, b) for which no rank of delta makes N free is skipped before
+    its Ext^1 is enumerated and counted in ``pruned``; every other class
+    costs one rank of the small matrix delta and is counted in
+    ``tested``.  Pruned triples are covered by that exact argument, so
+    they keep the search exhaustive.  A frontier module is skipped only
+    when is_isomorphic certifies it isomorphic to one already expanded.
     """
     if mode not in ("red", "ured"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -343,62 +371,44 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
         return SearchResult(True, witness, True, 0, limits, mode, target,
                             note="module already has finite dimension; depth 0")
 
-    tested = 0
+    tested = pruned = 0
     all_exhaustive = True
-    coverage_complete = True
     frontier: list[tuple[ModuleRep, list[ReductionStep]]] = [(mod, [])]
-    expanded: list[tuple[tuple, ModuleRep]] = []
+    expanded: dict[tuple, list[ModuleRep]] = {}
 
     for level in range(1, limits.max_steps + 1):
+        by_rank = target == "pd" and level == limits.max_steps
         next_frontier: list[tuple[ModuleRep, list[ReductionStep]]] = []
         for current, chain in frontier:
-            fp = _fingerprint(current)
-            skip = False
-            for fp_seen, seen in expanded:
-                if fp == fp_seen:
-                    verdict = is_isomorphic(current, seen, exhaust_cap=4096,
-                                            samples=32, seed=limits.seed)
-                    if verdict.kind != "yes":
-                        coverage_complete = False
-                    skip = True
-                    break
-            if skip:
+            twins = expanded.setdefault(_fingerprint(current), [])
+            if any(is_isomorphic(current, seen, exhaust_cap=4096, samples=32,
+                                 seed=limits.seed).kind == "yes"
+                   for seen in twins):
                 continue
-            expanded.append((fp, current))
+            twins.append(current)
             for n, a, b in _candidate_triples(mode, limits):
                 syz = _syzygy(current, n)
                 right = direct_sum([syz] * b, alg)
                 left = direct_sum([current] * a, alg)
-                if target == "pd" and level == limits.max_steps and \
-                        not _middle_dim_can_be_free(left.dim, right.dim, alg.dim):
-                    continue
+                if by_rank:
+                    needed = free_middle_rank(left, right)
+                    if needed is None:
+                        pruned += 1
+                        continue
                 space = ext1_elements(right, left, cap=limits.cap)
                 if not space.exhaustive:
                     all_exhaustive = False
-                elems = space.elements(scalar_orbits=space.exhaustive,
-                                       samples=limits.samples, seed=limits.seed)
-                quick_free = target == "pd" and level == limits.max_steps
-                if quick_free:
-                    # last-level pd search: test freeness of each middle by a
-                    # single rank computation, without building the quotient
-                    amb_rows = _ambient_radical_rows(left, space.cover.free)
-                    hit, batch = _scan_for_free_middle(space, elems, amb_rows,
-                                                       limits.threads)
-                    tested += batch
-                    if hit is not None:
-                        middle, _ = middle_term(hit)
-                        assert terminal(middle)
-                        step = ReductionStep(n, a, b, hit.coeffs, middle)
-                        witness = ReductionWitness(mode, target, chain + [step],
-                                                   middle, verdict_text(middle))
-                        return SearchResult(True, witness,
-                                            all_exhaustive and coverage_complete,
-                                            tested, limits, mode, target)
-                    continue
-                for element in elems:
+                for element in space.elements(scalar_orbits=space.exhaustive,
+                                              samples=limits.samples,
+                                              seed=limits.seed):
                     tested += 1
+                    if by_rank and connecting_rank(element) != needed:
+                        continue
                     middle, _ = middle_term(element)
                     if not terminal(middle):
+                        if by_rank:
+                            raise AssertionError(
+                                "Tor-rank criterion and the built middle disagree")
                         if level < limits.max_steps:
                             next_frontier.append(
                                 (middle,
@@ -408,52 +418,11 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
                     step = ReductionStep(n, a, b, element.coeffs, middle)
                     witness = ReductionWitness(mode, target, chain + [step],
                                                middle, verdict_text(middle))
-                    return SearchResult(True, witness,
-                                        all_exhaustive and coverage_complete,
-                                        tested, limits, mode, target)
+                    return SearchResult(True, witness, all_exhaustive, tested,
+                                        limits, mode, target, pruned=pruned)
         frontier = next_frontier
-    return SearchResult(False, None, all_exhaustive and coverage_complete,
-                        tested, limits, mode, target)
-
-
-def _scan_for_free_middle(space: Ext1Space, elements, radical_rows: np.ndarray,
-                          threads: int):
-    """First element (in order) with a free middle, plus the count scanned.
-
-    With threads > 1 the rank tests run in an order-preserving pool;
-    results are consumed in enumeration order, so the hit is identical
-    to the sequential scan.
-    """
-    if threads <= 1:
-        count = 0
-        for element in elements:
-            count += 1
-            if _quick_free_test(space, element, radical_rows):
-                return element, count
-        return None, count
-    from concurrent.futures import ThreadPoolExecutor
-    count = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(itertools.islice(elements, 256))
-            if not chunk:
-                return None, count
-            results = list(pool.map(
-                lambda e: _quick_free_test(space, e, radical_rows), chunk))
-            for element, ok in zip(chunk, results):
-                count += 1
-                if ok:
-                    return element, count
-
-
-def _ambient_radical_rows(left: ModuleRep, free: ModuleRep) -> np.ndarray:
-    rows_a, _ = left.radical_rows()
-    rows_f, _ = free.radical_rows()
-    amb = left.dim + free.dim
-    out = np.zeros((rows_a.shape[0] + rows_f.shape[0], amb), dtype=np.int64)
-    out[:rows_a.shape[0], :left.dim] = rows_a
-    out[rows_a.shape[0]:, left.dim:] = rows_f
-    return out
+    return SearchResult(False, None, all_exhaustive, tested, limits, mode,
+                        target, pruned=pruned)
 
 
 def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import redhom
 from redhom.cli import cli_run
 
 
@@ -263,11 +267,32 @@ def test_regular_case_field(capsys):
     assert report2["results"]["torsionfree"]["totally_reflexive_up_to_bound"]
 
 
-def test_threads_env_var_is_deterministic(capsys, monkeypatch):
-    argv = ["reduce", "--mode", "ured", "--target", "pd", "--ring", "R1q2",
-            "--module", "k", "--max-steps", "1", "--n-max", "2"]
-    r1, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("REDHOM_THREADS", "3")
-    r2, _ = run_cli(capsys, argv)
-    assert r1["results"]["search"]["found"] == r2["results"]["search"]["found"]
-    assert r1["results"]["search"]["tested"] == r2["results"]["search"]["tested"]
+def test_witness_reverification_survives_optimize_flag():
+    # under python -O a failed re-verification must still exit 3, not
+    # emit the witness
+    script = (
+        "import sys\n"
+        "import redhom.cli as cli\n"
+        "cli.verify_witness = lambda *args: False\n"
+        "sys.exit(cli.cli_run(['reduce', '--mode', 'ured', '--target', 'pd',\n"
+        "                      '--ring', 'R2q5', '--module', 'k']))\n")
+    src = os.path.dirname(os.path.dirname(redhom.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)
+    assert "re-verification" in report["error"]
+    assert "results" not in report
+
+
+def test_reduce_report_counts_pruned_triples(capsys):
+    report, err = run_cli(capsys, ["reduce", "--mode", "ured", "--target", "pd",
+                                   "--ring", "R1q2", "--module", "k",
+                                   "--max-steps", "1", "--n-max", "1"])
+    search = report["results"]["search"]
+    assert not search["found"] and search["exhaustive"]
+    assert (search["tested"], search["pruned"]) == (0, 2)
+    assert "threads" not in report["limits"]
+    assert "pruned 2" in err

@@ -6,6 +6,7 @@ import pytest
 from redhom.algebra import RingSpec, build_monomial_quotient
 from redhom.catalog import catalog_ring, sample_modules
 from redhom.complexes import minimal_free_resolution, resolution_of
+from redhom.gf import rank, solve
 from redhom.modules import (
     ModuleRep,
     direct_sum,
@@ -16,7 +17,13 @@ from redhom.modules import (
     split_free_summands,
     transpose_module,
 )
-from redhom.reducing import ext1_elements, middle_term, pd_is_finite
+from redhom.reducing import (
+    connecting_rank,
+    ext1_elements,
+    free_middle_rank,
+    middle_term,
+    pd_is_finite,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +34,11 @@ def R1():
 @pytest.fixture(scope="module")
 def R1q2():
     return catalog_ring("R1", 2)
+
+
+@pytest.fixture(scope="module")
+def R3q2():
+    return catalog_ring("R3", 2)
 
 
 @pytest.fixture(scope="module")
@@ -46,21 +58,23 @@ def test_syzygy_additive_on_random_samples(R1, R3):
                 assert verdict.kind == "yes", (a.dim, b.dim, verdict.certificate)
 
 
+def _basis_changed(mod, rng):
+    """The module with its actions conjugated by a random invertible matrix."""
+    alg, d = mod.algebra, mod.dim
+    while True:
+        g = rng.integers(0, alg.p, size=(d, d), dtype=np.int64)
+        if rank(g, alg.p) == d:
+            break
+    ginv = solve(g, np.eye(d, dtype=np.int64), alg.p)
+    return ModuleRep(alg, [(g @ mod.action_arr(j) @ ginv) % alg.p
+                           for j in range(alg.num_gens)])
+
+
 def test_betti_invariant_under_basis_change(R1, R3):
     rng = np.random.default_rng(5)
     for alg in (R1, R3):
         for _, mod in sample_modules(alg, count=3, max_dim=6, seed=7):
-            d = mod.dim
-            # conjugate the actions by a random invertible matrix
-            while True:
-                g = rng.integers(0, alg.p, size=(d, d), dtype=np.int64)
-                from redhom.gf import rank, solve
-                if rank(g, alg.p) == d:
-                    break
-            ginv = solve(g, np.eye(d, dtype=np.int64), alg.p)
-            acts = [(g @ mod.action_arr(j) @ ginv) % alg.p
-                    for j in range(alg.num_gens)]
-            twisted = ModuleRep(alg, acts)
+            twisted = _basis_changed(mod, rng)
             _, b1 = minimal_free_resolution(mod, 4)
             _, b2 = minimal_free_resolution(twisted, 4)
             assert b1 == b2
@@ -75,19 +89,57 @@ def test_stable_double_transpose_on_samples(R1, R3):
             assert verdict.kind == "yes", (name, verdict.certificate)
 
 
-def test_dimension_filter_soundness_gf2(R1q2):
-    # branches pruned by the divisibility filter can never contain a free
-    # middle: verified here by exhausting those branches on GF(2)-R1
-    k = simple_module(R1q2)
-    res = resolution_of(k)
-    for n in (0, 2):  # middle dims 2 and 5, neither divisible by dim 3
-        syz = k if n == 0 else res.syzygy_module(n)
-        assert (k.dim + syz.dim) % R1q2.dim != 0
-        space = ext1_elements(syz, k, cap=300_000)
-        assert space.exhaustive
+def test_dimension_filter_soundness_gf2(R1q2, R3q2):
+    # triples pruned by the Tor-rank criterion can never contain a free
+    # middle: verified here by exhausting them over GF(2).  On R1 the
+    # (0,1,1) and (2,1,1) middles have dims 2 and 5, not divisible by 3;
+    # the (1,1,1) triples over R1 (16 classes) and R3 (8 classes) pass
+    # the dimension test but need a connecting map of rank 2 from a
+    # 1-dimensional k / mk
+    k1, k3 = simple_module(R1q2), simple_module(R3q2)
+    cases = [(k1, k1, 4), (k1, resolution_of(k1).syzygy_module(2), 256),
+             (k1, resolution_of(k1).syzygy_module(1), 16),
+             (k3, resolution_of(k3).syzygy_module(1), 8)]
+    for left, right, classes in cases:
+        assert free_middle_rank(left, right) is None
+        space = ext1_elements(right, left, cap=300_000)
+        assert space.exhaustive and space.count == classes
         for element in space.elements():
             middle, _ = middle_term(element)
             assert not pd_is_finite(middle)
+
+
+def _mu(mod):
+    return mod.dim - mod.radical_rows()[0].shape[0]
+
+
+def test_connecting_rank_oracle_exhaustive():
+    # mu(N) = mu(A) + mu(C) - rank delta on every class of small Ext^1
+    # spaces, and the Tor-rank freeness verdict matches the built middle;
+    # basis-changed copies put the radicals off the coordinate axes
+    rng = np.random.default_rng(8)
+    checked = free_seen = 0
+    for ring_id, p in (("R1", 2), ("R1", 5), ("R2", 5), ("R3", 2), ("R4", 2)):
+        alg = catalog_ring(ring_id, p)
+        k = simple_module(alg)
+        mods = [k, resolution_of(k).syzygy_module(1), free_module(alg, 1)]
+        mods += [m for _, m in sample_modules(alg, count=4, max_dim=5, seed=8)]
+        mods += [_basis_changed(m, rng) for m in mods[1:]]
+        for left in mods:
+            for right in mods:
+                space = ext1_elements(right, left, cap=64)
+                if not space.exhaustive:
+                    continue
+                needed = free_middle_rank(left, right)
+                for element in space.elements():
+                    middle, _ = middle_term(element)
+                    delta_rank = connecting_rank(element)
+                    assert _mu(middle) == _mu(left) + _mu(right) - delta_rank
+                    free = needed is not None and delta_rank == needed
+                    assert free == pd_is_finite(middle)
+                    checked += 1
+                    free_seen += free
+    assert checked > 3000 and free_seen > 400
 
 
 def test_scalar_orbit_middles_isomorphic(R1):

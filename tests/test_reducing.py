@@ -121,7 +121,19 @@ def test_search_negative_exhaustive_gf2(R1q2):
                              SearchLimits(max_steps=1, n_max=1))
     assert not result.found
     assert result.exhaustive
-    assert result.tested > 0
+    # both triples are excluded by the Tor-rank criterion: (0,1,1) by
+    # dimension, (1,1,1) because delta would need rank 2 but has at most 1
+    assert result.pruned == 2 and result.tested == 0
+
+
+def test_search_expands_fingerprint_twins_that_are_not_isomorphic(R1):
+    # several level-1 middles share a fingerprint without being isomorphic;
+    # each must be expanded, so the negative result stays exhaustive
+    k = simple_module(R1)
+    result = search_reducing(k, "ured", "pd",
+                             SearchLimits(max_steps=2, n_max=0))
+    assert not result.found
+    assert result.exhaustive
 
 
 def test_search_depth_zero_for_free(R1):
