@@ -333,7 +333,8 @@ class AlgebraRep:
         self.word_vecs = np.array(vecs, dtype=np.int64)
         # coords of each basis element over the word vectors
         coords = gf.solve(self.word_vecs.T, np.eye(d, dtype=np.int64), self.p)
-        assert coords is not None
+        if coords is None:
+            raise AssertionError("generator words must span the algebra")
         self.word_coords = coords
         return tuple(words)
 

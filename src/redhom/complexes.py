@@ -109,7 +109,8 @@ class FreeComplex:
             kerdim = space - self._rank_out(i) if i >= self.lo + 1 and i in self.diffs \
                 else space
             defect = kerdim - (self._rank_out(i + 1) if i + 1 <= self.hi else 0)
-            assert defect >= 0, "image not contained in kernel"
+            if defect < 0:
+                raise AssertionError("image not contained in kernel")
             out[i] = defect
         return out
 
@@ -164,7 +165,8 @@ class ModuleComplex:
                 kerdim = dim_i
             in_rank = self.maps[i + 1].mat.rank() if (i + 1) in self.maps else 0
             defect = kerdim - in_rank
-            assert defect >= 0, "image not contained in kernel"
+            if defect < 0:
+                raise AssertionError("image not contained in kernel")
             out[i] = defect
         return out
 
@@ -230,8 +232,8 @@ class MinimalResolution:
     def _check_minimal(self, rows: np.ndarray, rank: int):
         if rows.size:
             units = [t * self.algebra.dim for t in range(rank)]
-            assert not rows[:, units].any(), \
-                "kernel leaves the radical: resolution not minimal"
+            if rows[:, units].any():
+                raise AssertionError("kernel leaves the radical: resolution not minimal")
 
     def _kernel(self, i: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """Row basis of ker(map out of position i); the (i+1)-st syzygy."""
@@ -257,7 +259,8 @@ class MinimalResolution:
             ambient = free_module(self.algebra, self.betti[i])
             gens = minimal_generator_columns(ambient, rows, piv)
             lam = columns_to_lambda(self.algebra, gens, self.betti[i])
-            assert lam.in_radical(), "differential entries must lie in the radical"
+            if not lam.in_radical():
+                raise AssertionError("differential entries must lie in the radical")
             self.diffs.append(lam)
             self.betti.append(lam.cols)
         return self
@@ -361,7 +364,8 @@ def ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> ExtTable:
         nxt = delta_rank(i + 1)
         dims.append(res.betti[i] * dn - nxt - prev)
         prev = nxt
-    assert all(d >= 0 for d in dims)
+    if any(d < 0 for d in dims):
+        raise AssertionError(f"negative Ext dimension in {dims}")
     return ExtTable(source.dim, target.dim, bound, tuple(dims))
 
 

@@ -148,6 +148,39 @@ def rank(arr: np.ndarray, p: int) -> int:
     return r
 
 
+def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a 3-d stack of matrices, one forward elimination for all.
+
+    One Python step per column.  Each matrix picks its own pivot: the
+    first unused row with a nonzero entry in the column.  The other
+    unused rows are cleared by the fraction-free update
+    row <- pivot * row - entry * pivot_row, an invertible row operation,
+    so no inverses are needed.  Entries stay below p < 2^31, so each
+    product stays below 2^62 and int64 is exact.
+    """
+    a = np.array(stack, dtype=np.int64) % p
+    if a.ndim != 3:
+        raise ShapeMismatchError(f"batch_rank needs a 3-d stack, got shape {a.shape}")
+    batch, rows, cols = a.shape
+    used = np.zeros((batch, rows), dtype=bool)
+    every = np.arange(batch)
+    for c in range(cols):
+        col = a[:, :, c]
+        cand = (col != 0) & ~used
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        pick = cand.argmax(axis=1)
+        pivot_rows = a[every, pick, c:]
+        cand[every, pick] = False
+        bi, ri = np.nonzero(cand)
+        if bi.size:
+            a[bi, ri, c:] = (pivot_rows[bi, :1] * a[bi, ri, c:]
+                             - col[bi, ri, None] * pivot_rows[bi]) % p
+        used[every[has], pick[has]] = True
+    return used.sum(axis=1)
+
+
 def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Basis of the right kernel as columns, plus the free column indices.
 
@@ -157,12 +190,11 @@ def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     arr = np.asarray(arr, dtype=np.int64)
     red, pivots = rref(arr, p)
     cols = arr.shape[1]
-    free = tuple(c for c in range(cols) if c not in set(pivots))
+    pivot_set = set(pivots)
+    free = tuple(c for c in range(cols) if c not in pivot_set)
     k = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        k[f, j] = 1
-        for i, c in enumerate(pivots):
-            k[c, j] = (-red[i, f]) % p
+    k[list(free), np.arange(len(free))] = 1
+    k[list(pivots)] = -red[:len(pivots)][:, list(free)] % p
     return k, free
 
 
@@ -260,24 +292,6 @@ class Matrix:
         self._check(other)
         return Matrix(self.p, mat_mul(self.a, other.a, self.p))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.a.shape != other.a.shape:
-            raise ShapeMismatchError(f"add: {self.a.shape} vs {other.a.shape}")
-        return Matrix(self.p, (self.a + other.a) % self.p)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.a.shape != other.a.shape:
-            raise ShapeMismatchError(f"sub: {self.a.shape} vs {other.a.shape}")
-        return Matrix(self.p, (self.a - other.a) % self.p)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.p, (-self.a) % self.p)
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.p, (self.a * (int(c) % self.p)) % self.p)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.p, self.a.T)
 
@@ -320,18 +334,3 @@ def solve_linear(m: Matrix, b: Matrix) -> Matrix | None:
     x = solve(m.a, b.a, m.p)
     return None if x is None else Matrix(m.p, x)
 
-
-def hstack(mats: list[Matrix]) -> Matrix:
-    p = mats[0].p
-    for m in mats:
-        if m.p != p:
-            raise FieldMismatchError("mixed moduli in hstack")
-    return Matrix(p, np.hstack([m.a for m in mats]))
-
-
-def vstack(mats: list[Matrix]) -> Matrix:
-    p = mats[0].p
-    for m in mats:
-        if m.p != p:
-            raise FieldMismatchError("mixed moduli in vstack")
-    return Matrix(p, np.vstack([m.a for m in mats]))

@@ -14,7 +14,6 @@ subspace, so quotients, syzygies and witnesses are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,14 +429,15 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     g = len(gens)
     phi = cover_matrix(mod)
     free = free_module(A, g)
-    assert gf.rank(phi, A.p) == mod.dim, "projective cover must be surjective"
+    if gf.rank(phi, A.p) != mod.dim:
+        raise AssertionError("projective cover must be surjective")
     k, _ = gf.kernel(phi, A.p)
     rows, piv = gf.row_basis(k.T, A.p)
     # minimality: the kernel sits inside m * Lambda^g
     if rows.size:
         unit_coords = [t * A.dim for t in range(g)]
-        assert not rows[:, unit_coords].any(), \
-            "cover is not minimal: kernel leaves the radical"
+        if rows[:, unit_coords].any():
+            raise AssertionError("cover is not minimal: kernel leaves the radical")
     syz, incl = submodule_from_rows(free, rows, piv)
     data = CoverData(ModuleMap(free, mod, phi), syz, incl, gens, free)
     mod._cache["cover"] = data
@@ -517,8 +517,8 @@ def lambda_from_linear(algebra: AlgebraRep, mat: np.ndarray,
                           f"({target_rank}, {source_rank})")
     entries = mat.reshape(target_rank, D, source_rank, D)[:, :, :, 0].transpose(0, 2, 1)
     lam = LambdaMatrix(algebra, entries)
-    assert (lam.to_linear() == mat % algebra.p).all(), \
-        "matrix is not a module map between free modules"
+    if (lam.to_linear() != mat % algebra.p).any():
+        raise AssertionError("matrix is not a module map between free modules")
     return lam
 
 
@@ -564,7 +564,8 @@ def minimal_presentation(mod: ModuleRep) -> Presentation:
     _, piv = gf.row_basis(rows, mod.algebra.p)
     gens = minimal_generator_columns(data.free, rows, piv)
     lam = columns_to_lambda(mod.algebra, gens, len(data.generator_coords))
-    assert lam.in_radical(), "presentation relations must lie in the radical"
+    if not lam.in_radical():
+        raise AssertionError("presentation relations must lie in the radical")
     pres = Presentation(data.cover, lam, lam.rows, lam.cols)
     mod._cache["presentation"] = pres
     return pres
@@ -657,15 +658,16 @@ def hom_module(source: ModuleRep, target: ModuleRep) -> HomModule:
     A = source.algebra
     space = hom_space(source, target)
     h = space.dim
+    dm, dn = source.dim, target.dim
     acts = []
     for j in range(A.num_gens):
-        an = target.action_arr(j)
         if h == 0:
             acts.append(np.zeros((0, 0), dtype=np.int64))
             continue
-        eye_m = np.eye(source.dim, dtype=np.int64)
-        moved = gf.mat_mul(np.kron(an, eye_m) % A.p, space.kernel, A.p)
-        acts.append(moved[list(space.free_coords), :])
+        # (an (x) I_m) @ kernel, without forming the Kronecker product:
+        # kernel row t*dm + i is entry (t, i) of a dn x dm hom matrix.
+        moved = gf.mat_mul(target.action_arr(j), space.kernel.reshape(dn, dm * h), A.p)
+        acts.append(moved.reshape(dn * dm, h)[list(space.free_coords), :])
     mod = ModuleRep(A, acts) if A.num_gens else ModuleRep.from_dim(A, h)
     return HomModule(mod, space)
 
@@ -709,7 +711,8 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
         if pick is None:
             break
         u = gf.solve(pick.mat.a, A.unit(), p)
-        assert u is not None, "a hom hitting a unit must be surjective"
+        if u is None:
+            raise AssertionError("a hom hitting a unit must be surjective")
         rho = current.rho()
         section = np.stack([gf.mat_mul(rho[i], u, p)[:, 0] for i in range(A.dim)], axis=1)
         rows, piv = pick.kernel_subspace()
@@ -725,7 +728,8 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
         rank += 1
     target = direct_sum([current] + [free_module(A, 1)] * rank, A)
     iso = ModuleMap(mod, target, phi)
-    assert iso.mat.rank() == mod.dim, "free-summand splitting must be invertible"
+    if iso.mat.rank() != mod.dim:
+        raise AssertionError("free-summand splitting must be invertible")
     result = SplitResult(current, rank, iso, target)
     mod._cache["split"] = result
     return result
@@ -742,6 +746,11 @@ class IsoVerdict:
 
     def __bool__(self):
         return self.kind == "yes"
+
+
+# Entries of candidate matrices built and ranked at once by the exhaustive
+# isomorphism scan; bounds its memory whatever the module dimension.
+_ISO_CHUNK_ENTRIES = 1 << 15
 
 
 def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
@@ -780,10 +789,18 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
             exhaustive = False
             break
     if exhaustive:
-        for coeffs in itertools.product(range(p), repeat=h):
-            cand = gf.lincomb(np.array(coeffs, dtype=np.int64), stack, p)
-            if gf.rank(cand, p) == m.dim:
-                return IsoVerdict("yes", witness=ModuleMap(m, n, cand),
+        # Candidates in itertools.product order: index k's coefficient
+        # tuple is the base-p digits of k, most significant first.
+        place = np.array([p ** e for e in range(h - 1, -1, -1)], dtype=np.int64)
+        flat = stack.reshape(h, -1)
+        chunk = max(1, _ISO_CHUNK_ENTRIES // flat.shape[1])
+        for lo in range(0, size, chunk):
+            index = np.arange(lo, min(size, lo + chunk), dtype=np.int64)
+            coeffs = (index[:, None] // place) % p
+            cands = gf.mat_mul(coeffs, flat, p).reshape(-1, m.dim, m.dim)
+            full = np.flatnonzero(gf.batch_rank(cands, p) == m.dim)
+            if full.size:
+                return IsoVerdict("yes", witness=ModuleMap(m, n, cands[full[0]]),
                                   method="exhaustive")
         return IsoVerdict("no", certificate=f"no invertible among all {size} homs",
                           method="exhaustive")

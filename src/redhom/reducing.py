@@ -102,8 +102,9 @@ class Ext1Space:
         rows, piv = gf.row_basis(restriction.T, A.p)
         self._image_rows = rows
         self._image_pivots = piv
+        pivot_set = set(piv)
         self.coset_indices = tuple(c for c in range(self.hom_syz.dim)
-                                   if c not in set(piv))
+                                   if c not in pivot_set)
         self.dim = len(self.coset_indices)
         self.exhaustive = self._power_fits(A.p, self.dim, cap)
         self.count = A.p ** self.dim if self.exhaustive else None

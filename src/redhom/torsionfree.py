@@ -234,8 +234,8 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     primal = comp.exactness_defects(check_positions)
     # defect at -(j-1) equals dim Ext^j(tr core, Lambda), down to the last term
     for j in range(1, n + 1):
-        assert primal[-(j - 1)] == ext_tr[j - 1], \
-            "pushforward defect disagrees with Ext of the transpose"
+        if primal[-(j - 1)] != ext_tr[j - 1]:
+            raise AssertionError("pushforward defect disagrees with Ext of the transpose")
     exact_while = 0
     for j in range(1, n + 1):
         pos = -(j - 1)
@@ -247,8 +247,8 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     if dual_check:
         dual = apply_dual(comp)
         dual_defects = dual.exactness_defects(list(range(0, n)))
-        assert all(v == 0 for v in dual_defects.values()), \
-            "the dual of a pushforward must be exact"
+        if any(dual_defects.values()):
+            raise AssertionError("the dual of a pushforward must be exact")
     return PushforwardResult(comp, n, ext_tr, primal, exact_while,
                              dual_defects, r, ident)
 
@@ -311,7 +311,8 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         # canonical comparison: both are quotients of P_0 by the same kernel
         q_to_m = gf.mat_mul(phi, embed, A.p)
         m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
-        assert m_to_q is not None and quot.dim == mod.dim
+        if m_to_q is None or quot.dim != mod.dim:
+            raise AssertionError("the image of the window must be the module")
         image_witness = ModuleMap(mod, quot, m_to_q)
     else:
         pf = pushforward(mod, n, dual_check=False)
@@ -326,11 +327,12 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         img_rows, img_piv = gf.row_basis(pf.complex.maps[0].mat.a.T, A.p)
         image_module, _ = submodule_from_rows(pf.complex.modules[-1], img_rows, img_piv)
         wit = pf.complex.maps[0].mat.a[list(img_piv), :]
-        assert gf.rank(wit, A.p) == mod.dim, \
-            "middle image must be isomorphic to the module"
+        if gf.rank(wit, A.p) != mod.dim:
+            raise AssertionError("middle image must be isomorphic to the module")
         image_witness = ModuleMap(mod, image_module, wit)
     primal = comp.exactness_defects(list(range(comp.hi - 1, comp.lo, -1)))
-    assert all(v == 0 for v in primal.values()), "window must be exact"
+    if any(primal.values()):
+        raise AssertionError("window must be exact")
     dual = comp.dual()
     dual_positions = list(range(dual.hi - 1, dual.lo, -1))
     dual_defects = dual.exactness_defects(dual_positions)
@@ -338,8 +340,10 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         # exactness of the dual at P_0* needs the augmentation by the image
         hom_dim = hom_space(image_module, ring_module(A)).dim
         ker_dim = ranks[0] * A.dim - res.dual_rank(1)
-        assert ker_dim == hom_dim, "dual of augmented window must be exact at P_0*"
-    assert all(v == 0 for v in dual_defects.values()), "dual of window must be exact"
+        if ker_dim != hom_dim:
+            raise AssertionError("dual of augmented window must be exact at P_0*")
+    if any(dual_defects.values()):
+        raise AssertionError("dual of window must be exact")
     return WindowBuild(comp, m, n, image_module, image_witness,
                        primal, dual_defects, cls)
 
@@ -471,8 +475,8 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
     image_cls = None
     if ok:
         image_cls = torsionfree_classify(image, bound)
-        assert image_cls.member(m, n), \
-            "verified window must classify its image as (m, n)-torsionfree"
+        if not image_cls.member(m, n):
+            raise AssertionError("verified window must classify its image as (m, n)-torsionfree")
     return WindowVerdict(ok, m, n, mode, primal, dual_defects,
                          membership_failures, image.dim, image_cls, reasons)
 

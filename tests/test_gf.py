@@ -8,6 +8,7 @@ from redhom.gf import (
     FieldMismatchError,
     Matrix,
     ShapeMismatchError,
+    batch_rank,
     check_modulus,
     is_prime,
     kernel,
@@ -171,3 +172,29 @@ def test_determinism(m):
     k1, f1 = kernel(m.a, m.p)
     k2, f2 = kernel(m.a, m.p)
     assert (k1 == k2).all() and f1 == f2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2147483647])
+def test_batch_rank_matches_rank(p):
+    rng = np.random.default_rng(p % 1000)
+    stacks = [rng.integers(0, p, size=shape, dtype=np.int64)
+              for shape in [(40, 4, 4), (30, 3, 7), (30, 7, 3), (12, 9, 9)]]
+    # low-rank stacks: products through an inner dimension of 0, 1 or 2
+    for inner in (0, 1, 2):
+        left = rng.integers(0, p, size=(25, 6, inner), dtype=np.int64)
+        right = rng.integers(0, p, size=(25, inner, 5), dtype=np.int64)
+        stacks.append(np.stack([mat_mul(a, b, p) for a, b in zip(left, right)]))
+    # duplicated and zero rows, and the empty shapes
+    base = rng.integers(0, p, size=(10, 3, 6), dtype=np.int64)
+    stacks.append(np.concatenate([base, base, np.zeros_like(base)], axis=1))
+    stacks += [np.zeros(shape, dtype=np.int64)
+               for shape in [(5, 0, 4), (5, 4, 0), (0, 3, 3), (0, 0, 0)]]
+    for stack in stacks:
+        got = batch_rank(stack, p)
+        assert got.shape == (stack.shape[0],)
+        assert got.tolist() == [rank(x, p) for x in stack]
+
+
+def test_batch_rank_rejects_non_stack():
+    with pytest.raises(ShapeMismatchError):
+        batch_rank(np.eye(3, dtype=np.int64), 5)

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from redhom import gf, modules
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
+from redhom.catalog import catalog_ring, sample_modules
 from redhom.gf import Matrix
 from redhom.modules import (
     LambdaMatrix,
@@ -296,3 +298,105 @@ def test_hom_functoriality_random(R3):
 def test_dual_module_of_k(R1, R2):
     assert dual_module(simple_module(R2)).module.dim == 1
     assert dual_module(simple_module(R1)).module.dim == 2
+
+
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("rid", ["R1", "R2", "R3", "R4"])
+def test_hom_module_actions_match_kronecker_formula(rid, q):
+    alg = catalog_ring(rid, q)
+    mods = [mod for _, mod in sample_modules(alg, count=5, max_dim=6, seed=606)]
+    for source, target in itertools.product(mods, repeat=2):
+        hm = hom_module(source, target)
+        space = hm.space
+        if space.dim == 0:
+            continue
+        eye_m = np.eye(source.dim, dtype=np.int64)
+        for j in range(alg.num_gens):
+            moved = (np.kron(target.action_arr(j), eye_m) @ space.kernel) % q
+            assert (hm.module.action_arr(j) == moved[list(space.free_coords)]).all()
+
+
+def _sequential_iso_scan(m, n):
+    """Reference for the exhaustive branch: one lincomb and rank per tuple."""
+    p = m.algebra.p
+    stack = np.stack([f.mat.a for f in hom_space(m, n).basis])
+    for coeffs in itertools.product(range(p), repeat=stack.shape[0]):
+        cand = gf.lincomb(np.array(coeffs, dtype=np.int64), stack, p)
+        if gf.rank(cand, p) == m.dim:
+            return "yes", cand
+    return "no", None
+
+
+def _assert_matches_sequential_scan(m, n):
+    verdict = is_isomorphic(m, n)
+    assert verdict.method == "exhaustive"
+    kind, witness = _sequential_iso_scan(m, n)
+    assert verdict.kind == kind
+    if witness is None:
+        assert verdict.witness is None
+    else:
+        assert (verdict.witness.mat.a == witness).all()
+
+
+def _transpose_duality_pairs():
+    pairs = []
+    for rid in ("R1", "R2", "R3", "R4", "R5"):
+        for _, mod in sample_modules(catalog_ring(rid, 2), count=5, max_dim=8, seed=606):
+            core = split_free_summands(mod).core
+            tt = transpose_module(transpose_module(mod))
+            pairs.append((split_free_summands(tt).core, core))
+    return pairs
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 30])
+def test_is_isomorphic_equals_sequential_scan_on_transpose_duality(monkeypatch, chunk_entries):
+    if chunk_entries is not None:
+        # a few candidates per chunk, so witnesses sit past chunk boundaries
+        monkeypatch.setattr(modules, "_ISO_CHUNK_ENTRIES", chunk_entries)
+    checked = 0
+    for ttcore, core in _transpose_duality_pairs():
+        if is_isomorphic(ttcore, core).method == "exhaustive":
+            _assert_matches_sequential_scan(ttcore, core)
+            checked += 1
+    assert checked >= 10
+
+
+def _non_isomorphic_cyclic_pair():
+    # two cyclic R4q5 modules with equal invariants and no invertible hom
+    mods = dict(sample_modules(catalog_ring("R4", 5), count=5, max_dim=5, seed=606))
+    return mods["cyclic#4"], mods["cyclic#8"]
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 1])
+def test_is_isomorphic_exhaustive_no_equals_sequential_scan(monkeypatch, chunk_entries):
+    if chunk_entries is not None:
+        # one candidate per chunk: the 25 homs span 25 chunks
+        monkeypatch.setattr(modules, "_ISO_CHUNK_ENTRIES", chunk_entries)
+    m, n = _non_isomorphic_cyclic_pair()
+    verdict = is_isomorphic(m, n)
+    assert verdict.kind == "no"
+    assert verdict.certificate == "no invertible among all 25 homs"
+    _assert_matches_sequential_scan(m, n)
+
+
+def test_is_isomorphic_witness_beyond_first_chunk():
+    # Hom(k^4, k^4) has dim 16 over GF(2): 65,536 candidates of 16 entries,
+    # and the first invertible one (the anti-diagonal) is candidate 4,680,
+    # past the first chunk.
+    k = simple_module(catalog_ring("R1", 2))
+    big = direct_sum([k] * 4)
+    assert modules._ISO_CHUNK_ENTRIES // big.dim ** 2 <= 4680
+    _assert_matches_sequential_scan(big, direct_sum([k] * 4))
+
+
+@pytest.mark.parametrize("rid,q", [("R1", 2), ("R2", 5), ("R3", 2)])
+def test_is_isomorphic_witness_follows_product_order(rid, q):
+    # k (+) Lambda against a copy in an upper unitriangular basis: several
+    # candidates are invertible, and the first in product order is not the
+    # first in digit-reversed order
+    alg = catalog_ring(rid, q)
+    m = direct_sum([simple_module(alg), free_module(alg, 1)])
+    g = np.triu(np.ones((m.dim, m.dim), dtype=np.int64))
+    ginv = gf.solve(g, np.eye(m.dim, dtype=np.int64), q)
+    n = ModuleRep(alg, [(g @ m.action_arr(j) @ ginv) % q for j in range(alg.num_gens)])
+    _assert_matches_sequential_scan(m, n)
