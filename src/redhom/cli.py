@@ -52,7 +52,7 @@ class InputError(ValueError):
 
 
 _LIMIT_DEFAULTS = {"max_steps": 1, "n_max": 1, "ab_max": 1, "cap": 200_000,
-                   "tr_bound": 3, "samples": 64}
+                   "tr_bound": 3, "samples": 64, "seed": 0}
 
 
 def _limits_from_args(args) -> SearchLimits:
@@ -65,18 +65,26 @@ def _limits_from_args(args) -> SearchLimits:
                 config = json.load(fh)
         except (FileNotFoundError, json.JSONDecodeError) as err:
             raise InputError(f"cannot read limits config: {err}") from err
-        unknown = set(config) - set(_LIMIT_DEFAULTS) - {"seed"}
+        if not isinstance(config, dict):
+            raise InputError("limits config must be a JSON object")
+        unknown = set(config) - set(values)
         if unknown:
             raise InputError(f"unknown limit keys in config: {sorted(unknown)}")
-        values.update({k: int(v) for k, v in config.items()})
-    for key in _LIMIT_DEFAULTS:
+        not_int = sorted(k for k, v in config.items() if type(v) is not int)
+        if not_int:
+            raise InputError(f"limits must be integers: {not_int}")
+        values.update(config)
+    for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = values.get("seed", 0)
-    return SearchLimits(seed=int(seed), **{k: values[k] for k in _LIMIT_DEFAULTS})
+    negative = sorted(k for k, v in values.items() if v < 0)
+    if negative:
+        raise InputError(f"limits must not be negative: {negative}")
+    too_small = [k for k in ("ab_max", "cap") if values[k] < 1]
+    if too_small:
+        raise InputError(f"limits must be at least 1: {too_small}")
+    return SearchLimits(**values)
 
 
 def _load_ring(args):

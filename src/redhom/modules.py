@@ -753,6 +753,13 @@ class IsoVerdict:
 _ISO_CHUNK_ENTRIES = 1 << 15
 
 
+def _end_dim(mod: ModuleRep) -> int:
+    """dim End(M), cached on the module."""
+    if "end_dim" not in mod._cache:
+        mod._cache["end_dim"] = hom_space(mod, mod).dim
+    return mod._cache["end_dim"]
+
+
 def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
                   samples: int = 128, seed: int = 0) -> IsoVerdict:
     """Three-valued isomorphism test with explicit witnesses.
@@ -772,8 +779,7 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
     rm, rn = m.radical_series_dims(), n.radical_series_dims()
     if rm != rn:
         return IsoVerdict("no", certificate=f"radical series {rm} != {rn}")
-    em = hom_space(m, m).dim
-    en = hom_space(n, n).dim
+    em, en = _end_dim(m), _end_dim(n)
     if em != en:
         return IsoVerdict("no", certificate=f"dim End {em} != {en}")
     space = hom_space(m, n)

@@ -340,15 +340,20 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     (n, a, b, extension coefficients); the first terminal middle found
     is returned, so the witness depth is minimal within the limits.
 
-    At the last level of a pd search no middle is built until one is
-    known to be free: the Tor(k, -) sequence of the class gives
-    mu(N) = mu(A) + mu(C) - rank delta (see free_middle_rank).  A triple
+    A pd search decides at every level whether a class has a free
+    middle without building it: the Tor(k, -) sequence of the class
+    gives mu(N) = mu(A) + mu(C) - rank delta (see free_middle_rank), so
+    a class costs one rank of the small matrix delta, and its middle is
+    built at once only when it is free.  Every other class of a
+    non-last level goes onto the frontier unbuilt, and its middle is
+    built when the next level expands it.  At the last level a triple
     (n, a, b) for which no rank of delta makes N free is skipped before
-    its Ext^1 is enumerated and counted in ``pruned``; every other class
-    costs one rank of the small matrix delta and is counted in
-    ``tested``.  Pruned triples are covered by that exact argument, so
-    they keep the search exhaustive.  A frontier module is skipped only
-    when is_isomorphic certifies it isomorphic to one already expanded.
+    its Ext^1 is enumerated and counted in ``pruned``; pruned triples
+    are covered by that exact argument, so they keep the search
+    exhaustive.  Every enumerated class is counted in ``tested``.  A
+    gdim search builds every middle, since total reflexivity is a
+    property of the module.  A frontier module is skipped only when
+    is_isomorphic certifies it isomorphic to one already expanded.
     """
     if mode not in ("red", "ured"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -374,13 +379,23 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
 
     tested = pruned = 0
     all_exhaustive = True
-    frontier: list[tuple[ModuleRep, list[ReductionStep]]] = [(mod, [])]
+    # Frontier entries are (chain, class, (n, a, b), middle): the class
+    # and shape of the step after chain, or None for the start module.
+    # A pd middle stays None until the class is expanded.
+    frontier: list[tuple] = [([], None, None, mod)]
     expanded: dict[tuple, list[ModuleRep]] = {}
 
     for level in range(1, limits.max_steps + 1):
-        by_rank = target == "pd" and level == limits.max_steps
-        next_frontier: list[tuple[ModuleRep, list[ReductionStep]]] = []
-        for current, chain in frontier:
+        last = level == limits.max_steps
+        next_frontier: list[tuple] = []
+        for chain, pending, shape, current in frontier:
+            if pending is not None:
+                if current is None:
+                    current, _ = middle_term(pending)
+                    if terminal(current):
+                        raise AssertionError(
+                            "Tor-rank criterion and the built middle disagree")
+                chain = chain + [ReductionStep(*shape, pending.coeffs, current)]
             twins = expanded.setdefault(_fingerprint(current), [])
             if any(is_isomorphic(current, seen, exhaust_cap=4096, samples=32,
                                  seed=limits.seed).kind == "yes"
@@ -391,11 +406,10 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
                 syz = _syzygy(current, n)
                 right = direct_sum([syz] * b, alg)
                 left = direct_sum([current] * a, alg)
-                if by_rank:
-                    needed = free_middle_rank(left, right)
-                    if needed is None:
-                        pruned += 1
-                        continue
+                needed = free_middle_rank(left, right) if target == "pd" else None
+                if last and target == "pd" and needed is None:
+                    pruned += 1
+                    continue
                 space = ext1_elements(right, left, cap=limits.cap)
                 if not space.exhaustive:
                     all_exhaustive = False
@@ -403,19 +417,22 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
                                               samples=limits.samples,
                                               seed=limits.seed):
                     tested += 1
-                    if by_rank and connecting_rank(element) != needed:
+                    middle = None
+                    if target == "pd":
+                        found = needed is not None and \
+                            connecting_rank(element) == needed
+                    else:
+                        middle, _ = middle_term(element)
+                        found = terminal(middle)
+                    if not found:
+                        if not last:
+                            next_frontier.append((chain, element, (n, a, b), middle))
                         continue
-                    middle, _ = middle_term(element)
-                    if not terminal(middle):
-                        if by_rank:
+                    if middle is None:
+                        middle, _ = middle_term(element)
+                        if not terminal(middle):
                             raise AssertionError(
                                 "Tor-rank criterion and the built middle disagree")
-                        if level < limits.max_steps:
-                            next_frontier.append(
-                                (middle,
-                                 chain + [ReductionStep(n, a, b,
-                                                        element.coeffs, middle)]))
-                        continue
                     step = ReductionStep(n, a, b, element.coeffs, middle)
                     witness = ReductionWitness(mode, target, chain + [step],
                                                middle, verdict_text(middle))

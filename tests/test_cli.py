@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import redhom
 from redhom.cli import cli_run
@@ -296,3 +297,23 @@ def test_reduce_report_counts_pruned_triples(capsys):
     assert (search["tested"], search["pruned"]) == (0, 2)
     assert "threads" not in report["limits"]
     assert "pruned 2" in err
+
+
+@pytest.mark.parametrize("config,flags,message", [
+    ({"cap": "abc"}, [], "must be integers"),
+    ([1, 2], [], "JSON object"),
+    (None, ["--max-steps", "-1"], "must not be negative"),
+    (None, ["--ab-max", "0"], "at least 1"),
+    (None, ["--cap", "0"], "at least 1"),
+], ids=["non-integer-value", "non-object-config", "negative-limit",
+        "ab-max-below-1", "cap-below-1"])
+def test_reduce_refuses_bad_limits(tmp_path, capsys, config, flags, message):
+    argv = ["reduce", "--mode", "ured", "--target", "pd", "--ring", "R2q5",
+            "--module", "k"] + flags
+    if config is not None:
+        path = tmp_path / "limits.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    report, err = run_cli(capsys, argv, expect=2)
+    assert message in report["error"] and message in err
+    assert "results" not in report

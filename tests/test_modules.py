@@ -221,6 +221,27 @@ def test_is_isomorphic_unknown_comes_only_from_sampling(R1):
     assert got.kind == "yes" and got.method == "random"
 
 
+def test_is_isomorphic_caches_end_dimensions(monkeypatch, R2):
+    # a repeated test computes only Hom(M, N); dim End is kept on each module
+    k = simple_module(R2)
+    m = direct_sum([k, free_module(R2, 1)])
+    n = direct_sum([k, free_module(R2, 1)])
+    first = is_isomorphic(m, n)
+    calls = []
+    hom = modules.hom_space
+
+    def recorded(source, target):
+        calls.append((source, target))
+        return hom(source, target)
+
+    monkeypatch.setattr(modules, "hom_space", recorded)
+    again = is_isomorphic(m, n)
+    assert calls == [(m, n)]
+    assert (again.kind, again.method, again.certificate) == \
+        (first.kind, first.method, first.certificate)
+    assert again.witness.mat == first.witness.mat
+
+
 def test_direct_sum_and_maps(R2):
     k = simple_module(R2)
     F = free_module(R2, 1)

@@ -1,6 +1,8 @@
 import pytest
 
+from redhom import reducing
 from redhom.algebra import RingSpec, build_monomial_quotient
+from redhom.catalog import catalog_ring
 from redhom.modules import direct_sum, free_module, is_isomorphic, simple_module
 from redhom.reducing import (
     SearchLimits,
@@ -134,6 +136,51 @@ def test_search_expands_fingerprint_twins_that_are_not_isomorphic(R1):
                              SearchLimits(max_steps=2, n_max=0))
     assert not result.found
     assert result.exhaustive
+
+
+def _count_builds(monkeypatch):
+    """Count middles built and frontier modules expanded by search_reducing."""
+    counts = {"middles": 0, "expanded": -1}     # the start module is no frontier module
+    build, fingerprint = reducing.middle_term, reducing._fingerprint
+
+    def counted_build(element):
+        counts["middles"] += 1
+        return build(element)
+
+    def counted_fingerprint(mod):
+        counts["expanded"] += 1
+        return fingerprint(mod)
+
+    monkeypatch.setattr(reducing, "middle_term", counted_build)
+    monkeypatch.setattr(reducing, "_fingerprint", counted_fingerprint)
+    return counts
+
+
+def test_pd_search_builds_only_expanded_middles(monkeypatch):
+    # the level-1 classes of red-pd of k over R3q2 go onto the frontier
+    # unbuilt: only the expanded ones and the witness get a middle
+    k = simple_module(catalog_ring("R3", 2))
+    counts = _count_builds(monkeypatch)
+    result = search_reducing(k, "red", "pd",
+                             SearchLimits(max_steps=2, n_max=0, ab_max=2))
+    assert result.found and result.witness.depth == 2
+    assert counts["middles"] <= counts["expanded"] + 1
+    assert counts["middles"] == 3
+    assert (result.tested, result.pruned, result.exhaustive) == (294, 4, True)
+
+
+def test_lazy_pd_search_keeps_the_witness(monkeypatch):
+    # the witness, counts and exhaustiveness of eager middle building,
+    # reached while building 3 middles instead of 979
+    k = simple_module(catalog_ring("R3", 5))
+    counts = _count_builds(monkeypatch)
+    result = search_reducing(k, "ured", "pd", SearchLimits(max_steps=2, n_max=3))
+    assert counts["middles"] <= counts["expanded"] + 1
+    assert [(s.n, s.a, s.b, s.coeffs, s.middle.dim) for s in result.witness.steps] == \
+        [(0, 1, 1, (0, 1), 2), (0, 1, 1, (0, 1), 4)]
+    assert (result.tested, result.pruned, result.exhaustive) == (980, 4, True)
+    assert result.witness.terminal_verdict == "free of rank 1"
+    assert verify_witness(k, result)
 
 
 def test_search_depth_zero_for_free(R1):
