@@ -190,7 +190,7 @@ class AlgebraRep:
         return gf.mat_mul(self.L_of(u), v[:, None], self.p)[:, 0]
 
     def L_of(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of multiplication by the element v."""
+        """The matrix of multiplication by the element v."""
         return gf.lincomb(v, self.left_mult, self.p)
 
     def gen_L(self, j: int) -> np.ndarray:

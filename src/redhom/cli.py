@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__
 from .algebra import AlgebraError, RingSpec, build_ring, socle_and_classify
@@ -51,8 +50,7 @@ class InputError(ValueError):
     """User-level problem: maps to exit code 2."""
 
 
-_LIMIT_DEFAULTS = {"max_steps": 1, "n_max": 1, "ab_max": 1, "cap": 200_000,
-                   "tr_bound": 3, "samples": 64, "seed": 0}
+_LIMIT_DEFAULTS = asdict(SearchLimits())
 
 
 def _limits_from_args(args) -> SearchLimits:
@@ -190,12 +188,18 @@ def cmd_seq(args):
                 doc = json.load(fh)
         except (FileNotFoundError, json.JSONDecodeError) as err:
             raise InputError(f"cannot read sequence file: {err}") from err
+        if not isinstance(doc, dict) or not isinstance(doc.get("sequence", doc), dict):
+            raise InputError("sequence file must hold a JSON object")
         comp = _sequence_from_doc(alg, doc.get("sequence", doc))
         m = args.m if args.m is not None else doc.get("m")
         n = args.n if args.n is not None else doc.get("n")
         if m is None or n is None:
             raise InputError("sequence degrees m, n missing (flags or file)")
-        verdict = verify_window_sequence(comp, int(m), int(n),
+        try:
+            m, n = int(m), int(n)
+        except (TypeError, ValueError) as err:
+            raise InputError(f"sequence degrees must be integers: {err}") from err
+        verdict = verify_window_sequence(comp, m, n,
                                          "(3)" if args.mode == "3" else "(4)")
         results = {"verify": verdict.to_jsonable()}
         return results, [f"verdict: {'ok' if verdict.ok else 'FAILED'} "
@@ -205,32 +209,26 @@ def cmd_seq(args):
 
 def _sequence_from_doc(alg, doc) -> ModuleComplex | FreeComplex:
     kind = doc.get("kind")
-    if kind == "free":
-        ranks = {int(i): r for i, r in doc["ranks"].items()}
-        diffs = {int(i): LambdaMatrix(alg, np.asarray(e, dtype=np.int64))
-                 for i, e in doc["differentials"].items()}
-        try:
+    if kind not in ("free", "modules"):
+        raise InputError(f"unknown sequence kind {kind!r}")
+    try:
+        if kind == "free":
+            ranks = {int(i): r for i, r in doc["ranks"].items()}
+            diffs = {int(i): LambdaMatrix(alg, e) for i, e in doc["differentials"].items()}
             return FreeComplex(alg, ranks, diffs)
-        except (ModuleError, ValueError) as err:
-            raise InputError(f"bad free sequence: {err}") from err
-    if kind == "modules":
         mods = {}
         for i, m in doc["modules"].items():
-            acts = [np.asarray(a, dtype=np.int64) for a in m["actions"]]
             if alg.num_gens == 0:
                 mods[int(i)] = ModuleRep.from_dim(alg, int(m["dim"]))
             else:
-                mods[int(i)] = ModuleRep(alg, acts, validate=True)
+                mods[int(i)] = ModuleRep(alg, m["actions"], validate=True)
         maps = {}
         for i, mat in doc["maps"].items():
             i = int(i)
-            maps[i] = ModuleMap(mods[i], mods[i - 1],
-                                np.asarray(mat, dtype=np.int64))
-        try:
-            return ModuleComplex(mods, maps, check=True)
-        except (ModuleError, ValueError) as err:
-            raise InputError(f"bad module sequence: {err}") from err
-    raise InputError(f"unknown sequence kind {kind!r}")
+            maps[i] = ModuleMap(mods[i], mods[i - 1], mat)
+        return ModuleComplex(mods, maps, check=True)
+    except (KeyError, TypeError, ValueError) as err:
+        raise InputError(f"bad {kind} sequence: {err}") from err
 
 
 def cmd_reduce(args):

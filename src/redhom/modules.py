@@ -20,7 +20,6 @@ import numpy as np
 
 from . import gf
 from .algebra import AlgebraRep
-from .gf import Matrix
 
 
 class ModuleError(ValueError):
@@ -91,11 +90,6 @@ class ModuleRep:
             big.flags.writeable = False
             self._cache[key] = big
         return self._cache[key]
-
-    @property
-    def actions(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix(self.algebra.p, self.action_arr(j))
-                     for j in range(self.algebra.num_gens))
 
     def act(self, j: int, vecs: np.ndarray) -> np.ndarray:
         """Apply generator j to column vectors; block fast path for frees."""
@@ -220,7 +214,12 @@ class ModuleRep:
 
 
 class ModuleMap:
-    """A homomorphism of modules, stored as its matrix on column vectors."""
+    """A homomorphism of modules, stored as its matrix on column vectors.
+
+    `mat` is a read-only int64 array reduced mod p, copied from the
+    caller's entries.  Maps between modules over different algebras are
+    refused here, which is what keeps moduli from mixing.
+    """
 
     __slots__ = ("source", "target", "mat")
 
@@ -229,35 +228,32 @@ class ModuleMap:
             raise ModuleError("module map between different algebras")
         self.source = source
         self.target = target
-        if not isinstance(mat, Matrix):
-            mat = Matrix(source.algebra.p, mat)
-        if mat.rows != target.dim or mat.cols != source.dim:
+        mat = np.array(mat, dtype=np.int64)
+        if mat.shape != (target.dim, source.dim):
             raise ModuleError(
-                f"map matrix {mat.rows}x{mat.cols} does not fit "
+                f"map matrix {'x'.join(map(str, mat.shape))} does not fit "
                 f"{target.dim}x{source.dim}")
+        mat %= source.algebra.p
+        mat.flags.writeable = False
         self.mat = mat
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         if other.target is not self.source and other.target.dim != self.source.dim:
             raise ModuleError("composition mismatch")
-        return ModuleMap(other.source, self.target, self.mat @ other.mat)
+        return ModuleMap(other.source, self.target,
+                         gf.mat_mul(self.mat, other.mat, self.source.algebra.p))
 
     def is_module_map(self) -> bool:
         p = self.source.algebra.p
-        m = self.mat.a
         for j in range(self.source.algebra.num_gens):
-            lhs = gf.mat_mul(m, self.source.action_arr(j), p)
-            rhs = gf.mat_mul(self.target.action_arr(j), m, p)
+            lhs = gf.mat_mul(self.mat, self.source.action_arr(j), p)
+            rhs = gf.mat_mul(self.target.action_arr(j), self.mat, p)
             if not (lhs == rhs).all():
                 return False
         return True
 
-    def kernel_subspace(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        k, _ = gf.kernel(self.mat.a, self.mat.p)
-        return gf.row_basis(k.T, self.mat.p)
-
     def rank(self) -> int:
-        return self.mat.rank()
+        return gf.rank(self.mat, self.source.algebra.p)
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
@@ -410,7 +406,7 @@ def minimal_generator_coords(mod: ModuleRep) -> tuple[int, ...]:
 
 
 def cover_matrix(mod: ModuleRep) -> np.ndarray:
-    """Matrix of the minimal projective cover Lambda^g -> M."""
+    """The matrix of the minimal projective cover Lambda^g -> M."""
     A = mod.algebra
     gens = minimal_generator_coords(mod)
     if not gens:
@@ -445,7 +441,7 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
 
 
 class LambdaMatrix:
-    """Matrix with entries in the algebra, i.e. a map of free modules.
+    """A matrix with entries in the algebra, i.e. a map of free modules.
 
     Shape (rows, cols) encodes a module map Lambda^cols -> Lambda^rows;
     entry (s, t) is the coefficient vector of the element multiplying
@@ -560,7 +556,7 @@ def minimal_presentation(mod: ModuleRep) -> Presentation:
     if "presentation" in mod._cache:
         return mod._cache["presentation"]
     data = projective_cover_and_syzygy(mod)
-    rows = data.inclusion.mat.a.T
+    rows = data.inclusion.mat.T
     _, piv = gf.row_basis(rows, mod.algebra.p)
     gens = minimal_generator_columns(data.free, rows, piv)
     lam = columns_to_lambda(mod.algebra, gens, len(data.generator_coords))
@@ -599,23 +595,34 @@ def transpose_module(mod: ModuleRep) -> ModuleRep:
 class HomSpace:
     source: ModuleRep
     target: ModuleRep
-    basis: list[ModuleMap]
+    basis: np.ndarray              # (dim, dn, dm); slice t is kernel column t
     kernel: np.ndarray             # columns span the solution space
     free_coords: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.shape[0]
 
     def coords(self, mat: np.ndarray) -> np.ndarray:
-        vec = np.asarray(mat, dtype=np.int64).reshape(-1)
-        return vec[list(self.free_coords)] % self.source.algebra.p
+        """Coordinates of one map, or of each map in a stack of maps."""
+        mat = np.asarray(mat, dtype=np.int64)
+        flat = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
+        return flat[..., list(self.free_coords)] % self.source.algebra.p
 
     def from_coords(self, coeffs) -> ModuleMap:
         p = self.source.algebra.p
         vec = gf.mat_mul(self.kernel, np.asarray(coeffs, dtype=np.int64)[:, None] % p, p)
         return ModuleMap(self.source, self.target,
                          vec.reshape(self.target.dim, self.source.dim))
+
+    def precompose(self, g: np.ndarray, onto: "HomSpace") -> np.ndarray:
+        """Coordinates in `onto` = Hom(W, N) of f . g for g: W -> M.
+
+        One row per basis map f of this space Hom(M, N).
+        """
+        h, dn, dm = self.basis.shape
+        comps = gf.mat_mul(self.basis.reshape(h * dn, dm), g, self.source.algebra.p)
+        return onto.coords(comps.reshape(h, dn, g.shape[1]))
 
 
 def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
@@ -625,21 +632,22 @@ def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
         raise ModuleError("hom between modules over different algebras")
     dm, dn = source.dim, target.dim
     if dm == 0 or dn == 0:
-        return HomSpace(source, target, [], np.zeros((dn * dm, 0), dtype=np.int64), ())
-    blocks = []
-    eye_m = np.eye(dm, dtype=np.int64)
-    eye_n = np.eye(dn, dtype=np.int64)
-    for j in range(A.num_gens):
-        am = source.action_arr(j)
-        an = target.action_arr(j)
-        blocks.append((np.kron(eye_n, am.T) - np.kron(an, eye_m)) % A.p)
-    if blocks:
-        system = np.vstack(blocks)
+        k, free = np.zeros((dn * dm, 0), dtype=np.int64), ()
     else:
-        system = np.zeros((0, dn * dm), dtype=np.int64)
-    k, free = gf.kernel(system, A.p)
-    basis = [ModuleMap(source, target, k[:, t].reshape(dn, dm))
-             for t in range(k.shape[1])]
+        blocks = []
+        eye_m = np.eye(dm, dtype=np.int64)
+        eye_n = np.eye(dn, dtype=np.int64)
+        for j in range(A.num_gens):
+            am = source.action_arr(j)
+            an = target.action_arr(j)
+            blocks.append((np.kron(eye_n, am.T) - np.kron(an, eye_m)) % A.p)
+        if blocks:
+            system = np.vstack(blocks)
+        else:
+            system = np.zeros((0, dn * dm), dtype=np.int64)
+        k, free = gf.kernel(system, A.p)
+    basis = k.T.reshape(k.shape[1], dn, dm)
+    k.flags.writeable = basis.flags.writeable = False
     return HomSpace(source, target, basis, k, free)
 
 
@@ -647,10 +655,6 @@ def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
 class HomModule:
     module: ModuleRep
     space: HomSpace
-
-    @property
-    def basis(self) -> list[ModuleMap]:
-        return self.space.basis
 
 
 def hom_module(source: ModuleRep, target: ModuleRep) -> HomModule:
@@ -702,24 +706,22 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
     phi = np.eye(mod.dim, dtype=np.int64)
     rank = 0
     while current.dim > 0:
-        space = hom_space(current, free_module(A, 1))
-        pick = None
-        for f in space.basis:
-            if f.mat.a[0].any():
-                pick = f
-                break
-        if pick is None:
+        maps = hom_space(current, free_module(A, 1)).basis
+        hits = np.flatnonzero(maps[:, 0].any(axis=1))
+        if not hits.size:
             break
-        u = gf.solve(pick.mat.a, A.unit(), p)
+        pick = maps[hits[0]]
+        u = gf.solve(pick, A.unit(), p)
         if u is None:
             raise AssertionError("a hom hitting a unit must be surjective")
         rho = current.rho()
         section = np.stack([gf.mat_mul(rho[i], u, p)[:, 0] for i in range(A.dim)], axis=1)
-        rows, piv = pick.kernel_subspace()
+        k, _ = gf.kernel(pick, p)
+        rows, piv = gf.row_basis(k.T, p)
         ker_mod, _ = submodule_from_rows(current, rows, piv)
         proj_lin = (np.eye(current.dim, dtype=np.int64)
-                    - gf.mat_mul(section, pick.mat.a, p)) % p
-        step = np.vstack([proj_lin[list(piv), :], pick.mat.a])
+                    - gf.mat_mul(section, pick, p)) % p
+        step = np.vstack([proj_lin[list(piv), :], pick])
         lift = np.zeros((step.shape[0] + rank * A.dim, phi.shape[0]), dtype=np.int64)
         lift[:step.shape[0]] = gf.mat_mul(step, phi[:current.dim], p)
         lift[step.shape[0]:] = phi[current.dim:]
@@ -728,7 +730,7 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
         rank += 1
     target = direct_sum([current] + [free_module(A, 1)] * rank, A)
     iso = ModuleMap(mod, target, phi)
-    if iso.mat.rank() != mod.dim:
+    if iso.rank() != mod.dim:
         raise AssertionError("free-summand splitting must be invertible")
     result = SplitResult(current, rank, iso, target)
     mod._cache["split"] = result
@@ -774,8 +776,8 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
     if m.dim != n.dim:
         return IsoVerdict("no", certificate=f"dimension {m.dim} != {n.dim}")
     if m.dim == 0:
-        return IsoVerdict("yes", witness=ModuleMap(m, n, Matrix.zeros(p, 0, 0)),
-                          method="trivial")
+        zero = np.zeros((0, 0), dtype=np.int64)
+        return IsoVerdict("yes", witness=ModuleMap(m, n, zero), method="trivial")
     rm, rn = m.radical_series_dims(), n.radical_series_dims()
     if rm != rn:
         return IsoVerdict("no", certificate=f"radical series {rm} != {rn}")
@@ -786,19 +788,12 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
     h = space.dim
     if h == 0:
         return IsoVerdict("no", certificate="Hom(M, N) = 0")
-    stack = np.stack([f.mat.a for f in space.basis])
-    size = 1
-    exhaustive = True
-    for _ in range(h):
-        size *= p
-        if size > exhaust_cap:
-            exhaustive = False
-            break
-    if exhaustive:
+    size = gf.power_at_most(p, h, exhaust_cap)
+    if size is not None:
         # Candidates in itertools.product order: index k's coefficient
         # tuple is the base-p digits of k, most significant first.
         place = np.array([p ** e for e in range(h - 1, -1, -1)], dtype=np.int64)
-        flat = stack.reshape(h, -1)
+        flat = space.basis.reshape(h, -1)
         chunk = max(1, _ISO_CHUNK_ENTRIES // flat.shape[1])
         for lo in range(0, size, chunk):
             index = np.arange(lo, min(size, lo + chunk), dtype=np.int64)
@@ -813,7 +808,7 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         coeffs = rng.integers(0, p, size=h, dtype=np.int64)
-        cand = gf.lincomb(coeffs, stack, p)
+        cand = gf.lincomb(coeffs, space.basis, p)
         if gf.rank(cand, p) == m.dim:
             return IsoVerdict("yes", witness=ModuleMap(m, n, cand), method="random")
     return IsoVerdict("unknown",

@@ -23,7 +23,7 @@ enumeration was exhaustive inside them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,9 +62,7 @@ class SearchLimits:
     samples: int = 64
 
     def to_jsonable(self) -> dict:
-        return {"max_steps": self.max_steps, "n_max": self.n_max,
-                "ab_max": self.ab_max, "cap": self.cap, "seed": self.seed,
-                "tr_bound": self.tr_bound, "samples": self.samples}
+        return asdict(self)
 
 
 # -- Ext^1 enumeration -------------------------------------------------------
@@ -94,29 +92,16 @@ class Ext1Space:
         self.cover = projective_cover_and_syzygy(source)
         self.hom_syz = hom_space(self.cover.syzygy, target)
         hom_free = hom_space(self.cover.free, target)
-        incl = self.cover.inclusion.mat.a
-        cols = [self.hom_syz.coords(gf.mat_mul(f.mat.a, incl, A.p))
-                for f in hom_free.basis]
-        restriction = np.array(cols, dtype=np.int64).T if cols else \
-            np.zeros((self.hom_syz.dim, 0), dtype=np.int64)
-        rows, piv = gf.row_basis(restriction.T, A.p)
+        restriction = hom_free.precompose(self.cover.inclusion.mat, self.hom_syz)
+        rows, piv = gf.row_basis(restriction, A.p)
         self._image_rows = rows
         self._image_pivots = piv
         pivot_set = set(piv)
         self.coset_indices = tuple(c for c in range(self.hom_syz.dim)
                                    if c not in pivot_set)
         self.dim = len(self.coset_indices)
-        self.exhaustive = self._power_fits(A.p, self.dim, cap)
-        self.count = A.p ** self.dim if self.exhaustive else None
-
-    @staticmethod
-    def _power_fits(p: int, e: int, cap: int) -> bool:
-        size = 1
-        for _ in range(e):
-            size *= p
-            if size > cap:
-                return False
-        return True
+        self.count = gf.power_at_most(A.p, self.dim, cap)
+        self.exhaustive = self.count is not None
 
     def element(self, coeffs) -> ExtElement:
         coeffs = tuple(int(c) % self.C.algebra.p for c in coeffs)
@@ -175,16 +160,14 @@ def middle_term(element: ExtElement):
     cov = space.cover
     ambient, injs, _ = direct_sum_with_maps([A_mod, cov.free])
     syz_dim = cov.syzygy.dim
-    graph = np.vstack([element.rep.mat.a,
-                       (-cov.inclusion.mat.a) % p])    # columns = graph vectors
+    graph = np.vstack([element.rep.mat, (-cov.inclusion.mat) % p])  # columns = graph vectors
     rows, piv = gf.row_basis(graph.T, p)
     if rows.shape[0] != syz_dim:
         raise AssertionError("graph of the extension class must be embedded")
     middle, proj, embed = quotient_module(ambient, rows, piv)
-    left = ModuleMap(A_mod, middle,
-                     gf.mat_mul(proj.mat.a, injs[0].mat.a, p))
+    left = proj @ injs[0]
     right = ModuleMap(middle, C,
-                      gf.mat_mul(cov.cover.mat.a, embed[A_mod.dim:, :], p))
+                      gf.mat_mul(cov.cover.mat, embed[A_mod.dim:, :], p))
     seq = ModuleComplex({2: A_mod, 1: middle, 0: C}, {2: left, 1: right})
     defects = seq.exactness_defects([2, 1, 0])
     if set(defects.values()) != {0}:
@@ -222,7 +205,7 @@ def connecting_rank(element: ExtElement) -> int:
     p = space.A.algebra.p
     rows, piv = space.A.radical_rows()
     syz_gens = list(minimal_generator_coords(space.cover.syzygy))
-    reduced = gf.reduce_mod_rowspace(rows, piv, element.rep.mat.a[:, syz_gens], p)
+    reduced = gf.reduce_mod_rowspace(rows, piv, element.rep.mat[:, syz_gens], p)
     return gf.rank(reduced[list(minimal_generator_coords(space.A))], p)
 
 

@@ -156,7 +156,7 @@ def _transpose_resolution(core: ModuleRep) -> tuple[MinimalResolution, np.ndarra
     rows, piv = gf.row_basis(lin.T, A.p)
     free0 = free_module(A, pres.p0_rank)
     quot, _, embed = quotient_module(free0, rows, piv)
-    q_to_core = gf.mat_mul(pres.cover.mat.a, embed, A.p)
+    q_to_core = gf.mat_mul(pres.cover.mat, embed, A.p)
     if quot.dim == core.dim and gf.rank(q_to_core, A.p) == core.dim:
         core_to_q = gf.solve(q_to_core, np.eye(core.dim, dtype=np.int64), A.p)
         ident = "canonical quotient comparison"
@@ -164,7 +164,7 @@ def _transpose_resolution(core: ModuleRep) -> tuple[MinimalResolution, np.ndarra
         verdict = is_isomorphic(quot, core)
         if verdict.kind != "yes":
             raise ModuleError("cannot identify the double dual cokernel with the module")
-        core_to_q = gf.solve(verdict.witness.mat.a, np.eye(core.dim, dtype=np.int64), A.p)
+        core_to_q = gf.solve(verdict.witness.mat, np.eye(core.dim, dtype=np.int64), A.p)
         ident = "isomorphism search fallback"
     coker_map = gf.mat_mul(embed, core_to_q, A.p)   # core -> P0 lift of the iso
     return res_t, coker_map, ident
@@ -185,8 +185,8 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     p = A.p
     split = split_free_summands(mod)
     core, r = split.core, split.free_rank
-    core_part = split.iso.mat.a[:core.dim, :]
-    free_part = split.iso.mat.a[core.dim:, :]
+    core_part = split.iso.mat[:core.dim, :]
+    free_part = split.iso.mat[core.dim:, :]
 
     if core.dim == 0:
         g = [0] * (n + 2)
@@ -318,15 +318,15 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         pf = pushforward(mod, n, dual_check=False)
         for j in range(1, n + 1):
             ranks[-j] = pf.complex.modules[-j].free_rank
-        partial = gf.mat_mul(pf.complex.maps[0].mat.a, phi, A.p)
+        partial = gf.mat_mul(pf.complex.maps[0].mat, phi, A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
         for j in range(1, n):
-            diffs[-j] = lambda_from_linear(A, pf.complex.maps[-j].mat.a,
+            diffs[-j] = lambda_from_linear(A, pf.complex.maps[-j].mat,
                                            ranks[-(j + 1)], ranks[-j])
         comp = FreeComplex(A, ranks, diffs, check=True)
-        img_rows, img_piv = gf.row_basis(pf.complex.maps[0].mat.a.T, A.p)
+        img_rows, img_piv = gf.row_basis(pf.complex.maps[0].mat.T, A.p)
         image_module, _ = submodule_from_rows(pf.complex.modules[-1], img_rows, img_piv)
-        wit = pf.complex.maps[0].mat.a[list(img_piv), :]
+        wit = pf.complex.maps[0].mat[list(img_piv), :]
         if gf.rank(wit, A.p) != mod.dim:
             raise AssertionError("middle image must be isomorphic to the module")
         image_witness = ModuleMap(mod, image_module, wit)
@@ -383,11 +383,11 @@ def _image_of_middle(comp: ModuleComplex, n: int):
             rows = np.zeros((0, base.dim), dtype=np.int64)
             piv = ()
         else:
-            rows, piv = gf.row_basis(f.mat.a.T, A.p)
+            rows, piv = gf.row_basis(f.mat.T, A.p)
         quot, _, _ = quotient_module(base, rows, piv)
         return quot
     f = comp.maps[0]
-    rows, piv = gf.row_basis(f.mat.a.T, A.p)
+    rows, piv = gf.row_basis(f.mat.T, A.p)
     return submodule_from_rows(comp.modules[-1], rows, piv)[0]
 
 
@@ -432,7 +432,7 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
         # augmented dual exactness at P_0*
         hom_dim = hom_space(image, ring_module(mc.algebra)).dim
         f1 = mc.maps.get(1)
-        out_rank = f1.mat.rank() if f1 is not None else 0
+        out_rank = f1.rank() if f1 is not None else 0
         ker_dim = mc.modules[0].dim - out_rank
         if is_free:
             dual_lin_rank = comp.diffs[1].transpose().linear_rank() if 1 in comp.diffs else 0
@@ -441,7 +441,7 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
             d = apply_dual(ModuleComplex({1: mc.modules[1], 0: mc.modules[0]},
                                          {1: mc.maps[1]} if 1 in mc.maps else {},
                                          check=False))
-            ker_dual = d.modules[0].dim - (d.maps[0].mat.rank() if 0 in d.maps else 0)
+            ker_dual = d.modules[0].dim - (d.maps[0].rank() if 0 in d.maps else 0)
         if ker_dual != hom_dim:
             dual_defects = dict(dual_defects)
             dual_defects[0] = ker_dual - hom_dim

@@ -317,3 +317,32 @@ def test_reduce_refuses_bad_limits(tmp_path, capsys, config, flags, message):
     report, err = run_cli(capsys, argv, expect=2)
     assert message in report["error"] and message in err
     assert "results" not in report
+
+
+_K_R1 = {"dim": 1, "actions": [[[0]], [[0]]]}
+
+
+@pytest.mark.parametrize("ring,doc,flags", [
+    ("R1", {"kind": "modules", "modules": {"1": _K_R1, "0": _K_R1},
+            "maps": {"1": [[1, 0]]}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "modules", "modules": {"1": _K_R1, "0": _K_R1},
+            "maps": {"0": [[1]]}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "free", "ranks": {"0": 1, "1": 1},
+            "differentials": {"1": [[[0, 1]]]}}, ["--m", "0", "--n", "0"]),
+    ("R2q5", {"kind": "modules", "modules": {"0": {"dim": 2, "actions": [[[1, 0], [0, 0]]]}},
+              "maps": {}}, ["--m", "0", "--n", "0"]),
+    ("R2q5", {"kind": "free", "m": "one", "n": 0, "ranks": {"0": 1},
+              "differentials": {}}, []),
+    ("R2q5", {"kind": "free", "differentials": {}}, ["--m", "0", "--n", "0"]),
+    ("R2q5", [1, 2], ["--m", "0", "--n", "0"]),
+    ("R2q5", {"sequence": [1, 2]}, ["--m", "0", "--n", "0"]),
+], ids=["map-shape", "map-without-target", "differential-entry-length",
+        "actions-break-relations", "non-integer-degree", "free-without-ranks",
+        "not-an-object", "sequence-not-an-object"])
+def test_seq_verify_refuses_malformed_documents(tmp_path, capsys, ring, doc, flags):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    report, err = run_cli(capsys, ["seq", "verify", "--ring", ring, "--file", str(path)]
+                          + flags, expect=2)
+    assert "error" in report and "results" not in report
+    assert err.startswith("error: ")

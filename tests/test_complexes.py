@@ -172,7 +172,7 @@ def test_dual_of_multiplication_complex(R2):
     mc = comp.to_module_complex()
     dual_mc = apply_dual(mc)
     assert dual_mc.modules[0].dim == 2 and dual_mc.modules[-1].dim == 2
-    assert dual_mc.maps[0].mat.rank() == 1
+    assert dual_mc.maps[0].rank() == 1
 
 
 def test_dual_of_socle_sequence_is_exact(R2):

@@ -92,7 +92,7 @@ def test_cover_rank_is_forced(rings_q2):
         for _, mod in sample_modules(alg, count=5, max_dim=5, seed=3):
             data = projective_cover_and_syzygy(mod)
             rows, _ = mod.radical_rows()
-            assert data.cover.mat.cols == (mod.dim - rows.shape[0]) * alg.dim
+            assert data.cover.mat.shape[1] == (mod.dim - rows.shape[0]) * alg.dim
 
 
 def test_transpose_kills_free_summands(rings_q2):

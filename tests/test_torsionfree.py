@@ -78,7 +78,7 @@ def test_pushforward_k_over_R2(R2):
     assert set(pf.primal_defects.values()) == {0}
     assert set(pf.dual_defects.values()) == {0}
     # embedding k -> Lambda lands in the socle
-    assert pf.complex.maps[0].mat.rank() == 1
+    assert pf.complex.maps[0].rank() == 1
 
 
 def test_pushforward_free_identity_splice(R1):
@@ -88,7 +88,7 @@ def test_pushforward_free_identity_splice(R1):
     assert pf.complex.modules[-1].free_rank == 1
     assert pf.complex.modules[-2].free_rank == 0
     assert pf.exact_while == 2
-    assert pf.complex.maps[0].mat.rank() == 3
+    assert pf.complex.maps[0].rank() == 3
 
 
 def test_pushforward_flags_non_torsionfree(R1):
@@ -157,7 +157,7 @@ def test_build_window_n_zero(R1):
     build = build_window_sequence(k, 0, 0)
     assert build.complex.lo == 0 and build.complex.hi == 1
     assert build.image_module.dim == 1
-    assert build.image_witness.mat.rank() == 1
+    assert build.image_witness.rank() == 1
     assert verify_window_sequence(build.complex, 0, 0, "(4)").ok
 
 
