@@ -122,8 +122,8 @@ def module_from_spec(algebra: AlgebraRep, spec) -> ModuleRep:
         raise ModuleError(f"unknown module shorthand {spec!r}")
     if isinstance(spec, dict):
         if "actions" in spec:
-            return ModuleRep(algebra, [np.asarray(a, dtype=np.int64)
-                                       for a in spec["actions"]], validate=True)
+            return ModuleRep(algebra, spec["actions"], dim=spec.get("dim"),
+                             validate=True)
         if "presentation" in spec:
             from .modules import cokernel_of_lambda_matrix
             lam = LambdaMatrix(algebra, np.asarray(spec["presentation"],

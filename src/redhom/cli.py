@@ -82,7 +82,9 @@ def _limits_from_args(args) -> SearchLimits:
     too_small = [k for k in ("ab_max", "cap") if values[k] < 1]
     if too_small:
         raise InputError(f"limits must be at least 1: {too_small}")
-    return SearchLimits(**values)
+    # kept on args so the report echoes the limits the handler used
+    args.search_limits = SearchLimits(**values)
+    return args.search_limits
 
 
 def _load_ring(args):
@@ -216,12 +218,9 @@ def _sequence_from_doc(alg, doc) -> ModuleComplex | FreeComplex:
             ranks = {int(i): r for i, r in doc["ranks"].items()}
             diffs = {int(i): LambdaMatrix(alg, e) for i, e in doc["differentials"].items()}
             return FreeComplex(alg, ranks, diffs)
-        mods = {}
-        for i, m in doc["modules"].items():
-            if alg.num_gens == 0:
-                mods[int(i)] = ModuleRep.from_dim(alg, int(m["dim"]))
-            else:
-                mods[int(i)] = ModuleRep(alg, m["actions"], validate=True)
+        mods = {int(i): ModuleRep(alg, m.get("actions", []), dim=m.get("dim"),
+                                  validate=True)
+                for i, m in doc["modules"].items()}
         maps = {}
         for i, mat in doc["maps"].items():
             i = int(i)
@@ -327,6 +326,13 @@ def cmd_suite(args):
 
 # -- parser -------------------------------------------------------------------
 
+def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
+    """The search-limit flags (one per SearchLimits field but seed) and --config."""
+    for flag in ("max-steps", "n-max", "ab-max", "cap", "tr-bound", "samples"):
+        parser.add_argument(f"--{flag}", type=int, default=None)
+    parser.add_argument("--config", help="JSON file with default search limits")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redhom",
@@ -373,13 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--module", required=True)
     reduce_p.add_argument("--mode", choices=["red", "ured"], required=True)
     reduce_p.add_argument("--target", choices=["pd", "gdim"], required=True)
-    reduce_p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    reduce_p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    reduce_p.add_argument("--ab-max", dest="ab_max", type=int, default=None)
-    reduce_p.add_argument("--cap", type=int, default=None)
-    reduce_p.add_argument("--tr-bound", dest="tr_bound", type=int, default=None)
-    reduce_p.add_argument("--samples", type=int, default=None)
-    reduce_p.add_argument("--config", help="JSON file with default search limits")
+    _add_limit_flags(reduce_p)
 
     growth = sub.add_parser("growth", help="growth estimates (cx/px/gcx style)")
     growth.add_argument("--ring", required=True)
@@ -393,13 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--ring", required=True)
     check.add_argument("--module", required=True)
     check.add_argument("--bound", type=int, default=12)
-    check.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    check.add_argument("--n-max", dest="n_max", type=int, default=None)
-    check.add_argument("--ab-max", dest="ab_max", type=int, default=None)
-    check.add_argument("--cap", type=int, default=None)
-    check.add_argument("--tr-bound", dest="tr_bound", type=int, default=None)
-    check.add_argument("--samples", type=int, default=None)
-    check.add_argument("--config", help="JSON file with default search limits")
+    _add_limit_flags(check)
 
     suite = sub.add_parser("suite", help="bundled suites")
     suite.add_argument("what", choices=["acceptance"])
@@ -448,8 +442,8 @@ def cli_run(argv) -> int:
                   "max_steps", "n_max", "ab_max", "cap", "tr_bound", "samples")
     limits = {k: getattr(args, k) for k in limit_keys
               if getattr(args, k, None) is not None}
-    if hasattr(args, "max_steps"):
-        limits.update(_limits_from_args(args).to_jsonable())
+    if hasattr(args, "search_limits"):
+        limits.update(args.search_limits.to_jsonable())
     report["limits"] = limits
     report["results"] = results
     report["timing"] = {"seconds": round(time.time() - started, 6)}

@@ -295,13 +295,17 @@ class MinimalResolution:
 
     def dual_rank(self, i: int) -> int:
         """Rank of the dualized differential d_i^T (0 for i out of range)."""
-        if i < 1:
-            return 0
-        d = self.diff(i)
-        key = "dual_lambda"
-        if key not in d._cache:
-            d._cache[key] = d.transpose()
-        return d._cache[key].linear_rank()
+        return self.diff(i).transpose().linear_rank() if i >= 1 else 0
+
+    def ext_ring_dim(self, i: int) -> int:
+        """dim Ext^i(X, Lambda) for the resolved X, read off the dual complex.
+
+        The only place the count beta_i * dim Lambda - rank d_{i+1}^T -
+        rank d_i^T is written; the transposes are cached on the
+        differentials, so every caller shares their ranks.
+        """
+        self.extend(i + 1)
+        return self.betti[i] * self.algebra.dim - self.dual_rank(i + 1) - self.dual_rank(i)
 
 
 def resolution_of(mod: ModuleRep) -> MinimalResolution:
@@ -328,9 +332,7 @@ class ExtTable:
 
 
 def _delta_rank_general(res: MinimalResolution, i: int, target: ModuleRep) -> int:
-    """Rank of Hom(P_{i-1}, N) -> Hom(P_i, N) induced by d_i."""
-    if i < 1:
-        return 0
+    """Rank of Hom(P_{i-1}, N) -> Hom(P_i, N) induced by d_i (i >= 1)."""
     d = res.diff(i)
     A = res.algebra
     dn = target.dim
@@ -349,32 +351,18 @@ def ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> ExtTable:
         raise ModuleError("ext bound must be nonnegative")
     res = resolution_of(source)
     res.extend(bound + 1)
-    A = source.algebra
-    is_ring = target is ring_module(A)
-    dn = target.dim
-
-    def delta_rank(i: int) -> int:
-        if is_ring:
-            return res.dual_rank(i)
-        return _delta_rank_general(res, i, target)
-
-    dims = []
-    prev = delta_rank(0)
-    for i in range(bound + 1):
-        nxt = delta_rank(i + 1)
-        dims.append(res.betti[i] * dn - nxt - prev)
-        prev = nxt
+    if target is ring_module(source.algebra):
+        dims = [res.ext_ring_dim(i) for i in range(bound + 1)]
+    else:
+        dims = []
+        prev = 0
+        for i in range(bound + 1):
+            nxt = _delta_rank_general(res, i + 1, target)
+            dims.append(res.betti[i] * target.dim - nxt - prev)
+            prev = nxt
     if any(d < 0 for d in dims):
         raise AssertionError(f"negative Ext dimension in {dims}")
     return ExtTable(source.dim, target.dim, bound, tuple(dims))
-
-
-def ext_ring_dim(source: ModuleRep, i: int) -> int:
-    """Single Ext^i(M, Lambda) dimension, cheap to call incrementally."""
-    res = resolution_of(source)
-    res.extend(i + 1)
-    dn = source.algebra.dim
-    return res.betti[i] * dn - res.dual_rank(i + 1) - res.dual_rank(i)
 
 
 def bass_numbers(target: ModuleRep, bound: int) -> list[int]:

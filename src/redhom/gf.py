@@ -92,20 +92,11 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def lincomb(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
-    """sum(coeffs[i] * stack[i]) % p over axis 0, chunked against overflow."""
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    """sum(coeffs[i] * stack[i]) % p over axis 0, as one mat_mul."""
     stack = np.asarray(stack, dtype=np.int64)
-    n = coeffs.shape[0]
-    if n == 0:
-        return np.zeros(stack.shape[1:], dtype=np.int64)
-    chunk = max(1, (2**62) // max(1, (p - 1) ** 2))
-    if chunk >= n:
-        return np.tensordot(coeffs, stack, axes=(0, 0)) % p
-    out = np.zeros(stack.shape[1:], dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        out += np.tensordot(coeffs[lo:hi], stack[lo:hi], axes=(0, 0)) % p
-    return out % p
+    n, shape = stack.shape[0], stack.shape[1:]
+    coeffs = np.asarray(coeffs, dtype=np.int64).reshape(1, n) % p
+    return mat_mul(coeffs, stack.reshape(n, int(np.prod(shape))), p).reshape(shape)
 
 
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -31,8 +31,9 @@ class ModuleError(ValueError):
 class ModuleRep:
     """A finitely generated module given by generator action matrices."""
 
-    def __init__(self, algebra: AlgebraRep, actions, *, free_rank: int | None = None,
-                 grading=None, validate: bool = False):
+    def __init__(self, algebra: AlgebraRep, actions, *, dim: int | None = None,
+                 free_rank: int | None = None, validate: bool = False):
+        """Actions give the dimension; `dim` is needed only without generators."""
         self.algebra = algebra
         if free_rank is not None:
             self.dim = free_rank * algebra.dim
@@ -45,35 +46,22 @@ class ModuleRep:
             dims = {m.shape for m in mats}
             if len(dims) > 1 or any(m.shape[0] != m.shape[1] for m in mats):
                 raise ModuleError(f"action matrices must be square of equal size, got {dims}")
-            # over a field there are no generator actions; use from_dim instead
-            self.dim = mats[0].shape[0] if mats else 0
+            if mats:
+                if dim is not None and dim != mats[0].shape[0]:
+                    raise ModuleError(f"dim {dim} does not match actions of size "
+                                      f"{mats[0].shape[0]}")
+                dim = mats[0].shape[0]
+            elif dim is None or int(dim) < 0:
+                raise ModuleError("a module over an algebra without generators "
+                                  f"needs a nonnegative dim, got {dim!r}")
+            self.dim = int(dim)
             for m in mats:
                 m.flags.writeable = False
             self._actions = tuple(mats)
         self.free_rank = free_rank
-        self.grading = tuple(grading) if grading is not None else None
         self._cache: dict = {}
         if validate:
             self.validate()
-
-    @classmethod
-    def from_dim(cls, algebra: AlgebraRep, dim: int, actions=None) -> "ModuleRep":
-        """Module over a field-like algebra (no generators) of a given dimension."""
-        mod = cls.__new__(cls)
-        mod.algebra = algebra
-        mod.dim = dim
-        mats = []
-        if actions is not None:
-            mats = [np.asarray(a, dtype=np.int64) % algebra.p for a in actions]
-        elif algebra.num_gens:
-            mats = [np.zeros((dim, dim), dtype=np.int64) for _ in range(algebra.num_gens)]
-        for m in mats:
-            m.flags.writeable = False
-        mod._actions = tuple(mats)
-        mod.free_rank = None
-        mod.grading = None
-        mod._cache = {}
-        return mod
 
     # -- actions ----------------------------------------------------------
 
@@ -268,21 +256,15 @@ def free_module(algebra: AlgebraRep, rank: int) -> ModuleRep:
 
 
 def zero_module(algebra: AlgebraRep) -> ModuleRep:
-    if algebra.num_gens:
-        return ModuleRep(algebra, [np.zeros((0, 0), dtype=np.int64)
-                                   for _ in range(algebra.num_gens)])
-    return ModuleRep.from_dim(algebra, 0)
+    return ModuleRep(algebra, [np.zeros((0, 0), dtype=np.int64)] * algebra.num_gens,
+                     dim=0)
 
 
 def simple_module(algebra: AlgebraRep) -> ModuleRep:
     """The residue field k as a module (cached so resolutions are shared)."""
     if "simple" not in algebra._cache:
-        if algebra.num_gens:
-            mod = ModuleRep(algebra, [np.zeros((1, 1), dtype=np.int64)
-                                      for _ in range(algebra.num_gens)])
-        else:
-            mod = ModuleRep.from_dim(algebra, 1)
-        algebra._cache["simple"] = mod
+        algebra._cache["simple"] = ModuleRep(
+            algebra, [np.zeros((1, 1), dtype=np.int64)] * algebra.num_gens, dim=1)
     return algebra._cache["simple"]
 
 
@@ -313,7 +295,7 @@ def direct_sum_with_maps(mods: list[ModuleRep], algebra: AlgebraRep | None = Non
             for m, off in zip(mods, offsets):
                 big[off:off + m.dim, off:off + m.dim] = m.action_arr(j)
             acts.append(big)
-        out = ModuleRep(A, acts) if A.num_gens else ModuleRep.from_dim(A, total)
+        out = ModuleRep(A, acts, dim=total)
     injections, projections = [], []
     for m, off in zip(mods, offsets):
         inj = np.zeros((total, m.dim), dtype=np.int64)
@@ -342,7 +324,7 @@ def submodule_from_rows(ambient: ModuleRep, rows: np.ndarray,
             raise ModuleError("subspace is not stable under the module action",
                               witness=j)
         acts.append(imgs[piv, :] if s else np.zeros((0, 0), dtype=np.int64))
-    sub = ModuleRep(A, acts) if A.num_gens else ModuleRep.from_dim(A, s)
+    sub = ModuleRep(A, acts, dim=s)
     incl = ModuleMap(sub, ambient, rows.T)
     return sub, incl
 
@@ -373,7 +355,8 @@ def quotient_module(ambient: ModuleRep, rows: np.ndarray, pivots: tuple[int, ...
     """
     A = ambient.algebra
     d = ambient.dim
-    nonpiv = [c for c in range(d) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    nonpiv = [c for c in range(d) if c not in pivot_set]
     q = len(nonpiv)
     embed = np.zeros((d, q), dtype=np.int64)
     for t, c in enumerate(nonpiv):
@@ -383,7 +366,7 @@ def quotient_module(ambient: ModuleRep, rows: np.ndarray, pivots: tuple[int, ...
         cols = ambient.act(j, embed)
         reduced = gf.reduce_mod_rowspace(rows, pivots, cols, A.p)
         acts.append(reduced[nonpiv, :])
-    quot = ModuleRep(A, acts) if A.num_gens else ModuleRep.from_dim(A, q)
+    quot = ModuleRep(A, acts, dim=q)
     proj_full = gf.reduce_mod_rowspace(rows, pivots, np.eye(d, dtype=np.int64), A.p)
     proj = ModuleMap(ambient, quot, proj_full[nonpiv, :])
     return quot, proj, embed
@@ -401,8 +384,8 @@ class CoverData:
 
 
 def minimal_generator_coords(mod: ModuleRep) -> tuple[int, ...]:
-    rows, piv = mod.radical_rows()
-    return tuple(c for c in range(mod.dim) if c not in set(piv))
+    pivots = set(mod.radical_rows()[1])
+    return tuple(c for c in range(mod.dim) if c not in pivots)
 
 
 def cover_matrix(mod: ModuleRep) -> np.ndarray:
@@ -485,7 +468,17 @@ class LambdaMatrix:
         return self._cache["linear"]
 
     def transpose(self) -> "LambdaMatrix":
-        return LambdaMatrix(self.algebra, self.entries.transpose(1, 0, 2))
+        """The entry-wise transpose, i.e. the dual map; built once per matrix.
+
+        The transpose's own transpose is this object, so each dualized
+        differential keeps one linear form and one rank however often
+        it is dualized.
+        """
+        if "transpose" not in self._cache:
+            dual = LambdaMatrix(self.algebra, self.entries.transpose(1, 0, 2))
+            dual._cache["transpose"] = self
+            self._cache["transpose"] = dual
+        return self._cache["transpose"]
 
     def linear_rank(self) -> int:
         if "rank" not in self._cache:
@@ -539,7 +532,8 @@ def minimal_generator_columns(free: ModuleRep, rows: np.ndarray,
     coord_imgs = [free.act(j, rows.T)[piv, :].T for j in range(A.num_gens)]
     rad_rows, rad_piv = gf.row_basis(np.vstack(coord_imgs), A.p) if coord_imgs \
         else (np.zeros((0, s), dtype=np.int64), ())
-    keep = [c for c in range(s) if c not in set(rad_piv)]
+    rad_set = set(rad_piv)
+    keep = [c for c in range(s) if c not in rad_set]
     return rows[keep].T
 
 
@@ -672,7 +666,7 @@ def hom_module(source: ModuleRep, target: ModuleRep) -> HomModule:
         # kernel row t*dm + i is entry (t, i) of a dn x dm hom matrix.
         moved = gf.mat_mul(target.action_arr(j), space.kernel.reshape(dn, dm * h), A.p)
         acts.append(moved.reshape(dn * dm, h)[list(space.free_coords), :])
-    mod = ModuleRep(A, acts) if A.num_gens else ModuleRep.from_dim(A, h)
+    mod = ModuleRep(A, acts, dim=h)
     return HomModule(mod, space)
 
 

@@ -32,7 +32,6 @@ from .complexes import (
     ModuleComplex,
     bass_numbers,
     ext_dims,
-    ext_ring_dim,
     resolution_of,
     ring_module,
 )
@@ -93,15 +92,11 @@ class Ext1Space:
         self.hom_syz = hom_space(self.cover.syzygy, target)
         hom_free = hom_space(self.cover.free, target)
         restriction = hom_free.precompose(self.cover.inclusion.mat, self.hom_syz)
-        rows, piv = gf.row_basis(restriction, A.p)
-        self._image_rows = rows
-        self._image_pivots = piv
-        pivot_set = set(piv)
+        pivot_set = set(gf.row_basis(restriction, A.p)[1])
         self.coset_indices = tuple(c for c in range(self.hom_syz.dim)
                                    if c not in pivot_set)
         self.dim = len(self.coset_indices)
-        self.count = gf.power_at_most(A.p, self.dim, cap)
-        self.exhaustive = self.count is not None
+        self.exhaustive = gf.power_at_most(A.p, self.dim, cap) is not None
 
     def element(self, coeffs) -> ExtElement:
         coeffs = tuple(int(c) % self.C.algebra.p for c in coeffs)
@@ -182,11 +177,6 @@ def pd_is_finite(mod: ModuleRep) -> bool:
     rows, _ = mod.radical_rows()
     gens = mod.dim - rows.shape[0]
     return gens * mod.algebra.dim == mod.dim
-
-
-def gdim_is_finite(mod: ModuleRep, tr_bound: int) -> bool:
-    """Finite G-dimension = totally reflexive, certified up to the bound."""
-    return is_totally_reflexive_up_to(mod, tr_bound)
 
 
 def _mu(mod: ModuleRep) -> int:
@@ -300,9 +290,9 @@ def _syzygy(mod: ModuleRep, n: int) -> ModuleRep:
 def _fingerprint(mod: ModuleRep) -> tuple:
     """Isomorphism-invariant key: dims, radical series, Betti and Ext prefix."""
     if "fingerprint" not in mod._cache:
-        betti = tuple(resolution_of(mod).betti_numbers(2))
+        res = resolution_of(mod)
         mod._cache["fingerprint"] = (mod.dim, tuple(mod.radical_series_dims()),
-                                     betti, ext_ring_dim(mod, 1))
+                                     tuple(res.betti_numbers(2)), res.ext_ring_dim(1))
     return mod._cache["fingerprint"]
 
 
@@ -348,7 +338,7 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     def terminal(x: ModuleRep) -> bool:
         if target == "pd":
             return pd_is_finite(x)
-        return gdim_is_finite(x, limits.tr_bound)
+        return is_totally_reflexive_up_to(x, limits.tr_bound)
 
     def verdict_text(x: ModuleRep) -> str:
         if target == "pd":
@@ -454,7 +444,7 @@ def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:
         current = middle
     if result.target == "pd":
         return pd_is_finite(current)
-    return gdim_is_finite(current, limits.tr_bound)
+    return is_totally_reflexive_up_to(current, limits.tr_bound)
 
 
 # -- growth estimation -------------------------------------------------------
@@ -479,14 +469,6 @@ class GrowthEstimate:
     @property
     def is_finite(self) -> bool:
         return self.verdict.startswith("poly")
-
-    def degree_less_than(self, other: "GrowthEstimate") -> bool:
-        """Strictly smaller growth class (heuristic comparison)."""
-        if not self.is_finite:
-            return False
-        if not other.is_finite:
-            return True
-        return self.fitted_degree < other.fitted_degree
 
     def to_jsonable(self) -> dict:
         return {"kind": self.kind, "values": list(self.values),
@@ -549,75 +531,6 @@ def bass_growth(mod: ModuleRep, bound: int = 8, **kw) -> GrowthEstimate:
 def ext_length_growth(mod: ModuleRep, bound: int = 12, **kw) -> GrowthEstimate:
     dims = ext_dims(mod, ring_module(mod.algebra), bound).dims
     return growth_estimate(dims, "ext_lengths", **kw)
-
-
-# -- reducible complexity ----------------------------------------------------
-
-@dataclass
-class ComplexityStep:
-    n: int
-    coeffs: tuple[int, ...]
-    middle: ModuleRep
-    estimate: GrowthEstimate
-
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "coeffs": list(self.coeffs),
-                "middle_dim": self.middle.dim,
-                "estimate": self.estimate.to_jsonable()}
-
-
-@dataclass
-class ComplexityChain:
-    found: bool
-    steps: list[ComplexityStep]
-    start_estimate: GrowthEstimate
-    note: str
-
-    def to_jsonable(self) -> dict:
-        return {"found": self.found,
-                "steps": [s.to_jsonable() for s in self.steps],
-                "start_estimate": self.start_estimate.to_jsonable(),
-                "note": self.note}
-
-
-def reducible_complexity_search(mod: ModuleRep, limits: SearchLimits | None = None,
-                                *, bound: int = 12) -> ComplexityChain:
-    """Chain of self-extensions 0 -> X -> N -> syz^n X -> 0 lowering complexity.
-
-    Complexity is judged by the Betti growth estimator, so the chain is
-    heuristic evidence for reducible complexity, labeled as such; each
-    accepted step is a verified short exact sequence.
-    """
-    limits = limits or SearchLimits()
-    start = betti_growth(mod, bound)
-    steps: list[ComplexityStep] = []
-    current, estimate = mod, start
-    note = "estimates from finite Betti windows; heuristic"
-    while not estimate.is_zero:
-        if not estimate.is_finite:
-            return ComplexityChain(False, steps, start,
-                                   "complexity estimate is not finite: " + estimate.verdict)
-        found = None
-        for n in range(limits.n_max + 1):
-            syz = _syzygy(current, n)
-            space = ext1_elements(syz, current, cap=limits.cap)
-            for element in space.elements(scalar_orbits=space.exhaustive,
-                                          samples=limits.samples, seed=limits.seed):
-                middle, _ = middle_term(element)
-                cand = betti_growth(middle, bound)
-                if cand.degree_less_than(estimate):
-                    found = ComplexityStep(n, element.coeffs, middle, cand)
-                    break
-            if found:
-                break
-        if not found:
-            return ComplexityChain(False, steps, start,
-                                   "no complexity-lowering extension within limits")
-        steps.append(found)
-        current, estimate = found.middle, found.estimate
-        if len(steps) > bound:
-            return ComplexityChain(False, steps, start, "chain exceeded depth guard")
-    return ComplexityChain(True, steps, start, note)
 
 
 # -- bundled cross-checks ----------------------------------------------------

@@ -30,7 +30,6 @@ from .complexes import (
     ModuleComplex,
     apply_dual,
     ext_dims,
-    ext_ring_dim,
     resolution_of,
     ring_module,
 )
@@ -106,14 +105,10 @@ def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
 
 def is_totally_reflexive_up_to(mod: ModuleRep, bound: int) -> bool:
     """Early-exit total reflexivity test (both Ext sides vanish to the bound)."""
-    for i in range(1, bound + 1):
-        if ext_ring_dim(mod, i):
-            return False
-    tr = transpose_module(mod)
-    for j in range(1, bound + 1):
-        if ext_ring_dim(tr, j):
-            return False
-    return True
+    if any(resolution_of(mod).ext_ring_dim(i) for i in range(1, bound + 1)):
+        return False
+    res_t = resolution_of(transpose_module(mod))
+    return not any(res_t.ext_ring_dim(j) for j in range(1, bound + 1))
 
 
 # -- pushforward -------------------------------------------------------------
@@ -195,11 +190,8 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
         ext_tr = tuple([0] * n)
     else:
         res_t, core_lift, ident = _transpose_resolution(core)
-        res_t.extend(n + 1)
+        ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(1, n + 1))
         g = res_t.betti[:n + 2]
-        D = A.dim
-        ext_tr = tuple(res_t.betti[j] * D - res_t.dual_rank(j + 1) - res_t.dual_rank(j)
-                       for j in range(1, n + 1))
 
     modules = {0: mod}
     maps = {}
@@ -337,10 +329,10 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     dual_positions = list(range(dual.hi - 1, dual.lo, -1))
     dual_defects = dual.exactness_defects(dual_positions)
     if n == 0:
-        # exactness of the dual at P_0* needs the augmentation by the image
+        # exactness of the dual at P_0* needs the augmentation by the image:
+        # ker d_1^T = Ext^0(M, Lambda) must be Hom(image, Lambda)
         hom_dim = hom_space(image_module, ring_module(A)).dim
-        ker_dim = ranks[0] * A.dim - res.dual_rank(1)
-        if ker_dim != hom_dim:
+        if res.ext_ring_dim(0) != hom_dim:
             raise AssertionError("dual of augmented window must be exact at P_0*")
     if any(dual_defects.values()):
         raise AssertionError("dual of window must be exact")

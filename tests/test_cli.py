@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import redhom
+from redhom import cli
 from redhom.cli import cli_run
 
 
@@ -241,6 +242,25 @@ def test_limits_config_file(tmp_path, capsys):
             expect=2)
 
 
+def test_limits_config_is_read_once(tmp_path, capsys, monkeypatch):
+    # the report echoes the limits the search used instead of parsing again
+    config = tmp_path / "limits.json"
+    config.write_text(json.dumps({"max_steps": 1, "n_max": 0}))
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for command in (["reduce", "--mode", "ured", "--target", "pd"], ["check", "thm4"]):
+        reads.clear()
+        report, _ = run_cli(capsys, command + ["--ring", "R2q5", "--module", "k",
+                                               "--config", str(config)])
+        assert reads == [str(config)]
+        assert report["limits"]["max_steps"] == 1 and report["limits"]["n_max"] == 0
+
+
 def test_seq_verify_module_form(tmp_path, capsys):
     # a short exact module sequence 0 -> k -> Lambda -> k -> 0 over R2 is a
     # valid (0,1)-window once positions are arranged as 1, 0, -1
@@ -331,13 +351,18 @@ _K_R1 = {"dim": 1, "actions": [[[0]], [[0]]]}
             "differentials": {"1": [[[0, 1]]]}}, ["--m", "0", "--n", "0"]),
     ("R2q5", {"kind": "modules", "modules": {"0": {"dim": 2, "actions": [[[1, 0], [0, 0]]]}},
               "maps": {}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "modules", "modules": {"0": dict(_K_R1, dim=2)}, "maps": {}},
+     ["--m", "0", "--n", "0"]),
+    ("R5", {"kind": "modules", "modules": {"0": {"actions": []}}, "maps": {}},
+     ["--m", "0", "--n", "0"]),
     ("R2q5", {"kind": "free", "m": "one", "n": 0, "ranks": {"0": 1},
               "differentials": {}}, []),
     ("R2q5", {"kind": "free", "differentials": {}}, ["--m", "0", "--n", "0"]),
     ("R2q5", [1, 2], ["--m", "0", "--n", "0"]),
     ("R2q5", {"sequence": [1, 2]}, ["--m", "0", "--n", "0"]),
 ], ids=["map-shape", "map-without-target", "differential-entry-length",
-        "actions-break-relations", "non-integer-degree", "free-without-ranks",
+        "actions-break-relations", "dim-disagrees-with-actions", "field-module-without-dim",
+        "non-integer-degree", "free-without-ranks",
         "not-an-object", "sequence-not-an-object"])
 def test_seq_verify_refuses_malformed_documents(tmp_path, capsys, ring, doc, flags):
     path = tmp_path / "bad.json"

@@ -10,7 +10,6 @@ from redhom.complexes import (
     check_exactness,
     ext_dims,
     ext_dims_via_dual_complex,
-    ext_ring_dim,
     minimal_free_resolution,
     resolution_of,
     ring_module,
@@ -111,7 +110,16 @@ def test_ext_k_over_R1_nonzero(R1):
     table = ext_dims(simple_module(R1), ring_module(R1), 4)
     assert table.dims[0] == 2  # Hom(k, Lambda) = socle
     assert all(d >= 1 for d in table.dims[1:])
-    assert ext_ring_dim(simple_module(R1), 1) == table.dims[1]
+    res = resolution_of(simple_module(R1))
+    assert [res.ext_ring_dim(i) for i in range(5)] == list(table.dims)
+
+
+def test_dual_complex_shares_the_cached_transposes(R1):
+    res = resolution_of(simple_module(R1))
+    dual = res.free_complex(3).dual()
+    for i in range(1, 4):
+        assert dual.diffs[-(i - 1)] is res.diff(i).transpose()
+        assert dual.diffs[-(i - 1)].transpose() is res.diff(i)
 
 
 def test_ext_general_target_matches_ring_path(R2, R3):

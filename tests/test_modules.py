@@ -282,6 +282,17 @@ def test_module_validation_catches_bad_actions(R2):
         ModuleRep(R2, [np.eye(1, dtype=np.int64)], validate=True)
 
 
+def test_one_constructor_takes_dim_without_generators(R1):
+    field = catalog_ring("R5", 5)
+    assert ModuleRep(field, [], dim=3).dim == 3
+    assert simple_module(field).dim == 1 and zero_module(field).dim == 0
+    assert ModuleRep(R1, [np.zeros((2, 2), dtype=np.int64)] * 2, dim=2).dim == 2
+    for algebra, actions, dim in ((field, [], None), (field, [], -1),
+                                  (R1, [np.zeros((2, 2), dtype=np.int64)] * 2, 3)):
+        with pytest.raises(ModuleError):
+            ModuleRep(algebra, actions, dim=dim)
+
+
 def test_noncommuting_actions_rejected(R1):
     a = np.array([[0, 1], [0, 0]], dtype=np.int64)
     b = np.array([[0, 0], [1, 0]], dtype=np.int64)
@@ -299,6 +310,13 @@ def test_lambda_matrix_roundtrip(R1):
     assert (back.entries == lam.entries).all()
     assert lam.transpose().rows == 1 and lam.transpose().cols == 2
     assert lam.in_radical()
+
+
+def test_transpose_is_cached_and_involutive(R1):
+    lam = LambdaMatrix(R1, np.arange(12).reshape(2, 2, 3))
+    dual = lam.transpose()
+    assert lam.transpose() is dual and dual.transpose() is lam
+    assert (dual.entries == lam.entries.transpose(1, 0, 2) % R1.p).all()
 
 
 def test_hom_functoriality_random(R3):

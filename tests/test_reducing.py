@@ -10,7 +10,6 @@ from redhom.reducing import (
     growth_estimate,
     middle_term,
     pd_is_finite,
-    reducible_complexity_search,
     search_reducing,
     syzygy_betti_inequality,
     upper_reduction_vs_complexity,
@@ -240,30 +239,6 @@ def test_growth_estimates():
     assert finite.verdict == "poly(0)" and finite.is_zero
     short = growth_estimate([1, 2, 3], "betti")
     assert short.verdict == "inconclusive"
-
-
-def test_reducible_complexity_chain_over_R2(R2):
-    k = simple_module(R2)
-    chain = reducible_complexity_search(k, SearchLimits(n_max=1))
-    assert chain.found
-    assert len(chain.steps) == 1
-    assert pd_is_finite(chain.steps[-1].middle)
-
-
-def test_reducible_complexity_chain_over_R3(R3):
-    k = simple_module(R3)
-    chain = reducible_complexity_search(k, SearchLimits(n_max=2))
-    assert chain.found
-    assert len(chain.steps) == 2
-    assert chain.start_estimate.fitted_degree == 2
-    assert chain.steps[0].estimate.fitted_degree == 1
-    assert pd_is_finite(chain.steps[-1].middle)
-
-
-def test_reducible_complexity_free_is_empty(R3):
-    F = free_module(R3, 1)
-    chain = reducible_complexity_search(F, SearchLimits())
-    assert chain.found and chain.steps == []
 
 
 def test_upper_reduction_vs_complexity_R2(R2):

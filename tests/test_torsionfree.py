@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
+from redhom.catalog import catalog_ring, sample_modules
 from redhom.modules import (
     ModuleMap,
     ModuleRep,
@@ -110,6 +111,18 @@ def test_pushforward_defect_matches_ext_exactly(R1, R2, R4):
             pf = pushforward(mod, 3, dual_check=False)
             for j in range(1, 4):
                 assert pf.primal_defects[-(j - 1)] == pf.ext_transpose[j - 1]
+
+
+@pytest.mark.parametrize("ring_id,max_dim,count",
+                         [("R1", 5, 5), ("R2", 12, 6), ("R3", 8, 5), ("R4", 4, 5)])
+def test_pushforward_ext_matches_classify_on_window_samples(ring_id, max_dim, count):
+    # two resolutions of the transpose: the seeded one inside pushforward
+    # (of the free-summand-free core) and the one of transpose_module
+    alg = catalog_ring(ring_id, 5)
+    for _, mod in sample_modules(alg, count=count, max_dim=max_dim, seed=20240):
+        for n in (1, 2):
+            expected = torsionfree_classify(mod, n).ext_transpose[1:]
+            assert pushforward(mod, n, dual_check=False).ext_transpose == expected
 
 
 def test_build_window_k_over_R2(R2):
