@@ -79,7 +79,7 @@ def _limits_from_args(args) -> SearchLimits:
     negative = sorted(k for k, v in values.items() if v < 0)
     if negative:
         raise InputError(f"limits must not be negative: {negative}")
-    too_small = [k for k in ("ab_max", "cap") if values[k] < 1]
+    too_small = [k for k in ("ab_max", "cap", "tr_bound") if values[k] < 1]
     if too_small:
         raise InputError(f"limits must be at least 1: {too_small}")
     # kept on args so the report echoes the limits the handler used

@@ -619,6 +619,22 @@ class HomSpace:
         return onto.coords(comps.reshape(h, dn, g.shape[1]))
 
 
+def _commuting_system(source: ModuleRep, target: ModuleRep) -> np.ndarray:
+    """The blocks I_n (x) a_j^T - b_j (x) I_m of hom_space, stacked over j.
+
+    Unknown t*m + i is entry (t, i) of an n x m hom matrix.  Only the
+    nonzero diagonals of the two Kronecker products are written.
+    """
+    A = source.algebra
+    dm, dn = source.dim, target.dim
+    rows, cols = np.arange(dn), np.arange(dm)
+    blk = np.zeros((A.num_gens, dn, dm, dn, dm), dtype=np.int64)
+    for j in range(A.num_gens):
+        blk[j][rows, :, rows, :] = source.action_arr(j).T
+        blk[j][:, cols, :, cols] -= target.action_arr(j)
+    return blk.reshape(A.num_gens * dn * dm, dn * dm) % A.p
+
+
 def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
     """Solution space of the commuting system f . a_j = b_j . f."""
     A = source.algebra
@@ -628,18 +644,7 @@ def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
     if dm == 0 or dn == 0:
         k, free = np.zeros((dn * dm, 0), dtype=np.int64), ()
     else:
-        blocks = []
-        eye_m = np.eye(dm, dtype=np.int64)
-        eye_n = np.eye(dn, dtype=np.int64)
-        for j in range(A.num_gens):
-            am = source.action_arr(j)
-            an = target.action_arr(j)
-            blocks.append((np.kron(eye_n, am.T) - np.kron(an, eye_m)) % A.p)
-        if blocks:
-            system = np.vstack(blocks)
-        else:
-            system = np.zeros((0, dn * dm), dtype=np.int64)
-        k, free = gf.kernel(system, A.p)
+        k, free = gf.kernel(_commuting_system(source, target), A.p)
     basis = k.T.reshape(k.shape[1], dn, dm)
     k.flags.writeable = basis.flags.writeable = False
     return HomSpace(source, target, basis, k, free)

@@ -7,11 +7,13 @@ number s of short exact sequences
 
 starting at M_0 = M and ending at a module of finite projective (resp.
 G-) dimension; the upper variant forces a_i = b_i = 1.  Over an
-artinian local algebra "finite projective dimension" means free and
-"finite G-dimension" means totally reflexive, so both terminal tests
-are decidable, and each candidate sequence is classified by an element
-of Ext^1, realized here as a pushout of the cover sequence of its
-right-hand term.
+artinian local algebra "finite projective dimension" means free, which
+is decidable, and "finite G-dimension" means totally reflexive, which
+is tested only up to a bound (Ext^i(M, R) = Ext^i(tr M, R) = 0 for
+1 <= i <= tr_bound), except over a non-Gorenstein ring with m^2 = 0,
+where it means free (see totally_reflexive_means_free).  Each
+candidate sequence is classified by an element of Ext^1, realized here
+as a pushout of the cover sequence of its right-hand term.
 
 Searches are breadth-first in the step count with a fixed candidate
 order, so witnesses are minimal within the configured limits and
@@ -28,6 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gf
+from .algebra import AlgebraRep
 from .complexes import (
     ModuleComplex,
     bass_numbers,
@@ -179,6 +182,24 @@ def pd_is_finite(mod: ModuleRep) -> bool:
     return gens * mod.algebra.dim == mod.dim
 
 
+def totally_reflexive_means_free(alg: AlgebraRep) -> bool:
+    """True when alg is not Gorenstein and m^2 = 0.
+
+    Over such a ring is_totally_reflexive_up_to(M, t) with t >= 1 holds
+    exactly when M is free, so a gdim search may use pd_is_finite and
+    the Tor-rank criterion.  Free modules always pass.  Conversely, let
+    the test hold for some t >= 1.  Then Ext^1(tr M, R) = 0, so M is
+    torsionless.  Write M = M' + R^f with M' having no free summand.
+    Every map M' -> R then lands in m (a map onto R would split off a
+    free summand), so every such map kills mM', as m^2 = 0.  M' embeds
+    in a free module, so mM' = 0 and M' = k^a.  Then Ext^1(M, R)
+    contains Ext^1(k, R)^a, and mu^1(R) = e^2 - 1 >= 3, where
+    e = dim m = socle dimension >= 2 (e <= 1 with m^2 = 0 is
+    Gorenstein).  As Ext^1(M, R) = 0, a = 0 and M is free.
+    """
+    return not alg.is_gorenstein and not alg.table[1:, 1:].any()
+
+
 def _mu(mod: ModuleRep) -> int:
     """Minimal number of generators, dim M/mM."""
     return len(minimal_generator_coords(mod))
@@ -305,6 +326,14 @@ def _candidate_triples(mode: str, limits: SearchLimits):
             for b in range(1, limits.ab_max + 1)]
 
 
+def _check_target(target: str, limits: SearchLimits) -> None:
+    """Refuse an unknown target, and a gdim bound under which every module passes."""
+    if target not in ("pd", "gdim"):
+        raise ValueError(f"unknown target {target!r}")
+    if target == "gdim" and limits.tr_bound < 1:
+        raise ValueError(f"gdim needs tr_bound >= 1, got {limits.tr_bound}")
+
+
 def search_reducing(mod: ModuleRep, mode: str, target: str,
                     limits: SearchLimits | None = None) -> SearchResult:
     """Breadth-first bounded search for a reducing-dimension witness.
@@ -324,19 +353,24 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     its Ext^1 is enumerated and counted in ``pruned``; pruned triples
     are covered by that exact argument, so they keep the search
     exhaustive.  Every enumerated class is counted in ``tested``.  A
-    gdim search builds every middle, since total reflexivity is a
+    gdim search over a ring where totally reflexive means free (see
+    totally_reflexive_means_free) takes the same Tor-rank path, with
+    the same enumeration and no triple pruning.  Over any other ring a
+    gdim search builds every middle and tests it with
+    is_totally_reflexive_up_to, since total reflexivity is then a
     property of the module.  A frontier module is skipped only when
     is_isomorphic certifies it isomorphic to one already expanded.
     """
     if mode not in ("red", "ured"):
         raise ValueError(f"unknown mode {mode!r}")
-    if target not in ("pd", "gdim"):
-        raise ValueError(f"unknown target {target!r}")
     limits = limits or SearchLimits()
+    _check_target(target, limits)
     alg = mod.algebra
+    # exact: the terminal test is freeness, read off the Tor-rank criterion
+    exact = target == "pd" or totally_reflexive_means_free(alg)
 
     def terminal(x: ModuleRep) -> bool:
-        if target == "pd":
+        if exact:
             return pd_is_finite(x)
         return is_totally_reflexive_up_to(x, limits.tr_bound)
 
@@ -354,7 +388,7 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     all_exhaustive = True
     # Frontier entries are (chain, class, (n, a, b), middle): the class
     # and shape of the step after chain, or None for the start module.
-    # A pd middle stays None until the class is expanded.
+    # On the Tor-rank path a middle stays None until the class is expanded.
     frontier: list[tuple] = [([], None, None, mod)]
     expanded: dict[tuple, list[ModuleRep]] = {}
 
@@ -379,7 +413,7 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
                 syz = _syzygy(current, n)
                 right = direct_sum([syz] * b, alg)
                 left = direct_sum([current] * a, alg)
-                needed = free_middle_rank(left, right) if target == "pd" else None
+                needed = free_middle_rank(left, right) if exact else None
                 if last and target == "pd" and needed is None:
                     pruned += 1
                     continue
@@ -391,7 +425,7 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
                                               seed=limits.seed):
                     tested += 1
                     middle = None
-                    if target == "pd":
+                    if exact:
                         found = needed is not None and \
                             connecting_rank(element) == needed
                     else:
@@ -421,11 +455,13 @@ def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:
 
     Each extension class is rebuilt from its stored coefficients against
     the deterministic cover and coset bases, so the middles must match
-    the stored ones entry for entry.
+    the stored ones entry for entry.  A gdim terminal is re-checked
+    with the bounded is_totally_reflexive_up_to on every ring.
     """
+    limits = result.limits
+    _check_target(result.target, limits)
     if not result.found:
         return False
-    limits = result.limits
     current = mod
     for step in result.witness.steps:
         if result.mode == "ured" and (step.a != 1 or step.b != 1):

@@ -325,8 +325,9 @@ def test_reduce_report_counts_pruned_triples(capsys):
     (None, ["--max-steps", "-1"], "must not be negative"),
     (None, ["--ab-max", "0"], "at least 1"),
     (None, ["--cap", "0"], "at least 1"),
+    (None, ["--target", "gdim", "--ring", "R1q5", "--tr-bound", "0"], "at least 1"),
 ], ids=["non-integer-value", "non-object-config", "negative-limit",
-        "ab-max-below-1", "cap-below-1"])
+        "ab-max-below-1", "cap-below-1", "gdim-tr-bound-below-1"])
 def test_reduce_refuses_bad_limits(tmp_path, capsys, config, flags, message):
     argv = ["reduce", "--mode", "ured", "--target", "pd", "--ring", "R2q5",
             "--module", "k"] + flags

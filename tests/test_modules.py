@@ -387,6 +387,23 @@ def test_hom_module_actions_match_kronecker_formula(rid, q):
             assert (hm.module.action_arr(j) == moved[list(space.free_coords)]).all()
 
 
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("rid", ["R1", "R3", "R4", "R5"])
+def test_hom_system_matches_kronecker_formula(rid, q):
+    # entry for entry, so hom_space kernels and bases are unchanged
+    alg = catalog_ring(rid, q)
+    mods = [mod for _, mod in sample_modules(alg, count=8, max_dim=6, seed=17)]
+    for source, target in itertools.product(mods, repeat=2):
+        eye_m = np.eye(source.dim, dtype=np.int64)
+        eye_n = np.eye(target.dim, dtype=np.int64)
+        blocks = [(np.kron(eye_n, source.action_arr(j).T)
+                   - np.kron(target.action_arr(j), eye_m)) % q
+                  for j in range(alg.num_gens)]
+        want = np.vstack(blocks) if blocks else \
+            np.zeros((0, target.dim * source.dim), dtype=np.int64)
+        assert np.array_equal(modules._commuting_system(source, target), want)
+
+
 def _sequential_iso_scan(m, n):
     """Reference for the exhaustive branch: one lincomb and rank per tuple."""
     p = m.algebra.p

@@ -24,6 +24,7 @@ from redhom.reducing import (
     middle_term,
     pd_is_finite,
 )
+from redhom.torsionfree import is_totally_reflexive_up_to
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +216,35 @@ def test_gorenstein_line_family():
         from redhom.complexes import ext_dims, ring_module
         dims = ext_dims(simple_module(alg), ring_module(alg), 4).dims
         assert dims == (1, 0, 0, 0, 0)
+
+
+def _gdim_oracle_modules(alg):
+    """Samples, their first syzygies, direct sums, and the level-1 middles
+    of a ured gdim search from k (n <= 1) and from syz k (n = 0)."""
+    mods = [m for _, m in sample_modules(alg, count=4, max_dim=4, seed=3)]
+    mods += [projective_cover_and_syzygy(m).syzygy for m in mods]
+    mods += [direct_sum([a, b]) for a, b in zip(mods[:4], mods[1:5])]
+    k = simple_module(alg)
+    syz_k = projective_cover_and_syzygy(k).syzygy
+    for left, right in ((k, k), (k, syz_k), (syz_k, syz_k)):
+        space = ext1_elements(right, left, cap=64)
+        mods += [middle_term(e)[0] for e in space.elements(
+            scalar_orbits=space.exhaustive, samples=4)]
+    return [m for m in mods if m.dim]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_totally_reflexive_is_free_over_square_zero_non_gorenstein(p):
+    # the exact rule a gdim search uses over R1, against the bounded test
+    mods = _gdim_oracle_modules(catalog_ring("R1", p))
+    free = [pd_is_finite(m) for m in mods]
+    assert any(free) and not all(free)
+    for t in (1, 2, 3):
+        assert [is_totally_reflexive_up_to(m, t) for m in mods] == free
+
+
+@pytest.mark.parametrize("ring_id", ["R2", "R3", "R4"])
+@pytest.mark.parametrize("p", [2, 5])
+def test_every_module_totally_reflexive_over_artinian_gorenstein(ring_id, p):
+    for m in _gdim_oracle_modules(catalog_ring(ring_id, p)):
+        assert is_totally_reflexive_up_to(m, 3)

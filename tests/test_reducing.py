@@ -2,7 +2,7 @@ import pytest
 
 from redhom import reducing
 from redhom.algebra import RingSpec, build_monomial_quotient
-from redhom.catalog import catalog_ring
+from redhom.catalog import catalog_ring, module_from_spec
 from redhom.modules import direct_sum, free_module, is_isomorphic, simple_module
 from redhom.reducing import (
     SearchLimits,
@@ -182,6 +182,44 @@ def test_lazy_pd_search_keeps_the_witness(monkeypatch):
     assert verify_witness(k, result)
 
 
+def test_exact_gdim_search_builds_only_expanded_middles(monkeypatch):
+    # over R1 totally reflexive means free, so a gdim search takes the
+    # Tor-rank path: 7 middles where building every class made 120
+    k = simple_module(catalog_ring("R1", 5))
+    counts = _count_builds(monkeypatch)
+    result = search_reducing(k, "ured", "gdim", SearchLimits(max_steps=2, n_max=0))
+    assert counts["middles"] <= counts["expanded"] + 1
+    assert counts["middles"] == 7
+    assert (result.found, result.tested, result.pruned, result.exhaustive) == \
+        (False, 120, 0, False)
+
+
+def test_exact_gdim_search_keeps_counts_of_building_every_middle():
+    # ured-gdim of syz k = k^2 over R1q2: the counts reached when every
+    # middle was built and resolved (about 49 s then); no triple is pruned
+    syz = module_from_spec(catalog_ring("R1", 2), "syzygy:1:k")
+    result = search_reducing(syz, "ured", "gdim",
+                             SearchLimits(max_steps=2, n_max=0, tr_bound=2))
+    assert (result.found, result.tested, result.pruned, result.exhaustive) == \
+        (False, 25_565, 0, False)
+
+
+def test_gdim_refuses_vacuous_tr_bound(R1):
+    k = simple_module(R1)
+    with pytest.raises(ValueError, match="tr_bound"):
+        search_reducing(k, "ured", "gdim", SearchLimits(tr_bound=0))
+    result = search_reducing(k, "red", "gdim", SearchLimits(n_max=0, ab_max=2))
+    result.limits = SearchLimits(tr_bound=0)
+    with pytest.raises(ValueError, match="tr_bound"):
+        verify_witness(k, result)
+
+
+def test_totally_reflexive_means_free_only_on_square_zero_non_gorenstein():
+    for rid in ("R1", "R2", "R3", "R4", "R5"):
+        assert reducing.totally_reflexive_means_free(catalog_ring(rid, 5)) == \
+            (rid == "R1")
+
+
 def test_search_depth_zero_for_free(R1):
     F = free_module(R1, 2)
     result = search_reducing(F, "red", "pd", SearchLimits())
@@ -200,14 +238,17 @@ def test_search_gdim_zero_over_gorenstein(R2, R3):
 def test_search_gdim_one_over_non_gorenstein(R1):
     # over the non-Gorenstein R1 the residue field has reducing G-dimension
     # exactly 1: depth zero is impossible, and the free middle of the
-    # projective-dimension witness is in particular totally reflexive
+    # projective-dimension witness is in particular totally reflexive;
+    # the Tor-rank path keeps the count and witness of building every middle
     k = simple_module(R1)
     result = search_reducing(k, "red", "gdim",
                              SearchLimits(max_steps=2, n_max=1, ab_max=2,
                                           tr_bound=3))
-    assert result.found and result.witness.depth == 1
-    assert (result.witness.steps[0].n, result.witness.steps[0].a,
-            result.witness.steps[0].b) == (0, 2, 1)
+    assert result.found and result.tested == 177
+    assert [(s.n, s.a, s.b, s.coeffs) for s in result.witness.steps] == \
+        [(0, 2, 1, (0, 1, 1, 0))]
+    assert result.witness.terminal_verdict == "totally reflexive up to bound 3"
+    assert verify_witness(k, result)
 
 
 def test_search_monotone_in_limits(R1):
