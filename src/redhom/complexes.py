@@ -27,10 +27,11 @@ from .modules import (
     ModuleMap,
     ModuleRep,
     columns_to_lambda,
-    cover_matrix,
     free_module,
     hom_module,
     minimal_generator_columns,
+    minimal_presentation,
+    projective_cover_and_syzygy,
     simple_module,
     submodule_from_rows,
 )
@@ -189,35 +190,23 @@ def check_exactness(complex_: ModuleComplex | FreeComplex, positions=None) -> di
 
 
 class MinimalResolution:
-    """Lazily extended minimal free resolution.
+    """Lazily extended minimal free resolution, seeded by a presentation.
 
     Betti numbers are the ranks; kernels[i] carries the canonical row
     basis of ker(d_i restricted), i.e. the (i+1)-st syzygy inside
-    Lambda^{betti[i]}.  A resolution can also be seeded from a given
-    minimal presentation, which is how transposes are resolved while
-    keeping the original free coordinates.
+    Lambda^{betti[i]}.  Every resolution starts from a minimal
+    presentation d_1: resolution_of(M) uses M's own cached one, so its
+    d_1 and first syzygy are the cover's, and transposes are resolved
+    from the transposed presentation in the original free coordinates.
     """
 
     def __init__(self, algebra: AlgebraRep):
         self.algebra = algebra
         self.module: ModuleRep | None = None
-        self.cover_mat: np.ndarray | None = None
         self.betti: list[int] = []
         self.diffs: list[LambdaMatrix] = []      # diffs[i] = d_{i+1}
         self.kernels: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
         self._syzygies: dict[int, ModuleRep] = {}
-
-    @classmethod
-    def of_module(cls, mod: ModuleRep) -> "MinimalResolution":
-        if "resolution" in mod._cache:
-            return mod._cache["resolution"]
-        res = cls(mod.algebra)
-        res.module = mod
-        phi = cover_matrix(mod)
-        res.cover_mat = phi
-        res.betti = [phi.shape[1] // max(1, mod.algebra.dim)]
-        mod._cache["resolution"] = res
-        return res
 
     @classmethod
     def from_presentation(cls, algebra: AlgebraRep, d1: LambdaMatrix) -> "MinimalResolution":
@@ -236,16 +225,10 @@ class MinimalResolution:
                 raise AssertionError("kernel leaves the radical: resolution not minimal")
 
     def _kernel(self, i: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Row basis of ker(map out of position i); the (i+1)-st syzygy."""
+        """Row basis of ker d_i (i >= 1); the (i+1)-st syzygy."""
         if i not in self.kernels:
-            if i == 0:
-                if self.cover_mat is None:
-                    raise ModuleError("seeded resolution has no position-0 kernel")
-                mat = self.cover_mat
-            else:
-                self.extend(i)
-                mat = self.diffs[i - 1].to_linear()
-            k, _ = gf.kernel(mat, self.algebra.p)
+            self.extend(i)
+            k, _ = gf.kernel(self.diffs[i - 1].to_linear(), self.algebra.p)
             rows_piv = gf.row_basis(k.T, self.algebra.p)
             self._check_minimal(rows_piv[0], self.betti[i])
             self.kernels[i] = rows_piv
@@ -267,6 +250,8 @@ class MinimalResolution:
 
     def diff(self, i: int) -> LambdaMatrix:
         """d_i : P_i -> P_{i-1}, 1-indexed."""
+        if i < 1:
+            raise ModuleError(f"differential index must be at least 1, got {i}")
         self.extend(i)
         return self.diffs[i - 1]
 
@@ -276,12 +261,15 @@ class MinimalResolution:
 
     def syzygy_module(self, n: int) -> ModuleRep:
         """The n-th syzygy as an abstract module (n >= 1; n = 0 is the module)."""
+        if n < 0:
+            raise ModuleError(f"syzygy index must be nonnegative, got {n}")
         if n == 0:
             if self.module is None:
                 raise ModuleError("seeded resolution has no 0-th syzygy module")
             return self.module
         if n not in self._syzygies:
-            self.extend(n - 1)
+            if n == 1:
+                raise ModuleError("seeded resolution has no first syzygy module")
             rows, piv = self._kernel(n - 1)
             ambient = free_module(self.algebra, self.betti[n - 1])
             self._syzygies[n] = submodule_from_rows(ambient, rows, piv)[0]
@@ -309,7 +297,18 @@ class MinimalResolution:
 
 
 def resolution_of(mod: ModuleRep) -> MinimalResolution:
-    return MinimalResolution.of_module(mod)
+    """The module's cached resolution, seeded by its minimal presentation.
+
+    d_1 is the presentation's relation matrix and the first syzygy is
+    the kernel of the projective cover, so neither is computed twice.
+    """
+    if "resolution" not in mod._cache:
+        res = MinimalResolution.from_presentation(mod.algebra,
+                                                  minimal_presentation(mod).relations)
+        res.module = mod
+        res._syzygies[1] = projective_cover_and_syzygy(mod).syzygy
+        mod._cache["resolution"] = res
+    return mod._cache["resolution"]
 
 
 def minimal_free_resolution(mod: ModuleRep, steps: int):
@@ -322,8 +321,6 @@ def minimal_free_resolution(mod: ModuleRep, steps: int):
 
 @dataclass
 class ExtTable:
-    source_dim: int
-    target_dim: int
     bound: int
     dims: tuple[int, ...]
 
@@ -362,7 +359,7 @@ def ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> ExtTable:
             prev = nxt
     if any(d < 0 for d in dims):
         raise AssertionError(f"negative Ext dimension in {dims}")
-    return ExtTable(source.dim, target.dim, bound, tuple(dims))
+    return ExtTable(bound, tuple(dims))
 
 
 def bass_numbers(target: ModuleRep, bound: int) -> list[int]:

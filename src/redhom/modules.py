@@ -308,7 +308,7 @@ def direct_sum_with_maps(mods: list[ModuleRep], algebra: AlgebraRep | None = Non
 
 
 def submodule_from_rows(ambient: ModuleRep, rows: np.ndarray,
-                        pivots: tuple[int, ...], *, check: bool = False):
+                        pivots: tuple[int, ...]):
     """Module on an action-stable subspace given by its rref row basis.
 
     Returns (module, inclusion).  Coordinates of a subspace vector v are
@@ -320,9 +320,6 @@ def submodule_from_rows(ambient: ModuleRep, rows: np.ndarray,
     acts = []
     for j in range(A.num_gens):
         imgs = ambient.act(j, rows.T)
-        if check and not gf.in_rowspace(rows, pivots, imgs, A.p):
-            raise ModuleError("subspace is not stable under the module action",
-                              witness=j)
         acts.append(imgs[piv, :] if s else np.zeros((0, 0), dtype=np.int64))
     sub = ModuleRep(A, acts, dim=s)
     incl = ModuleMap(sub, ambient, rows.T)
@@ -541,8 +538,6 @@ def minimal_generator_columns(free: ModuleRep, rows: np.ndarray,
 class Presentation:
     cover: ModuleMap
     relations: LambdaMatrix   # map P1 -> P0 with image the syzygy
-    p0_rank: int
-    p1_rank: int
 
 
 def minimal_presentation(mod: ModuleRep) -> Presentation:
@@ -556,7 +551,7 @@ def minimal_presentation(mod: ModuleRep) -> Presentation:
     lam = columns_to_lambda(mod.algebra, gens, len(data.generator_coords))
     if not lam.in_radical():
         raise AssertionError("presentation relations must lie in the radical")
-    pres = Presentation(data.cover, lam, lam.rows, lam.cols)
+    pres = Presentation(data.cover, lam)
     mod._cache["presentation"] = pres
     return pres
 

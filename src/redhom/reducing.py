@@ -485,13 +485,14 @@ def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:
 
 # -- growth estimation -------------------------------------------------------
 
+GROWTH_RATIO_EPS = 0.15     # an exponential tail grows by at least this ratio
+
+
 @dataclass
 class GrowthEstimate:
     kind: str
     values: tuple[int, ...]
-    start_index: int
     window: int
-    ratio_eps: float
     exponential_flag: bool
     fitted_degree: int | None
     verdict: str
@@ -508,31 +509,29 @@ class GrowthEstimate:
 
     def to_jsonable(self) -> dict:
         return {"kind": self.kind, "values": list(self.values),
-                "start_index": self.start_index, "window": self.window,
-                "ratio_eps": self.ratio_eps,
+                "start_index": 0, "window": self.window,
+                "ratio_eps": GROWTH_RATIO_EPS,
                 "exponential_flag": self.exponential_flag,
                 "fitted_degree": self.fitted_degree,
                 "verdict": self.verdict, "note": self.note}
 
 
-def growth_estimate(values, kind: str = "betti", *, window: int = 6,
-                    ratio_eps: float = 0.15, start_index: int = 0) -> GrowthEstimate:
+def growth_estimate(values, kind: str = "betti", *, window: int = 6) -> GrowthEstimate:
     """Classify a value sequence as poly(d), exponential or inconclusive.
 
     Exponential means every consecutive ratio in the tail window is at
-    least 1 + ratio_eps; otherwise the degree is round(1 + slope) from a
-    log-log fit over the window.  Short or mixed-zero tails are
+    least 1 + GROWTH_RATIO_EPS; otherwise the degree is round(1 + slope)
+    from a log-log fit over the window.  Short or mixed-zero tails are
     inconclusive.
     """
     vals = [int(v) for v in values]
-    base = GrowthEstimate(kind, tuple(vals), start_index, window, ratio_eps,
-                          False, None, "inconclusive")
+    base = GrowthEstimate(kind, tuple(vals), window, False, None, "inconclusive")
     if len(vals) < window:
         base.verdict = "inconclusive"
         base.note = f"need at least {window} values, got {len(vals)}"
         return base
     tail = vals[-window:]
-    first_index = start_index + len(vals) - window
+    first_index = len(vals) - window      # values[0] is the index-0 term
     if all(v == 0 for v in tail):
         base.fitted_degree = 0
         base.verdict = "poly(0)"
@@ -541,7 +540,7 @@ def growth_estimate(values, kind: str = "betti", *, window: int = 6,
         base.verdict = "inconclusive"
         base.note = "tail mixes zero and nonzero values"
         return base
-    if all(tail[i + 1] >= (1.0 + ratio_eps) * tail[i] for i in range(len(tail) - 1)):
+    if all(tail[i + 1] >= (1.0 + GROWTH_RATIO_EPS) * tail[i] for i in range(len(tail) - 1)):
         base.exponential_flag = True
         base.verdict = "exponential"
         return base

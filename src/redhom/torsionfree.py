@@ -29,6 +29,7 @@ from .complexes import (
     MinimalResolution,
     ModuleComplex,
     apply_dual,
+    check_exactness,
     ext_dims,
     resolution_of,
     ring_module,
@@ -40,7 +41,6 @@ from .modules import (
     cover_matrix,
     free_module,
     hom_space,
-    is_isomorphic,
     lambda_from_linear,
     minimal_presentation,
     quotient_module,
@@ -136,33 +136,37 @@ class PushforwardResult:
         return out
 
 
-def _transpose_resolution(core: ModuleRep) -> tuple[MinimalResolution, np.ndarray, str]:
-    """Seeded resolution of tr(core) plus the map core -> coker(dual d1).
+def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
+    """coker(d_1) of M's minimal presentation and the canonical iso M -> coker(d_1).
 
-    The presentation P1 -> P0 of the core dualizes to a minimal
-    presentation of the transpose, and dualizing back identifies the
-    cokernel with the core itself: both are quotients of P0 by the same
-    subspace, so the comparison is a concrete invertible matrix.
+    Returns (coker, section, iso), the section being the linear lift
+    coker -> P_0.  The cover kills exactly the image of d_1, so the
+    cover composed with the section is invertible; anything else is an
+    invariant failure.
     """
-    A = core.algebra
-    pres = minimal_presentation(core)
-    res_t = MinimalResolution.from_presentation(A, pres.relations.transpose())
-    lin = pres.relations.to_linear()
-    rows, piv = gf.row_basis(lin.T, A.p)
-    free0 = free_module(A, pres.p0_rank)
-    quot, _, embed = quotient_module(free0, rows, piv)
-    q_to_core = gf.mat_mul(pres.cover.mat, embed, A.p)
-    if quot.dim == core.dim and gf.rank(q_to_core, A.p) == core.dim:
-        core_to_q = gf.solve(q_to_core, np.eye(core.dim, dtype=np.int64), A.p)
-        ident = "canonical quotient comparison"
-    else:
-        verdict = is_isomorphic(quot, core)
-        if verdict.kind != "yes":
-            raise ModuleError("cannot identify the double dual cokernel with the module")
-        core_to_q = gf.solve(verdict.witness.mat, np.eye(core.dim, dtype=np.int64), A.p)
-        ident = "isomorphism search fallback"
-    coker_map = gf.mat_mul(embed, core_to_q, A.p)   # core -> P0 lift of the iso
-    return res_t, coker_map, ident
+    A = mod.algebra
+    pres = minimal_presentation(mod)
+    rows, piv = gf.row_basis(pres.relations.to_linear().T, A.p)
+    quot, _, embed = quotient_module(free_module(A, pres.relations.rows), rows, piv)
+    q_to_m = gf.mat_mul(pres.cover.mat, embed, A.p)
+    m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
+    if m_to_q is None or quot.dim != mod.dim:
+        raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
+    return quot, embed, m_to_q
+
+
+def _transpose_resolution(core: ModuleRep) -> tuple[MinimalResolution, np.ndarray]:
+    """Seeded resolution of tr(core) plus the map core -> P_0 onto coker(dual d_1).
+
+    The presentation d_1: P_1 -> P_0 of the core dualizes to a minimal
+    presentation of the transpose, whose resolution keeps the original
+    free coordinates.  Dualizing back gives coker(d_1), which
+    _cokernel_comparison identifies with the core itself.
+    """
+    res_t = MinimalResolution.from_presentation(
+        core.algebra, minimal_presentation(core).relations.transpose())
+    _, embed, core_to_q = _cokernel_comparison(core)
+    return res_t, gf.mat_mul(embed, core_to_q, core.algebra.p)
 
 
 def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> PushforwardResult:
@@ -185,22 +189,18 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
 
     if core.dim == 0:
         g = [0] * (n + 2)
-        res_t = None
         ident = "no core (free module)"
         ext_tr = tuple([0] * n)
     else:
-        res_t, core_lift, ident = _transpose_resolution(core)
+        res_t, core_lift = _transpose_resolution(core)
+        ident = "canonical quotient comparison"
         ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(1, n + 1))
         g = res_t.betti[:n + 2]
 
     modules = {0: mod}
     maps = {}
-    ranks = []
     for j in range(1, n + 1):
-        gj = g[j + 1] if res_t is not None else 0
-        rank_j = gj + (r if j == 1 else 0)
-        ranks.append(rank_j)
-        modules[-j] = free_module(A, rank_j)
+        modules[-j] = free_module(A, g[j + 1] + (r if j == 1 else 0))
     # M -> F_{-1}: through the transpose-resolution dual on the core,
     # identity on the split-off free part
     D = A.dim
@@ -216,7 +216,7 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     for j in range(1, n):
         src, tgt = modules[-j], modules[-(j + 1)]
         mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-        if res_t is not None and g[j + 2] and g[j + 1]:
+        if g[j + 2] and g[j + 1]:
             dual_lin = res_t.diff(j + 2).transpose().to_linear()
             mat[:, :dual_lin.shape[1]] = dual_lin
         maps[-j] = ModuleMap(src, tgt, mat)
@@ -292,25 +292,16 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     res.extend(m + 1)
     ranks = {i: res.betti[i] for i in range(m + 2)}
     diffs = {i: res.diff(i) for i in range(1, m + 2)}
-    phi = cover_matrix(mod)
     if n == 0:
         comp = FreeComplex(A, ranks, diffs, check=True)
-        lin1 = res.diff(1).to_linear()
-        rows, piv = gf.row_basis(lin1.T, A.p)
-        free0 = free_module(A, res.betti[0])
-        quot, _, embed = quotient_module(free0, rows, piv)
-        image_module = quot
-        # canonical comparison: both are quotients of P_0 by the same kernel
-        q_to_m = gf.mat_mul(phi, embed, A.p)
-        m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
-        if m_to_q is None or quot.dim != mod.dim:
-            raise AssertionError("the image of the window must be the module")
-        image_witness = ModuleMap(mod, quot, m_to_q)
+        # d_1 is M's minimal presentation, so coker(d_1) is compared with M
+        image_module, _, m_to_q = _cokernel_comparison(mod)
+        image_witness = ModuleMap(mod, image_module, m_to_q)
     else:
         pf = pushforward(mod, n, dual_check=False)
         for j in range(1, n + 1):
             ranks[-j] = pf.complex.modules[-j].free_rank
-        partial = gf.mat_mul(pf.complex.maps[0].mat, phi, A.p)
+        partial = gf.mat_mul(pf.complex.maps[0].mat, cover_matrix(mod), A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
         for j in range(1, n):
             diffs[-j] = lambda_from_linear(A, pf.complex.maps[-j].mat,
@@ -322,12 +313,10 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         if gf.rank(wit, A.p) != mod.dim:
             raise AssertionError("middle image must be isomorphic to the module")
         image_witness = ModuleMap(mod, image_module, wit)
-    primal = comp.exactness_defects(list(range(comp.hi - 1, comp.lo, -1)))
+    primal = check_exactness(comp)
     if any(primal.values()):
         raise AssertionError("window must be exact")
-    dual = comp.dual()
-    dual_positions = list(range(dual.hi - 1, dual.lo, -1))
-    dual_defects = dual.exactness_defects(dual_positions)
+    dual_defects = check_exactness(comp.dual())
     if n == 0:
         # exactness of the dual at P_0* needs the augmentation by the image:
         # ker d_1^T = Ext^0(M, Lambda) must be Hom(image, Lambda)
@@ -367,19 +356,9 @@ class WindowVerdict:
 
 def _image_of_middle(comp: ModuleComplex, n: int):
     """Image of the middle map (or for n = 0 the cokernel convention)."""
-    A = comp.algebra
+    rows, piv = gf.row_basis(comp.maps[1 if n == 0 else 0].mat.T, comp.algebra.p)
     if n == 0:
-        f = comp.maps.get(1)
-        base = comp.modules[0]
-        if f is None:
-            rows = np.zeros((0, base.dim), dtype=np.int64)
-            piv = ()
-        else:
-            rows, piv = gf.row_basis(f.mat.T, A.p)
-        quot, _, _ = quotient_module(base, rows, piv)
-        return quot
-    f = comp.maps[0]
-    rows, piv = gf.row_basis(f.mat.T, A.p)
+        return quotient_module(comp.modules[0], rows, piv)[0]
     return submodule_from_rows(comp.modules[-1], rows, piv)[0]
 
 
@@ -404,38 +383,20 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
     if missing:
         raise ModuleError(f"sequence is missing differentials at positions {missing}")
     reasons = []
-    is_free = isinstance(comp, FreeComplex)
     bound = max(m, n, 1)
-
-    if is_free:
-        primal = comp.exactness_defects(list(range(comp.hi - 1, comp.lo, -1)))
-        dual = comp.dual()
-        dual_defects = dual.exactness_defects(list(range(dual.hi - 1, dual.lo, -1)))
-        mc = comp.to_module_complex()
+    if isinstance(comp, FreeComplex):
+        mc, dual = comp.to_module_complex(), comp.dual()
     else:
-        mc = comp
-        primal = mc.exactness_defects(list(range(mc.hi - 1, mc.lo, -1)))
-        dualized = apply_dual(mc)
-        dual_defects = dualized.exactness_defects(
-            list(range(dualized.hi - 1, dualized.lo, -1)))
+        mc, dual = comp, apply_dual(comp)
+    primal = check_exactness(comp)
+    dual_defects = check_exactness(dual)
 
     image = _image_of_middle(mc, n)
     if n == 0:
-        # augmented dual exactness at P_0*
+        # augmented dual exactness at P_0*: ker d_1^* must be Hom(image, Lambda)
         hom_dim = hom_space(image, ring_module(mc.algebra)).dim
-        f1 = mc.maps.get(1)
-        out_rank = f1.rank() if f1 is not None else 0
-        ker_dim = mc.modules[0].dim - out_rank
-        if is_free:
-            dual_lin_rank = comp.diffs[1].transpose().linear_rank() if 1 in comp.diffs else 0
-            ker_dual = mc.modules[0].dim - dual_lin_rank
-        else:
-            d = apply_dual(ModuleComplex({1: mc.modules[1], 0: mc.modules[0]},
-                                         {1: mc.maps[1]} if 1 in mc.maps else {},
-                                         check=False))
-            ker_dual = d.modules[0].dim - (d.maps[0].rank() if 0 in d.maps else 0)
+        ker_dual = dual.exactness_defects([0])[0]
         if ker_dual != hom_dim:
-            dual_defects = dict(dual_defects)
             dual_defects[0] = ker_dual - hom_dim
 
     membership_failures = []

@@ -1,13 +1,17 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import redhom
 from redhom import cli
+from redhom.catalog import catalog_spec
 from redhom.cli import cli_run
 
 
@@ -162,6 +166,12 @@ def test_module_file_input(tmp_path, capsys):
 def test_bad_module_spec_exits_2(capsys):
     run_cli(capsys, ["resolve", "--ring", "R1q5", "--module", "nonsense"],
             expect=2)
+
+
+def test_negative_syzygy_index_exits_2(capsys):
+    report, _ = run_cli(capsys, ["resolve", "--ring", "R1q5", "--module",
+                                 "syzygy:-1:k"], expect=2)
+    assert "nonnegative" in report["error"]
 
 
 def test_report_reproducibility(capsys):
@@ -372,3 +382,32 @@ def test_seq_verify_refuses_malformed_documents(tmp_path, capsys, ring, doc, fla
                           + flags, expect=2)
     assert "error" in report and "results" not in report
     assert err.startswith("error: ")
+
+
+def _readme_commands():
+    """argv lists of the README's command-line usage block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    usage = [b for b in blocks if "redhom ring list" in b]
+    assert len(usage) == 1
+    lines = usage[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#")[0])[1:] for line in lines
+            if line.startswith("redhom ")]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 16
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)     # exits 2 on a renamed flag or command
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_ring.json").write_text(
+        json.dumps(catalog_spec("R1", 5).to_dict()))
+    (tmp_path / "limits.json").write_text(
+        json.dumps({"max_steps": 1, "n_max": 1, "ab_max": 2}))
+    for argv in commands:
+        if argv[0] == "growth" and "--bound" in argv:
+            continue                # about 7.5 s; test_growth_command runs growth
+        report, _ = run_cli(capsys, argv)
+        assert report["command"] == argv

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
+from redhom.catalog import catalog_ring, sample_modules
 from redhom.complexes import (
     FreeComplex,
     ModuleComplex,
@@ -16,10 +17,13 @@ from redhom.complexes import (
 )
 from redhom.modules import (
     LambdaMatrix,
+    ModuleError,
     ModuleMap,
     ModuleRep,
     direct_sum,
     free_module,
+    minimal_presentation,
+    projective_cover_and_syzygy,
     simple_module,
     span_submodule,
 )
@@ -93,6 +97,25 @@ def test_betti_independent_of_basis(R1):
     _, bm = minimal_free_resolution(m, 5)
     _, bp = minimal_free_resolution(perm, 5)
     assert bm == bp == [2 * x for x in b1[:6]]
+
+
+@pytest.mark.parametrize("rid", ["R1q5", "R3q2", "R4q5"])
+def test_resolution_starts_from_the_module_presentation(rid):
+    # one cover kernel, one d_1 and one first syzygy per module
+    for _, mod in sample_modules(catalog_ring(rid), count=5, max_dim=6, seed=3):
+        res = resolution_of(mod)
+        assert res.syzygy_module(1) is projective_cover_and_syzygy(mod).syzygy
+        assert np.array_equal(res.diff(1).entries,
+                              minimal_presentation(mod).relations.entries)
+
+
+def test_resolution_refuses_negative_indices(R1):
+    res = resolution_of(simple_module(R1)).extend(3)
+    for i in (0, -1):
+        with pytest.raises(ModuleError, match="at least 1"):
+            res.diff(i)
+    with pytest.raises(ModuleError, match="nonnegative"):
+        res.syzygy_module(-1)
 
 
 def test_ext_free_source(R1):

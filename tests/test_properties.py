@@ -193,6 +193,15 @@ def test_window_verify_free_and_module_paths_agree(R3):
             build.complex.to_module_complex(), m, n, "(4)")
         assert free_verdict.ok == module_verdict.ok == True
         assert free_verdict.primal_defects == module_verdict.primal_defects
+        assert free_verdict.dual_defects == module_verdict.dual_defects
+    # the resolution window of k over R1 at (1, 0): exact, dual not exact
+    window = resolution_of(simple_module(catalog_ring("R1", 5))).free_complex(2)
+    verdicts = [verify_window_sequence(comp, 1, 0, "(4)")
+                for comp in (window, window.to_module_complex())]
+    for verdict in verdicts:
+        assert not verdict.ok
+        assert verdict.dual_defects == {-1: 3}
+    assert verdicts[0].primal_defects == verdicts[1].primal_defects
 
 
 def test_matrix_rejects_composite_modulus():

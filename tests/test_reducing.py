@@ -204,6 +204,30 @@ def test_exact_gdim_search_keeps_counts_of_building_every_middle():
         (False, 25_565, 0, False)
 
 
+def test_bounded_gdim_search_builds_and_tests_every_middle(monkeypatch):
+    # GF(2)[x,y]/(x^2, xy, y^3) is neither Gorenstein nor of m^2 = 0, so
+    # gdim searches there build each middle and run the bounded test
+    alg = build_monomial_quotient(RingSpec(
+        "monomial_quotient", 2, variables=["x", "y"], ideal=["x^2", "xy", "y^3"]))
+    assert alg.socle_dim == 2 and alg.table[1:, 1:].any()
+    assert not reducing.totally_reflexive_means_free(alg)
+    k = simple_module(alg)
+    counts = _count_builds(monkeypatch)
+    result = search_reducing(k, "ured", "gdim",
+                             SearchLimits(max_steps=1, n_max=1, tr_bound=2))
+    assert (result.found, result.tested, result.exhaustive) == (False, 20, True)
+    assert counts["middles"] == 20
+    result = search_reducing(k, "red", "gdim",
+                             SearchLimits(max_steps=1, n_max=0, ab_max=2, tr_bound=2))
+    assert (result.found, result.tested, result.exhaustive) == (False, 292, True)
+    # frontier middles are built once, never rebuilt when expanded
+    counts["middles"] = 0
+    result = search_reducing(k, "ured", "gdim",
+                             SearchLimits(max_steps=2, n_max=0, tr_bound=2))
+    assert (result.found, result.tested, result.exhaustive) == (False, 268, True)
+    assert counts["middles"] == 268
+
+
 def test_gdim_refuses_vacuous_tr_bound(R1):
     k = simple_module(R1)
     with pytest.raises(ValueError, match="tr_bound"):
