@@ -399,12 +399,6 @@ def ext_dims_via_dual_complex(source: ModuleRep, bound: int) -> list[int]:
     machinery, and measure exactness defects.
     """
     res = resolution_of(source)
-    comp = res.free_complex(bound + 1).to_module_complex()
-    dual = apply_dual(comp)
-    dims = []
-    for i in range(bound + 1):
-        dim_i = dual.modules[-i].dim
-        out_rank = dual.maps[-i].rank() if -i in dual.maps else 0
-        in_rank = dual.maps[-i + 1].rank() if (-i + 1) in dual.maps else 0
-        dims.append(dim_i - out_rank - in_rank)
-    return dims
+    dual = apply_dual(res.free_complex(bound + 1).to_module_complex())
+    defects = dual.exactness_defects([-i for i in range(bound + 1)])
+    return [defects[-i] for i in range(bound + 1)]

@@ -375,7 +375,8 @@ def quotient_module(ambient: ModuleRep, rows: np.ndarray, pivots: tuple[int, ...
 class CoverData:
     cover: ModuleMap          # Lambda^g -> M, minimal
     syzygy: ModuleRep
-    inclusion: ModuleMap      # syzygy -> Lambda^g
+    inclusion: ModuleMap      # syzygy -> Lambda^g, columns in rref row form
+    pivots: tuple[int, ...]   # pivot columns of those rows
     generator_coords: tuple[int, ...]
     free: ModuleRep
 
@@ -415,7 +416,7 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
         if rows[:, unit_coords].any():
             raise AssertionError("cover is not minimal: kernel leaves the radical")
     syz, incl = submodule_from_rows(free, rows, piv)
-    data = CoverData(ModuleMap(free, mod, phi), syz, incl, gens, free)
+    data = CoverData(ModuleMap(free, mod, phi), syz, incl, piv, gens, free)
     mod._cache["cover"] = data
     return data
 
@@ -545,9 +546,7 @@ def minimal_presentation(mod: ModuleRep) -> Presentation:
     if "presentation" in mod._cache:
         return mod._cache["presentation"]
     data = projective_cover_and_syzygy(mod)
-    rows = data.inclusion.mat.T
-    _, piv = gf.row_basis(rows, mod.algebra.p)
-    gens = minimal_generator_columns(data.free, rows, piv)
+    gens = minimal_generator_columns(data.free, data.inclusion.mat.T, data.pivots)
     lam = columns_to_lambda(mod.algebra, gens, len(data.generator_coords))
     if not lam.in_radical():
         raise AssertionError("presentation relations must lie in the radical")

@@ -96,20 +96,21 @@ class Ext1Space:
         hom_free = hom_space(self.cover.free, target)
         restriction = hom_free.precompose(self.cover.inclusion.mat, self.hom_syz)
         pivot_set = set(gf.row_basis(restriction, A.p)[1])
-        self.coset_indices = tuple(c for c in range(self.hom_syz.dim)
-                                   if c not in pivot_set)
-        self.dim = len(self.coset_indices)
+        coset = [c for c in range(self.hom_syz.dim) if c not in pivot_set]
+        self.coset_basis = self.hom_syz.kernel[:, coset]
+        self.dim = len(coset)
         self.exhaustive = gf.power_at_most(A.p, self.dim, cap) is not None
 
     def element(self, coeffs) -> ExtElement:
-        coeffs = tuple(int(c) % self.C.algebra.p for c in coeffs)
-        if len(coeffs) != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {len(coeffs)}")
-        total = np.zeros(self.hom_syz.dim, dtype=np.int64)
-        for c, idx in zip(coeffs, self.coset_indices):
-            total[idx] = c
-        rep = self.hom_syz.from_coords(total)
-        return ExtElement(self, coeffs, rep)
+        """The class with these coordinates on the coset basis."""
+        p = self.C.algebra.p
+        vec = np.asarray(coeffs, dtype=np.int64) % p
+        if vec.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} coefficients, got {vec.size}")
+        rep = gf.mat_mul(self.coset_basis, vec[:, None], p)
+        syz = self.cover.syzygy
+        return ExtElement(self, tuple(vec.tolist()),
+                          ModuleMap(syz, self.A, rep.reshape(self.A.dim, syz.dim)))
 
     def elements(self, *, scalar_orbits: bool = False, samples: int = 64,
                  seed: int = 0):
@@ -200,11 +201,6 @@ def totally_reflexive_means_free(alg: AlgebraRep) -> bool:
     return not alg.is_gorenstein and not alg.table[1:, 1:].any()
 
 
-def _mu(mod: ModuleRep) -> int:
-    """Minimal number of generators, dim M/mM."""
-    return len(minimal_generator_coords(mod))
-
-
 def connecting_rank(element: ExtElement) -> int:
     """Rank of the connecting map delta: Tor_1(k, C) -> A/mA of the class.
 
@@ -220,24 +216,29 @@ def connecting_rank(element: ExtElement) -> int:
     return gf.rank(reduced[list(minimal_generator_coords(space.A))], p)
 
 
-def free_middle_rank(left: ModuleRep, right: ModuleRep) -> int | None:
-    """Rank of delta at which the middle of 0 -> A -> N -> C -> 0 is free.
+def free_middle_rank(x: ModuleRep, n: int, a: int, b: int) -> int | None:
+    """Rank of delta at which the middle of 0 -> X^a -> N -> (syz^n X)^b -> 0 is free.
 
-    Here A = left and C = right.  The Tor(k, -) sequence
+    For 0 -> A -> N -> C -> 0 the Tor(k, -) sequence
     Tor_1(k, C) -> A/mA -> N/mN -> C/mC -> 0
     gives mu(N) = mu(A) + mu(C) - rank delta, and over an artinian local
-    ring N is free iff mu(N) * dim R = dim A + dim C.  None when no rank
-    in [0, min(mu(A), mu(syz C))] qualifies: then no class of
-    Ext^1(right, left) has a free middle.
+    ring N is free iff mu(N) * dim R = dim A + dim C.  Minimal covers
+    add up, so mu(A) = a beta_0, mu(C) = b beta_n and mu(syz C) =
+    b beta_{n+1}, read off the cached resolution of X; dim syz^n X
+    follows from 0 -> syz^{i+1} X -> R^{beta_i} -> syz^i X -> 0.  No
+    module is built.  None when no rank in [0, min(mu(A), mu(syz C))]
+    qualifies: then no class of the step has a free middle.
     """
-    ring_dim = left.algebra.dim
-    total = left.dim + right.dim
+    betti = resolution_of(x).betti_numbers(n + 1)
+    ring_dim = x.algebra.dim
+    syz_dim = x.dim
+    for beta in betti[:n]:
+        syz_dim = beta * ring_dim - syz_dim
+    total = a * x.dim + b * syz_dim
     if total % ring_dim:
         return None
-    mu_left = _mu(left)
-    needed = mu_left + _mu(right) - total // ring_dim
-    mu_syz = _mu(projective_cover_and_syzygy(right).syzygy)
-    return needed if 0 <= needed <= min(mu_left, mu_syz) else None
+    needed = a * betti[0] + b * betti[n] - total // ring_dim
+    return needed if 0 <= needed <= min(a * betti[0], b * betti[n + 1]) else None
 
 
 # -- witnesses and search ----------------------------------------------------
@@ -302,10 +303,11 @@ class SearchResult:
                  "search policy, not a mathematical bound")}
 
 
-def _syzygy(mod: ModuleRep, n: int) -> ModuleRep:
-    if n == 0:
-        return mod
-    return resolution_of(mod).syzygy_module(n)
+def _step_space(x: ModuleRep, n: int, a: int, b: int, cap: int) -> Ext1Space:
+    """Ext^1((syz^n X)^b, X^a): the classes of one (n, a, b) step from X."""
+    syz = x if n == 0 else resolution_of(x).syzygy_module(n)
+    right, left = direct_sum([syz] * b, x.algebra), direct_sum([x] * a, x.algebra)
+    return ext1_elements(right, left, cap=cap)
 
 
 def _fingerprint(mod: ModuleRep) -> tuple:
@@ -343,23 +345,24 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     is returned, so the witness depth is minimal within the limits.
 
     A pd search decides at every level whether a class has a free
-    middle without building it: the Tor(k, -) sequence of the class
-    gives mu(N) = mu(A) + mu(C) - rank delta (see free_middle_rank), so
-    a class costs one rank of the small matrix delta, and its middle is
-    built at once only when it is free.  Every other class of a
-    non-last level goes onto the frontier unbuilt, and its middle is
-    built when the next level expands it.  At the last level a triple
-    (n, a, b) for which no rank of delta makes N free is skipped before
-    its Ext^1 is enumerated and counted in ``pruned``; pruned triples
-    are covered by that exact argument, so they keep the search
-    exhaustive.  Every enumerated class is counted in ``tested``.  A
-    gdim search over a ring where totally reflexive means free (see
-    totally_reflexive_means_free) takes the same Tor-rank path, with
-    the same enumeration and no triple pruning.  Over any other ring a
-    gdim search builds every middle and tests it with
-    is_totally_reflexive_up_to, since total reflexivity is then a
-    property of the module.  A frontier module is skipped only when
-    is_isomorphic certifies it isomorphic to one already expanded.
+    middle without building it: free_middle_rank prices each triple
+    (n, a, b) from the Betti numbers of the current module, and a class
+    is free iff its connecting map delta has that rank, so a class
+    costs one rank of a small matrix and its middle is built at once
+    only when it is free.  Every other class of a non-last level goes
+    onto the frontier unbuilt, and its middle is built when the next
+    level expands it.  At the last level a triple for which no rank of
+    delta makes N free is skipped before its Ext^1 is formed and
+    counted in ``pruned``; pruned triples are covered by that exact
+    argument, so they keep the search exhaustive.  Every enumerated
+    class is counted in ``tested``.  A gdim search over a ring where
+    totally reflexive means free (see totally_reflexive_means_free)
+    has the same terminal modules, so it takes the same path and
+    prunes the same triples.  Over any other ring a gdim search builds
+    every middle and tests it with is_totally_reflexive_up_to, since
+    total reflexivity is then a property of the module.  A frontier
+    module is skipped only when is_isomorphic certifies it isomorphic
+    to one already expanded.
     """
     if mode not in ("red", "ured"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -410,14 +413,11 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
                 continue
             twins.append(current)
             for n, a, b in _candidate_triples(mode, limits):
-                syz = _syzygy(current, n)
-                right = direct_sum([syz] * b, alg)
-                left = direct_sum([current] * a, alg)
-                needed = free_middle_rank(left, right) if exact else None
-                if last and target == "pd" and needed is None:
+                needed = free_middle_rank(current, n, a, b) if exact else None
+                if last and exact and needed is None:
                     pruned += 1
                     continue
-                space = ext1_elements(right, left, cap=limits.cap)
+                space = _step_space(current, n, a, b, limits.cap)
                 if not space.exhaustive:
                     all_exhaustive = False
                 for element in space.elements(scalar_orbits=space.exhaustive,
@@ -466,10 +466,7 @@ def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:
     for step in result.witness.steps:
         if result.mode == "ured" and (step.a != 1 or step.b != 1):
             return False
-        syz = _syzygy(current, step.n)
-        right = direct_sum([syz] * step.b, mod.algebra)
-        left = direct_sum([current] * step.a, mod.algebra)
-        space = ext1_elements(right, left, cap=limits.cap)
+        space = _step_space(current, step.n, step.a, step.b, limits.cap)
         element = space.element(step.coeffs)
         middle, seq = middle_term(element)
         if middle.dim != step.middle.dim:

@@ -161,12 +161,16 @@ def _transpose_resolution(core: ModuleRep) -> tuple[MinimalResolution, np.ndarra
     The presentation d_1: P_1 -> P_0 of the core dualizes to a minimal
     presentation of the transpose, whose resolution keeps the original
     free coordinates.  Dualizing back gives coker(d_1), which
-    _cokernel_comparison identifies with the core itself.
+    _cokernel_comparison identifies with the core itself.  Both are
+    cached on the core, so every pushforward shares one resolution.
     """
-    res_t = MinimalResolution.from_presentation(
-        core.algebra, minimal_presentation(core).relations.transpose())
-    _, embed, core_to_q = _cokernel_comparison(core)
-    return res_t, gf.mat_mul(embed, core_to_q, core.algebra.p)
+    if "transpose_resolution" not in core._cache:
+        res_t = MinimalResolution.from_presentation(
+            core.algebra, minimal_presentation(core).relations.transpose())
+        _, embed, core_to_q = _cokernel_comparison(core)
+        core._cache["transpose_resolution"] = (
+            res_t, gf.mat_mul(embed, core_to_q, core.algebra.p))
+    return core._cache["transpose_resolution"]
 
 
 def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> PushforwardResult:

@@ -98,11 +98,10 @@ def test_dimension_filter_soundness_gf2(R1q2, R3q2):
     # the dimension test but need a connecting map of rank 2 from a
     # 1-dimensional k / mk
     k1, k3 = simple_module(R1q2), simple_module(R3q2)
-    cases = [(k1, k1, 4), (k1, resolution_of(k1).syzygy_module(2), 256),
-             (k1, resolution_of(k1).syzygy_module(1), 16),
-             (k3, resolution_of(k3).syzygy_module(1), 8)]
-    for left, right, classes in cases:
-        assert free_middle_rank(left, right) is None
+    cases = [(k1, 0, 4), (k1, 2, 256), (k1, 1, 16), (k3, 1, 8)]
+    for left, n, classes in cases:
+        assert free_middle_rank(left, n, 1, 1) is None
+        right = resolution_of(left).syzygy_module(n)
         space = ext1_elements(right, left, cap=300_000)
         assert space.exhaustive and 2 ** space.dim == classes
         for element in space.elements():
@@ -112,6 +111,38 @@ def test_dimension_filter_soundness_gf2(R1q2, R3q2):
 
 def _mu(mod):
     return mod.dim - mod.radical_rows()[0].shape[0]
+
+
+def _pair_free_middle_rank(left, right):
+    """The mu-formula of free_middle_rank for an arbitrary pair A, C."""
+    ring_dim = left.algebra.dim
+    total = left.dim + right.dim
+    if total % ring_dim:
+        return None
+    needed = _mu(left) + _mu(right) - total // ring_dim
+    mu_syz = _mu(projective_cover_and_syzygy(right).syzygy)
+    return needed if 0 <= needed <= min(_mu(left), mu_syz) else None
+
+
+def test_free_middle_rank_is_betti_arithmetic():
+    # the Betti-number price of a step equals the mu-formula on the
+    # direct sums X^a and (syz^n X)^b that it no longer builds
+    priced = 0
+    for ring_id, p in (("R1", 2), ("R1", 5), ("R2", 5), ("R3", 2), ("R4", 2)):
+        alg = catalog_ring(ring_id, p)
+        mods = [simple_module(alg)]
+        mods += [m for _, m in sample_modules(alg, count=4, max_dim=5, seed=8)]
+        for x in mods:
+            for n in range(3):
+                syz = resolution_of(x).syzygy_module(n)
+                for a in (1, 2):
+                    for b in (1, 2):
+                        expected = _pair_free_middle_rank(direct_sum([x] * a),
+                                                          direct_sum([syz] * b))
+                        assert free_middle_rank(x, n, a, b) == expected, \
+                            (ring_id, p, x.dim, n, a, b)
+                        priced += expected is not None
+    assert priced > 60
 
 
 def test_connecting_rank_oracle_exhaustive():
@@ -131,7 +162,7 @@ def test_connecting_rank_oracle_exhaustive():
                 space = ext1_elements(right, left, cap=64)
                 if not space.exhaustive:
                     continue
-                needed = free_middle_rank(left, right)
+                needed = _pair_free_middle_rank(left, right)
                 for element in space.elements():
                     middle, _ = middle_term(element)
                     delta_rank = connecting_rank(element)

@@ -191,17 +191,56 @@ def test_exact_gdim_search_builds_only_expanded_middles(monkeypatch):
     assert counts["middles"] <= counts["expanded"] + 1
     assert counts["middles"] == 7
     assert (result.found, result.tested, result.pruned, result.exhaustive) == \
-        (False, 120, 0, False)
+        (False, 7, 7, True)
 
 
 def test_exact_gdim_search_keeps_counts_of_building_every_middle():
-    # ured-gdim of syz k = k^2 over R1q2: the counts reached when every
-    # middle was built and resolved (about 49 s then); no triple is pruned
+    # ured-gdim of syz k = k^2 over R1q2: building and resolving every
+    # middle tested 25,565 classes and pruned none (about 49 s then);
+    # terminal means free here, so last-level triples are priced and
+    # pruned as in the pd search
     syz = module_from_spec(catalog_ring("R1", 2), "syzygy:1:k")
     result = search_reducing(syz, "ured", "gdim",
                              SearchLimits(max_steps=2, n_max=0, tr_bound=2))
     assert (result.found, result.tested, result.pruned, result.exhaustive) == \
-        (False, 25_565, 0, False)
+        (False, 256, 16, True)
+
+
+@pytest.mark.parametrize("ring_id", ["R1q2", "R1q5"])
+@pytest.mark.parametrize("spec", ["k", "syzygy:1:k"])
+def test_square_zero_gdim_search_is_the_pd_search(ring_id, spec):
+    # over R1 totally reflexive means free, so a gdim search enumerates,
+    # prunes and finds exactly what the pd search does
+    mod = module_from_spec(catalog_ring(ring_id[:2], int(ring_id[3:])), spec)
+
+    def summary(result):
+        steps = [(s.n, s.a, s.b, s.coeffs) for s in result.witness.steps] \
+            if result.found else None
+        return (result.found, result.tested, result.pruned, result.exhaustive, steps)
+
+    for max_steps, n_max in ((1, 1), (2, 0)):
+        for mode, ab_max in (("red", 2), ("ured", 1)):
+            limits = SearchLimits(max_steps=max_steps, n_max=n_max, ab_max=ab_max,
+                                  tr_bound=2)
+            pd = search_reducing(mod, mode, "pd", limits)
+            gdim = search_reducing(mod, mode, "gdim", limits)
+            assert summary(gdim) == summary(pd), (mode, max_steps, n_max)
+
+
+def test_pruned_triples_build_no_direct_sum(monkeypatch):
+    # a pruned triple is priced from the Betti numbers of k alone
+    sums = []
+    build = reducing.direct_sum
+
+    def counted_sum(mods, algebra=None):
+        sums.append(len(mods))
+        return build(mods, algebra)
+
+    monkeypatch.setattr(reducing, "direct_sum", counted_sum)
+    k = simple_module(catalog_ring("R1", 2))
+    result = search_reducing(k, "ured", "pd", SearchLimits(max_steps=1, n_max=1))
+    assert (result.found, result.tested, result.pruned) == (False, 0, 2)
+    assert sums == []
 
 
 def test_bounded_gdim_search_builds_and_tests_every_middle(monkeypatch):

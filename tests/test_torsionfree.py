@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from redhom import gf
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
 from redhom.catalog import catalog_ring, sample_modules
 from redhom.modules import (
@@ -102,6 +103,26 @@ def test_pushforward_flags_non_torsionfree(R1):
     assert pf.primal_defects[0] == 0
     assert pf.primal_defects[-1] == pf.ext_transpose[1]
     assert pf.exact_while == 1
+
+
+def test_pushforward_resolves_the_transpose_once(monkeypatch):
+    # tr(core) and its comparison map are cached on the core, so a
+    # second pushforward derives no kernel
+    k = simple_module(catalog_ring("R3", 5))
+    first = pushforward(k, 3, dual_check=False)
+    calls = []
+    kernel = gf.kernel
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(gf, "kernel", counted_kernel)
+    second = pushforward(k, 3, dual_check=False)
+    assert calls == []
+    assert second.to_jsonable() == first.to_jsonable()
+    assert all((second.complex.maps[i].mat == first.complex.maps[i].mat).all()
+               for i in first.complex.maps)
 
 
 def test_pushforward_defect_matches_ext_exactly(R1, R2, R4):
