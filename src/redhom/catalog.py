@@ -20,10 +20,12 @@ from .modules import (
     LambdaMatrix,
     ModuleError,
     ModuleRep,
+    cokernel_of_lambda_matrix,
     direct_sum,
     free_module,
     simple_module,
     span_submodule,
+    transpose_module,
 )
 
 CATALOG_IDS = ("R1", "R2", "R3", "R4", "R5")
@@ -117,7 +119,6 @@ def module_from_spec(algebra: AlgebraRep, spec) -> ModuleRep:
             n = int(n)
             return inner if n == 0 else resolution_of(inner).syzygy_module(n)
         if spec.startswith("transpose:"):
-            from .modules import transpose_module
             return transpose_module(module_from_spec(algebra, spec.split(":", 1)[1]))
         raise ModuleError(f"unknown module shorthand {spec!r}")
     if isinstance(spec, dict):
@@ -125,7 +126,6 @@ def module_from_spec(algebra: AlgebraRep, spec) -> ModuleRep:
             return ModuleRep(algebra, spec["actions"], dim=spec.get("dim"),
                              validate=True)
         if "presentation" in spec:
-            from .modules import cokernel_of_lambda_matrix
             lam = LambdaMatrix(algebra, np.asarray(spec["presentation"],
                                                    dtype=np.int64))
             return cokernel_of_lambda_matrix(lam)[0]
@@ -169,7 +169,6 @@ def sample_modules(algebra: AlgebraRep, *, count: int, max_dim: int,
             vec[0] = 0
             if not vec.any():
                 continue
-            from .modules import cokernel_of_lambda_matrix
             lam = LambdaMatrix(algebra, vec.reshape(1, 1, algebra.dim))
             mod = cokernel_of_lambda_matrix(lam)[0]
             add(f"cyclic#{attempt}", mod)

@@ -87,6 +87,13 @@ def _limits_from_args(args) -> SearchLimits:
     return args.search_limits
 
 
+def _check_at_least(args, flag: str, minimum: int) -> None:
+    """Refuse a numeric flag below its smallest meaningful value (exit 2)."""
+    value = getattr(args, flag)
+    if value is not None and value < minimum:
+        raise InputError(f"--{flag} must be at least {minimum}, got {value}")
+
+
 def _load_ring(args):
     try:
         return load_ring(args.ring, getattr(args, "p", 5))
@@ -133,6 +140,7 @@ def cmd_ring(args):
 
 
 def cmd_resolve(args):
+    _check_at_least(args, "steps", 0)
     alg = _load_ring(args)
     mod = _load_module(alg, args.module)
     comp, betti = minimal_free_resolution(mod, args.steps)
@@ -144,6 +152,7 @@ def cmd_resolve(args):
 
 
 def cmd_ext(args):
+    _check_at_least(args, "bound", 0)
     alg = _load_ring(args)
     mod = _load_module(alg, args.module)
     if args.target in (None, "ring", "lambda"):
@@ -157,6 +166,7 @@ def cmd_ext(args):
 
 
 def cmd_classify(args):
+    _check_at_least(args, "bound", 1)
     alg = _load_ring(args)
     mod = _load_module(alg, args.module)
     verdict = torsionfree_classify(mod, args.bound)
@@ -168,8 +178,12 @@ def cmd_classify(args):
 
 
 def cmd_seq(args):
+    _check_at_least(args, "m", 0)
+    _check_at_least(args, "n", 0)
     alg = _load_ring(args)
     if args.action == "build":
+        if args.m is None or args.n is None:
+            raise InputError("seq build needs --m and --n")
         mod = _load_module(alg, args.module)
         try:
             build = build_window_sequence(mod, args.m, args.n)
@@ -251,6 +265,8 @@ def cmd_reduce(args):
 
 
 def cmd_growth(args):
+    _check_at_least(args, "bound", 0)
+    _check_at_least(args, "window", 2)
     alg = _load_ring(args)
     mod = _load_module(alg, args.module)
     if args.kind == "betti":
@@ -266,6 +282,7 @@ def cmd_growth(args):
 
 
 def cmd_check(args):
+    _check_at_least(args, "bound", 1 if args.what == "thm3" else 0)
     alg = _load_ring(args)
     mod = _load_module(alg, args.module)
     if args.max_steps is None and not getattr(args, "config", None):

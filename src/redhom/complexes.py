@@ -196,8 +196,10 @@ class MinimalResolution:
     basis of ker(d_i restricted), i.e. the (i+1)-st syzygy inside
     Lambda^{betti[i]}.  Every resolution starts from a minimal
     presentation d_1: resolution_of(M) uses M's own cached one, so its
-    d_1 and first syzygy are the cover's, and transposes are resolved
-    from the transposed presentation in the original free coordinates.
+    d_1 and first syzygy are the cover's.  The transpose of M is
+    resolved once, as tr(core) seeded by the core's transposed
+    presentation in the original free coordinates
+    (torsionfree.transpose_resolution).
     """
 
     def __init__(self, algebra: AlgebraRep):
@@ -256,6 +258,9 @@ class MinimalResolution:
         return self.diffs[i - 1]
 
     def betti_numbers(self, upto: int) -> list[int]:
+        """beta_0 .. beta_upto."""
+        if upto < 0:
+            raise ModuleError(f"Betti index must be nonnegative, got {upto}")
         self.extend(upto)
         return self.betti[:upto + 1]
 
@@ -293,7 +298,10 @@ class MinimalResolution:
         differentials, so every caller shares their ranks.
         """
         self.extend(i + 1)
-        return self.betti[i] * self.algebra.dim - self.dual_rank(i + 1) - self.dual_rank(i)
+        dim = self.betti[i] * self.algebra.dim - self.dual_rank(i + 1) - self.dual_rank(i)
+        if dim < 0:
+            raise AssertionError(f"negative Ext^{i} dimension {dim}")
+        return dim
 
 
 def resolution_of(mod: ModuleRep) -> MinimalResolution:

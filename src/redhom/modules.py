@@ -157,9 +157,6 @@ class ModuleRep:
             dims.append(0)
         return dims
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def validate(self) -> None:
         """Check the action matrices define a module over this algebra."""
         A = self.algebra
@@ -230,15 +227,6 @@ class ModuleMap:
             raise ModuleError("composition mismatch")
         return ModuleMap(other.source, self.target,
                          gf.mat_mul(self.mat, other.mat, self.source.algebra.p))
-
-    def is_module_map(self) -> bool:
-        p = self.source.algebra.p
-        for j in range(self.source.algebra.num_gens):
-            lhs = gf.mat_mul(self.mat, self.source.action_arr(j), p)
-            rhs = gf.mat_mul(self.target.action_arr(j), self.mat, p)
-            if not (lhs == rhs).all():
-                return False
-        return True
 
     def rank(self) -> int:
         return gf.rank(self.mat, self.source.algebra.p)
@@ -597,12 +585,6 @@ class HomSpace:
         flat = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
         return flat[..., list(self.free_coords)] % self.source.algebra.p
 
-    def from_coords(self, coeffs) -> ModuleMap:
-        p = self.source.algebra.p
-        vec = gf.mat_mul(self.kernel, np.asarray(coeffs, dtype=np.int64)[:, None] % p, p)
-        return ModuleMap(self.source, self.target,
-                         vec.reshape(self.target.dim, self.source.dim))
-
     def precompose(self, g: np.ndarray, onto: "HomSpace") -> np.ndarray:
         """Coordinates in `onto` = Hom(W, N) of f . g for g: W -> M.
 
@@ -667,11 +649,6 @@ def hom_module(source: ModuleRep, target: ModuleRep) -> HomModule:
         acts.append(moved.reshape(dn * dm, h)[list(space.free_coords), :])
     mod = ModuleRep(A, acts, dim=h)
     return HomModule(mod, space)
-
-
-def dual_module(mod: ModuleRep) -> HomModule:
-    """Hom(M, Lambda), the dual that controls transposes and torsionfreeness."""
-    return hom_module(mod, free_module(mod.algebra, 1))
 
 
 # -- splitting off free summands -------------------------------------------

@@ -39,6 +39,7 @@ from .complexes import (
     ring_module,
 )
 from .modules import (
+    ModuleError,
     ModuleMap,
     ModuleRep,
     direct_sum,
@@ -519,8 +520,11 @@ def growth_estimate(values, kind: str = "betti", *, window: int = 6) -> GrowthEs
     Exponential means every consecutive ratio in the tail window is at
     least 1 + GROWTH_RATIO_EPS; otherwise the degree is round(1 + slope)
     from a log-log fit over the window.  Short or mixed-zero tails are
-    inconclusive.
+    inconclusive.  A window needs at least two values: one value has no
+    ratio to test.
     """
+    if window < 2:
+        raise ModuleError(f"growth window must be at least 2, got {window}")
     vals = [int(v) for v in values]
     base = GrowthEstimate(kind, tuple(vals), window, False, None, "inconclusive")
     if len(vals) < window:

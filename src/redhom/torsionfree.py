@@ -13,6 +13,10 @@ with the classical pushforward (the dual of a resolution of the
 transpose); the verifier checks any candidate sequence and classifies
 the image independently.
 
+Classification, total reflexivity and pushforward read Ext(tr M,
+Lambda) from one resolution of tr(core) per module; the comparison of
+M with coker(d_1) is computed once, on demand.
+
 Infinite vanishing is never claimed: every verdict carries the bound it
 was certified to.
 """
@@ -46,7 +50,6 @@ from .modules import (
     quotient_module,
     split_free_summands,
     submodule_from_rows,
-    transpose_module,
 )
 
 
@@ -88,14 +91,28 @@ def _leading_zeros(dims: tuple[int, ...]) -> int:
     return m
 
 
+def transpose_resolution(mod: ModuleRep) -> MinimalResolution:
+    """The resolution of tr M = tr(core), cached on the free-summand-free core.
+
+    A free summand changes no transpose.  The core's minimal
+    presentation d_1: P_1 -> P_0 dualizes to a minimal presentation of
+    tr(core), which seeds the resolution in the original free
+    coordinates.  A free module has a zero core and a zero resolution.
+    """
+    core = split_free_summands(mod).core
+    if "transpose_resolution" not in core._cache:
+        core._cache["transpose_resolution"] = MinimalResolution.from_presentation(
+            core.algebra, minimal_presentation(core).relations.transpose())
+    return core._cache["transpose_resolution"]
+
+
 def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
     """Largest certified m and n with Ext vanishing up to the bound."""
     if bound < 1:
         raise ModuleError("classification bound must be at least 1")
-    ring = ring_module(mod.algebra)
-    ext_self = ext_dims(mod, ring, bound).dims
-    tr = transpose_module(mod)
-    ext_tr = ext_dims(tr, ring, bound).dims
+    ext_self = ext_dims(mod, ring_module(mod.algebra), bound).dims
+    res_t = transpose_resolution(mod)
+    ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(bound + 1))
     m_max = _leading_zeros(ext_self)
     n_max = _leading_zeros(ext_tr)
     return TorsionfreeVerdict(m_max, n_max, bound,
@@ -107,7 +124,7 @@ def is_totally_reflexive_up_to(mod: ModuleRep, bound: int) -> bool:
     """Early-exit total reflexivity test (both Ext sides vanish to the bound)."""
     if any(resolution_of(mod).ext_ring_dim(i) for i in range(1, bound + 1)):
         return False
-    res_t = resolution_of(transpose_module(mod))
+    res_t = transpose_resolution(mod)
     return not any(res_t.ext_ring_dim(j) for j in range(1, bound + 1))
 
 
@@ -142,35 +159,19 @@ def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray, np.ndar
     Returns (coker, section, iso), the section being the linear lift
     coker -> P_0.  The cover kills exactly the image of d_1, so the
     cover composed with the section is invertible; anything else is an
-    invariant failure.
+    invariant failure.  Computed on first use and cached on the module.
     """
-    A = mod.algebra
-    pres = minimal_presentation(mod)
-    rows, piv = gf.row_basis(pres.relations.to_linear().T, A.p)
-    quot, _, embed = quotient_module(free_module(A, pres.relations.rows), rows, piv)
-    q_to_m = gf.mat_mul(pres.cover.mat, embed, A.p)
-    m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
-    if m_to_q is None or quot.dim != mod.dim:
-        raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
-    return quot, embed, m_to_q
-
-
-def _transpose_resolution(core: ModuleRep) -> tuple[MinimalResolution, np.ndarray]:
-    """Seeded resolution of tr(core) plus the map core -> P_0 onto coker(dual d_1).
-
-    The presentation d_1: P_1 -> P_0 of the core dualizes to a minimal
-    presentation of the transpose, whose resolution keeps the original
-    free coordinates.  Dualizing back gives coker(d_1), which
-    _cokernel_comparison identifies with the core itself.  Both are
-    cached on the core, so every pushforward shares one resolution.
-    """
-    if "transpose_resolution" not in core._cache:
-        res_t = MinimalResolution.from_presentation(
-            core.algebra, minimal_presentation(core).relations.transpose())
-        _, embed, core_to_q = _cokernel_comparison(core)
-        core._cache["transpose_resolution"] = (
-            res_t, gf.mat_mul(embed, core_to_q, core.algebra.p))
-    return core._cache["transpose_resolution"]
+    if "cokernel_comparison" not in mod._cache:
+        A = mod.algebra
+        pres = minimal_presentation(mod)
+        rows, piv = gf.row_basis(pres.relations.to_linear().T, A.p)
+        quot, _, embed = quotient_module(free_module(A, pres.relations.rows), rows, piv)
+        q_to_m = gf.mat_mul(pres.cover.mat, embed, A.p)
+        m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
+        if m_to_q is None or quot.dim != mod.dim:
+            raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
+        mod._cache["cokernel_comparison"] = (quot, embed, m_to_q)
+    return mod._cache["cokernel_comparison"]
 
 
 def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> PushforwardResult:
@@ -190,16 +191,10 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     core, r = split.core, split.free_rank
     core_part = split.iso.mat[:core.dim, :]
     free_part = split.iso.mat[core.dim:, :]
-
-    if core.dim == 0:
-        g = [0] * (n + 2)
-        ident = "no core (free module)"
-        ext_tr = tuple([0] * n)
-    else:
-        res_t, core_lift = _transpose_resolution(core)
-        ident = "canonical quotient comparison"
-        ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(1, n + 1))
-        g = res_t.betti[:n + 2]
+    res_t = transpose_resolution(mod)
+    ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(1, n + 1))
+    g = res_t.betti[:n + 2]
+    ident = "canonical quotient comparison" if core.dim else "no core (free module)"
 
     modules = {0: mod}
     maps = {}
@@ -211,8 +206,9 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     f1 = modules[-1]
     top = np.zeros((f1.dim, mod.dim), dtype=np.int64)
     if core.dim:
-        delta2_dual = res_t.diff(2).transpose().to_linear()
-        core_map = gf.mat_mul(delta2_dual, gf.mat_mul(core_lift, core_part, p), p)
+        _, embed, core_to_q = _cokernel_comparison(core)
+        core_lift = gf.mat_mul(embed, gf.mat_mul(core_to_q, core_part, p), p)
+        core_map = gf.mat_mul(res_t.diff(2).transpose().to_linear(), core_lift, p)
         top[:core_map.shape[0], :] = core_map
     if r:
         top[f1.dim - r * D:, :] = free_part

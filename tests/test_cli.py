@@ -350,6 +350,28 @@ def test_reduce_refuses_bad_limits(tmp_path, capsys, config, flags, message):
     assert "results" not in report
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["classify", "--bound", "0"], "--bound"),
+    (["check", "thm3", "--bound", "0"], "--bound"),
+    (["resolve", "--steps", "-1"], "--steps"),
+    (["ext", "--bound", "-1"], "--bound"),
+    (["check", "prop7", "--bound", "-1"], "--bound"),
+    (["check", "thm4", "--bound", "-1"], "--bound"),
+    (["seq", "build", "--m", "-1", "--n", "0"], "--m"),
+    (["seq", "build"], "--m"),
+    (["growth", "--kind", "betti", "--window", "1"], "--window"),
+    (["growth", "--kind", "betti", "--window", "0"], "--window"),
+    (["growth", "--kind", "betti", "--bound", "-3"], "--bound"),
+], ids=["classify-bound-0", "thm3-bound-0", "resolve-steps-neg", "ext-bound-neg",
+        "prop7-bound-neg", "thm4-bound-neg", "seq-m-neg", "seq-build-no-degrees",
+        "growth-window-1", "growth-window-0", "growth-bound-neg"])
+def test_refused_numeric_flags_exit_2(capsys, argv, flag):
+    # a flag below its range is an input error, not an invariant failure
+    report, err = run_cli(capsys, argv + ["--ring", "R2q5", "--module", "k"], expect=2)
+    assert flag in report["error"] and flag in err
+    assert "results" not in report
+
+
 _K_R1 = {"dim": 1, "actions": [[[0]], [[0]]]}
 
 

@@ -118,6 +118,19 @@ def test_resolution_refuses_negative_indices(R1):
         res.syzygy_module(-1)
 
 
+def test_betti_numbers_refuses_negative_index(R1):
+    # a negative index must not slice from the end, fresh or extended
+    res = resolution_of(simple_module(R1))
+    for upto in (-1, -3):
+        with pytest.raises(ModuleError, match="nonnegative"):
+            res.betti_numbers(upto)
+    res.extend(5)
+    with pytest.raises(ModuleError, match="nonnegative"):
+        res.betti_numbers(-1)
+    assert res.betti_numbers(0) == [1]
+    assert res.betti_numbers(2) == [1, 2, 4]
+
+
 def test_ext_free_source(R1):
     F = free_module(R1, 1)
     table = ext_dims(F, ring_module(R1), 4)

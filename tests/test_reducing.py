@@ -3,7 +3,7 @@ import pytest
 from redhom import reducing
 from redhom.algebra import RingSpec, build_monomial_quotient
 from redhom.catalog import catalog_ring, module_from_spec
-from redhom.modules import direct_sum, free_module, is_isomorphic, simple_module
+from redhom.modules import ModuleError, direct_sum, free_module, is_isomorphic, simple_module
 from redhom.reducing import (
     SearchLimits,
     ext1_elements,
@@ -343,6 +343,13 @@ def test_growth_estimates():
     assert finite.verdict == "poly(0)" and finite.is_zero
     short = growth_estimate([1, 2, 3], "betti")
     assert short.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("window", [1, 0, -2])
+def test_growth_estimate_refuses_windows_without_a_ratio(window):
+    # one value has no consecutive ratio, so no tail can be called exponential
+    with pytest.raises(ModuleError, match="at least 2"):
+        growth_estimate([1] * 9, "betti", window=window)
 
 
 def test_upper_reduction_vs_complexity_R2(R2):

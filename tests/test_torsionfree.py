@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from redhom import gf
-from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
-from redhom.catalog import catalog_ring, sample_modules
+from redhom.algebra import (
+    RingSpec,
+    build_from_structure_constants,
+    build_monomial_quotient,
+    build_ring,
+)
+from redhom.catalog import catalog_ring, catalog_spec, sample_modules
+from redhom.complexes import ext_dims, resolution_of, ring_module
 from redhom.modules import (
     ModuleMap,
     ModuleRep,
@@ -11,6 +17,7 @@ from redhom.modules import (
     free_module,
     is_isomorphic,
     simple_module,
+    transpose_module,
 )
 from redhom.torsionfree import (
     TorsionfreeError,
@@ -105,11 +112,7 @@ def test_pushforward_flags_non_torsionfree(R1):
     assert pf.exact_while == 1
 
 
-def test_pushforward_resolves_the_transpose_once(monkeypatch):
-    # tr(core) and its comparison map are cached on the core, so a
-    # second pushforward derives no kernel
-    k = simple_module(catalog_ring("R3", 5))
-    first = pushforward(k, 3, dual_check=False)
+def _count_kernels(monkeypatch):
     calls = []
     kernel = gf.kernel
 
@@ -118,6 +121,15 @@ def test_pushforward_resolves_the_transpose_once(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(gf, "kernel", counted_kernel)
+    return calls
+
+
+def test_pushforward_resolves_the_transpose_once(monkeypatch):
+    # tr(core) and its comparison map are cached on the core, so a
+    # second pushforward derives no kernel
+    k = simple_module(catalog_ring("R3", 5))
+    first = pushforward(k, 3, dual_check=False)
+    calls = _count_kernels(monkeypatch)
     second = pushforward(k, 3, dual_check=False)
     assert calls == []
     assert second.to_jsonable() == first.to_jsonable()
@@ -137,13 +149,35 @@ def test_pushforward_defect_matches_ext_exactly(R1, R2, R4):
 @pytest.mark.parametrize("ring_id,max_dim,count",
                          [("R1", 5, 5), ("R2", 12, 6), ("R3", 8, 5), ("R4", 4, 5)])
 def test_pushforward_ext_matches_classify_on_window_samples(ring_id, max_dim, count):
-    # two resolutions of the transpose: the seeded one inside pushforward
-    # (of the free-summand-free core) and the one of transpose_module
+    # transpose_module, resolved on its own, is the oracle for the one
+    # seeded resolution of tr(core) that classify and pushforward share;
+    # k+ring (in every set but R4's) has a free summand
     alg = catalog_ring(ring_id, 5)
-    for _, mod in sample_modules(alg, count=count, max_dim=max_dim, seed=20240):
+    samples = sample_modules(alg, count=count, max_dim=max_dim, seed=20240)
+    for mod in [m for _, m in samples] + [free_module(alg, 2)]:
         for n in (1, 2):
-            expected = torsionfree_classify(mod, n).ext_transpose[1:]
-            assert pushforward(mod, n, dual_check=False).ext_transpose == expected
+            expected = ext_dims(transpose_module(mod), ring_module(alg), n).dims
+            assert torsionfree_classify(mod, n).ext_transpose == expected
+            assert pushforward(mod, n, dual_check=False).ext_transpose == expected[1:]
+
+
+def test_pushforward_after_classify_derives_no_kernel(monkeypatch):
+    # a fresh ring, so no earlier test has resolved its k
+    k = simple_module(build_ring(catalog_spec("R3", 5)))
+    torsionfree_classify(k, 3)
+    calls = _count_kernels(monkeypatch)
+    pushforward(k, 3, dual_check=False)
+    assert calls == []
+
+
+def test_classify_after_pushforward_resolves_only_the_module(monkeypatch):
+    # the transpose side is already resolved: every kernel is k's own
+    k = simple_module(build_ring(catalog_spec("R3", 2)))
+    pushforward(k, 3, dual_check=False)
+    calls = _count_kernels(monkeypatch)
+    torsionfree_classify(k, 3)
+    assert len(calls) == 3
+    assert len(resolution_of(k).kernels) == 3
 
 
 def test_build_window_k_over_R2(R2):
