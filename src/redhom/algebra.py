@@ -283,8 +283,7 @@ class AlgebraRep:
                 stacked = np.zeros((0, self.dim), dtype=np.int64)
             else:
                 stacked = np.vstack([self.gen_L(j) for j in range(self.num_gens)])
-            k, _ = gf.kernel(stacked, self.p)
-            self._cache["socle"] = gf.row_basis(k.T, self.p)
+            self._cache["socle"] = gf.kernel_rows(stacked, self.p)
         return self._cache["socle"]
 
     def radical_power_dims(self) -> list[int]:

@@ -215,6 +215,11 @@ def cmd_seq(args):
             m, n = int(m), int(n)
         except (TypeError, ValueError) as err:
             raise InputError(f"sequence degrees must be integers: {err}") from err
+        if m < 0 or n < 0:
+            raise InputError(f"sequence degrees must be nonnegative, got m={m}, n={n}")
+        if (comp.lo, comp.hi) != (-n, m + 1):
+            raise InputError(f"sequence spans [{comp.lo}, {comp.hi}], expected "
+                             f"[{-n}, {m + 1}] for m={m}, n={n}")
         verdict = verify_window_sequence(comp, m, n,
                                          "(3)" if args.mode == "3" else "(4)")
         results = {"verify": verdict.to_jsonable()}

@@ -230,8 +230,7 @@ class MinimalResolution:
         """Row basis of ker d_i (i >= 1); the (i+1)-st syzygy."""
         if i not in self.kernels:
             self.extend(i)
-            k, _ = gf.kernel(self.diffs[i - 1].to_linear(), self.algebra.p)
-            rows_piv = gf.row_basis(k.T, self.algebra.p)
+            rows_piv = self.diffs[i - 1].kernel_rows()
             self._check_minimal(rows_piv[0], self.betti[i])
             self.kernels[i] = rows_piv
         return self.kernels[i]

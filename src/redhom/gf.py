@@ -14,6 +14,18 @@ Conventions fixed once and used everywhere:
   solutions;
 * matrices are plain int64 arrays with entries in [0, p); the modulus
   comes from the algebra and is passed to each function here.
+
+`kernel` returns a column basis with its free coordinates; `kernel_rows`
+returns the canonical rref row basis of the same kernel from a single
+elimination of the column-reversed matrix.  Why that is exact: let f'
+be a free column of rref(arr[:, ::-1]) and f = n - 1 - f' its original
+column.  The kernel vector of f', mapped back, has a 1 at f, zeros at
+every other free column, and -red[i, f'] at the pivot column of each
+row i; rref puts red[i, f'] = 0 unless that pivot lies left of f' in
+the reversed order, i.e. right of f in the original.  Sorted by f,
+these vectors are therefore in reduced echelon form with leading
+columns f, and since the rref of a row space is unique they are its
+canonical basis, entry for entry.
 """
 
 from __future__ import annotations
@@ -198,6 +210,28 @@ def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     k[list(free), np.arange(len(free))] = 1
     k[list(pivots)] = -red[:len(pivots)][:, list(free)] % p
     return k, free
+
+
+def kernel_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Canonical (rref) row basis of the right kernel, with pivot columns.
+
+    Equal to row_basis(kernel(arr, p)[0].T, p), from one elimination:
+    the kernel vectors of arr[:, ::-1], mapped back to the original
+    columns, already form the rref (see the module docstring).
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    cols = arr.shape[1]
+    red, pivots = rref(arr[:, ::-1], p)
+    pivot_set = set(pivots)
+    # free columns of the reversed matrix, descending, so that their
+    # original columns (the leading columns of the rows) ascend
+    free = [c for c in range(cols - 1, -1, -1) if c not in pivot_set]
+    lead = [cols - 1 - c for c in free]
+    rows = np.zeros((len(free), cols), dtype=np.int64)
+    rows[np.arange(len(free)), lead] = 1
+    neg = red[:len(pivots)][:, free].T
+    rows[:, [cols - 1 - c for c in pivots]] = np.where(neg, p - neg, 0)
+    return rows, tuple(lead)
 
 
 def solve(arr: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

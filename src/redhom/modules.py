@@ -396,8 +396,7 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     free = free_module(A, g)
     if gf.rank(phi, A.p) != mod.dim:
         raise AssertionError("projective cover must be surjective")
-    k, _ = gf.kernel(phi, A.p)
-    rows, piv = gf.row_basis(k.T, A.p)
+    rows, piv = gf.kernel_rows(phi, A.p)
     # minimality: the kernel sits inside m * Lambda^g
     if rows.size:
         unit_coords = [t * A.dim for t in range(g)]
@@ -465,6 +464,12 @@ class LambdaMatrix:
             dual._cache["transpose"] = self
             self._cache["transpose"] = dual
         return self._cache["transpose"]
+
+    def kernel_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Canonical row basis of the linear form's kernel, with pivots; cached."""
+        if "kernel_rows" not in self._cache:
+            self._cache["kernel_rows"] = gf.kernel_rows(self.to_linear(), self.algebra.p)
+        return self._cache["kernel_rows"]
 
     def linear_rank(self) -> int:
         if "rank" not in self._cache:
@@ -661,12 +666,34 @@ class SplitResult:
     target: ModuleRep
 
 
+def has_free_summand(mod: ModuleRep) -> bool:
+    """True when M has a direct summand isomorphic to Lambda; no Hom space.
+
+    Let d_1: P_1 -> P_0 be the minimal presentation and pi: P_0 -> M the
+    cover.  A vector v of P_0* = Lambda^g is killed by d_1^T exactly
+    when the map e_s -> v_s kills im d_1 = ker pi, so ker d_1^T is
+    {f . pi : f in M*}.  Over a commutative local ring M has a free
+    summand iff some f: M -> Lambda is onto, i.e. hits a unit.  f . pi
+    has the same image, the ideal generated by the v_s, which is all of
+    Lambda iff some v_s is a unit, i.e. has a nonzero coordinate
+    t * dim Lambda.  That condition is linear in v, so it suffices to
+    look at a basis of the kernel.  The basis is cached on d_1^T, which
+    seeds the transpose's resolution, so its first kernel is this one.
+    """
+    if mod.dim == 0:
+        return False
+    dual = minimal_presentation(mod).relations.transpose()
+    rows, _ = dual.kernel_rows()
+    return bool(rows[:, [t * mod.algebra.dim for t in range(dual.cols)]].any())
+
+
 def split_free_summands(mod: ModuleRep) -> SplitResult:
     """Write M as core (+) Lambda^r with the core free-summand-free.
 
     A free summand exists exactly when some homomorphism M -> Lambda
     hits a unit; each round splits one off, so the loop ends after at
-    most dim/D rounds.
+    most dim/D rounds.  `has_free_summand` decides the first round
+    without a Hom space, so a free-summand-free M costs no hom_space.
     """
     if "split" in mod._cache:
         return mod._cache["split"]
@@ -675,10 +702,12 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
     current = mod
     phi = np.eye(mod.dim, dtype=np.int64)
     rank = 0
-    while current.dim > 0:
+    while current.dim > 0 and (rank or has_free_summand(mod)):
         maps = hom_space(current, free_module(A, 1)).basis
         hits = np.flatnonzero(maps[:, 0].any(axis=1))
         if not hits.size:
+            if not rank:
+                raise AssertionError("has_free_summand and Hom(M, Lambda) disagree")
             break
         pick = maps[hits[0]]
         u = gf.solve(pick, A.unit(), p)
@@ -686,8 +715,7 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
             raise AssertionError("a hom hitting a unit must be surjective")
         rho = current.rho()
         section = np.stack([gf.mat_mul(rho[i], u, p)[:, 0] for i in range(A.dim)], axis=1)
-        k, _ = gf.kernel(pick, p)
-        rows, piv = gf.row_basis(k.T, p)
+        rows, piv = gf.kernel_rows(pick, p)
         ker_mod, _ = submodule_from_rows(current, rows, piv)
         proj_lin = (np.eye(current.dim, dtype=np.int64)
                     - gf.mat_mul(section, pick, p)) % p

@@ -98,6 +98,9 @@ def transpose_resolution(mod: ModuleRep) -> MinimalResolution:
     presentation d_1: P_1 -> P_0 dualizes to a minimal presentation of
     tr(core), which seeds the resolution in the original free
     coordinates.  A free module has a zero core and a zero resolution.
+    When M has no free summand the split computes no Hom space: the
+    test (`has_free_summand`) is the kernel of d_1^T, which is also this
+    resolution's first kernel and is computed once.
     """
     core = split_free_summands(mod).core
     if "transpose_resolution" not in core._cache:

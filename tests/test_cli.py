@@ -123,6 +123,23 @@ def test_seq_build_verify_roundtrip(tmp_path, capsys):
     assert report2["results"]["verify"]["ok"]
 
 
+@pytest.mark.parametrize("flags, edit, message", [
+    (["--m", "2", "--n", "0"], {}, "expected [0, 3]"),
+    ([], {"m": -1}, "nonnegative"),
+], ids=["span-does-not-match-degrees", "negative-degree-in-file"])
+def test_seq_verify_refuses_bad_degrees(tmp_path, capsys, flags, edit, message):
+    # a degree that does not fit the sequence is an input error (exit 2),
+    # not an internal invariant failure (exit 3)
+    out = tmp_path / "window.json"
+    run_cli(capsys, ["seq", "build", "--ring", "R2q5", "--module", "k",
+                     "--m", "1", "--n", "1", "--out", str(out)])
+    out.write_text(json.dumps(dict(json.loads(out.read_text()), **edit)))
+    report, err = run_cli(capsys, ["seq", "verify", "--ring", "R2q5",
+                                   "--file", str(out)] + flags, expect=2)
+    assert "error" in report and "results" not in report
+    assert err.startswith("error: ") and message in err
+
+
 def test_seq_verify_rejects_bad_file(tmp_path, capsys):
     f = tmp_path / "bad_seq.json"
     f.write_text(json.dumps({"kind": "free", "m": 0, "n": 0,

@@ -13,8 +13,10 @@ from redhom.gf import (
     is_prime,
     kernel,
     kernel_basis,
+    kernel_rows,
     mat_mul,
     rank,
+    row_basis,
     rref,
     solve_linear,
 )
@@ -172,6 +174,41 @@ def test_determinism(m):
     k1, f1 = kernel(m.a, m.p)
     k2, f2 = kernel(m.a, m.p)
     assert (k1 == k2).all() and f1 == f2
+
+
+def assert_kernel_rows_match(a: np.ndarray, p: int):
+    """kernel_rows equals the two-elimination row basis, bit for bit."""
+    rows, pivots = kernel_rows(a, p)
+    want_rows, want_pivots = row_basis(kernel(a, p)[0].T, p)
+    assert pivots == want_pivots
+    assert rows.dtype == np.int64 and rows.shape == want_rows.shape
+    assert (rows == want_rows).all()
+    assert rows.shape == (a.shape[1] - rank(a, p), a.shape[1])
+    if rows.size:
+        assert not mat_mul(a, rows.T, p).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_matrix(max_dim=7))
+def test_kernel_rows_is_row_basis_of_kernel(m):
+    assert_kernel_rows_match(m.a, m.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernel_rows_edge_shapes(p):
+    rng = np.random.default_rng(p)
+    cases = [np.zeros(shape, dtype=np.int64)
+             for shape in [(0, 4), (4, 0), (0, 0), (3, 5), (5, 3)]]
+    cases += [np.eye(4, dtype=np.int64),                        # full rank, square
+              np.hstack([np.eye(3, dtype=np.int64),
+                         rng.integers(0, p, (3, 4))]),         # full row rank
+              np.vstack([np.eye(3, dtype=np.int64),
+                         rng.integers(0, p, (2, 3))]),         # full column rank
+              np.ones((4, 6), dtype=np.int64)]                 # rank one
+    for a in cases:
+        assert_kernel_rows_match(a, p)
+    assert kernel_rows(np.zeros((2, 3), dtype=np.int64), p)[1] == (0, 1, 2)
+    assert kernel_rows(np.eye(4, dtype=np.int64), p)[0].shape == (0, 4)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2147483647])

@@ -15,6 +15,7 @@ from redhom.modules import (
     direct_sum,
     direct_sum_with_maps,
     free_module,
+    has_free_summand,
     hom_module,
     hom_space,
     is_isomorphic,
@@ -198,6 +199,44 @@ def test_split_free_summands(R2):
     FF = free_module(R2, 2)
     resFF = split_free_summands(FF)
     assert resFF.free_rank == 2 and resFF.core.dim == 0
+
+
+@pytest.mark.parametrize("rid", ["R1", "R2", "R3", "R4", "R5"])
+@pytest.mark.parametrize("q", [2, 5])
+def test_has_free_summand_matches_hom_criterion(rid, q):
+    # the d_1^T test against its definition: some M -> Lambda hits a unit
+    alg = catalog_ring(rid, q)
+    ring = free_module(alg, 1)
+    mods = [mod for _, mod in sample_modules(alg, count=4, max_dim=6, seed=31)]
+    mods += [direct_sum([mod, ring]) for mod in mods[:3]]
+    mods += [free_module(alg, 2), zero_module(alg)]
+    seen = set()
+    for mod in mods:
+        hom = hom_space(mod, ring).basis
+        want = bool(hom[:, 0].any()) if hom.size else False
+        assert has_free_summand(mod) == want
+        assert (split_free_summands(mod).free_rank > 0) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_split_without_free_summand_builds_no_hom_space(R2, monkeypatch):
+    calls = []
+    hom = modules.hom_space
+
+    def counted(*args):
+        calls.append(args)
+        return hom(*args)
+
+    monkeypatch.setattr(modules, "hom_space", counted)
+    k = simple_module(R2)
+    kk = direct_sum([k, k])
+    split = split_free_summands(kk)
+    assert split.free_rank == 0 and split.core is kk
+    assert calls == []
+    # with a free summand the rounds still read Hom(M, Lambda)
+    assert split_free_summands(direct_sum([k, free_module(R2, 1)])).free_rank == 1
+    assert calls
 
 
 def test_is_isomorphic_verdicts(R2):

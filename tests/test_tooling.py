@@ -26,3 +26,40 @@ def test_only_gf_names_matrix():
              for lineno, line in enumerate(path.read_text().splitlines(), 1)
              if word.search(line)]
     assert not found, f"Matrix named outside gf.py: {found}"
+
+
+def _load_tracing():
+    """perfbench/tracing.py as a private module (read only, nothing installed)."""
+    import importlib.util
+
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer wraps these names; a traced run fails to
+    # install when one is renamed or deleted
+    tracing = _load_tracing()
+    wrapped = [(prefix, owner, attr) for prefix, owner, attr, *_ in
+               tracing.LEAVES + tracing.SPANS + tracing.COUNTERS]
+    assert len(wrapped) >= 20
+    missing = [prefix for prefix, owner, attr in wrapped
+               if not callable(getattr(owner, attr, None))]
+    assert not missing, f"traced names missing from redhom: {missing}"
+    # a timed metric is named after what it wraps, e.g. gf.kernel
+    for prefix, owner, attr, *_ in tracing.LEAVES + tracing.SPANS:
+        where = (f"{owner.__module__}.{owner.__qualname__}"
+                 if isinstance(owner, type) else owner.__name__)
+        assert prefix == f"{where.removeprefix('redhom.')}.{attr}"
+
+
+def test_benchmark_per_layer_metrics_are_traced():
+    import json
+
+    tracing = _load_tracing()
+    bench = json.loads((SRC.parent.parent / "BENCHMARK.json").read_text())
+    declared = {m["name"] for m in bench["per_layer"]} - {"trace.overhead_s"}
+    assert declared <= set(tracing.per_layer_names())

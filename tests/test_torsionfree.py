@@ -113,14 +113,15 @@ def test_pushforward_flags_non_torsionfree(R1):
 
 
 def _count_kernels(monkeypatch):
+    # every kernel elimination: column bases (gf.kernel) and row bases
+    # (gf.kernel_rows)
     calls = []
-    kernel = gf.kernel
+    for name in ("kernel", "kernel_rows"):
+        def counted(*args, _original=getattr(gf, name)):
+            calls.append(args)
+            return _original(*args)
 
-    def counted_kernel(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(gf, "kernel", counted_kernel)
+        monkeypatch.setattr(gf, name, counted)
     return calls
 
 
