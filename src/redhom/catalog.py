@@ -155,10 +155,7 @@ def sample_modules(algebra: AlgebraRep, *, count: int, max_dim: int,
     for n in (1, 2):
         if len(out) >= count:
             break
-        try:
-            add(f"syzygy:{n}:k", res.syzygy_module(n))
-        except Exception:
-            break
+        add(f"syzygy:{n}:k", res.syzygy_module(n))
     add("k+ring", direct_sum([k, free_module(algebra, 1)]))
     attempt = 0
     while len(out) < count and attempt < 20 * count:

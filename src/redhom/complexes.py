@@ -44,79 +44,82 @@ def ring_module(algebra: AlgebraRep) -> ModuleRep:
     return algebra._cache["ring_module"]
 
 
-class FreeComplex:
-    """A complex of free modules with differentials over the algebra.
+class _Complex:
+    """Positions lo..hi; the differential at position i maps term i to i-1.
 
-    Positions run over the integer range [lo, hi]; the differential at
-    position i maps position i to position i-1.
+    Both kinds answer term(i) (the module at i), linear(i) (d_i as a
+    GF(p) matrix, None where the complex has no differential) and
+    rank(i) (0 there), so composition and exactness are checked here
+    once for both.
     """
+
+    def _check_positions(self, terms, differentials):
+        if not terms:
+            raise ModuleError("empty complex")
+        self.lo, self.hi = min(terms), max(terms)
+        for i in range(self.lo, self.hi + 1):
+            if i not in terms:
+                raise ModuleError(f"missing term at position {i}")
+        for i in differentials:
+            if not (self.lo + 1 <= i <= self.hi):
+                raise ModuleError(f"differential at position {i} outside range")
+
+    def check_composition(self):
+        for i in range(self.lo + 2, self.hi + 1):
+            outer, inner = self.linear(i - 1), self.linear(i)
+            if outer is not None and inner is not None and \
+                    gf.mat_mul(outer, inner, self.algebra.p).any():
+                raise ModuleError(f"d.d != 0 at position {i}")
+
+    def exactness_defects(self, positions) -> dict[int, int]:
+        """dim ker(d_i) - rank(d_{i+1}) per requested position."""
+        out = {}
+        for i in positions:
+            dim = self.term(i).dim if self.lo <= i <= self.hi else 0
+            defect = dim - self.rank(i) - self.rank(i + 1)
+            if defect < 0:
+                raise AssertionError("image not contained in kernel")
+            out[i] = defect
+        return out
+
+
+class FreeComplex(_Complex):
+    """A complex of free modules with differentials over the algebra."""
 
     def __init__(self, algebra: AlgebraRep, ranks: dict[int, int],
                  diffs: dict[int, LambdaMatrix], *, check: bool = True):
         self.algebra = algebra
         self.ranks = dict(ranks)
         self.diffs = dict(diffs)
-        if not self.ranks:
-            raise ModuleError("empty complex")
-        self.lo = min(self.ranks)
-        self.hi = max(self.ranks)
-        for i in range(self.lo, self.hi + 1):
-            if i not in self.ranks:
-                raise ModuleError(f"missing rank at position {i}")
+        self._check_positions(self.ranks, self.diffs)
         for i, d in self.diffs.items():
-            if not (self.lo + 1 <= i <= self.hi):
-                raise ModuleError(f"differential at position {i} outside range")
             if d.rows != self.ranks[i - 1] or d.cols != self.ranks[i]:
                 raise ModuleError(f"differential at {i} has shape "
                                   f"{d.rows}x{d.cols}, expected "
                                   f"{self.ranks[i-1]}x{self.ranks[i]}")
+        self._terms: dict[int, ModuleRep] = {}
         if check:
             self.check_composition()
 
-    def check_composition(self):
-        for i in range(self.lo + 2, self.hi + 1):
-            if i in self.diffs and i - 1 in self.diffs:
-                prod = gf.mat_mul(self.diffs[i - 1].to_linear(),
-                                  self.diffs[i].to_linear(), self.algebra.p)
-                if prod.any():
-                    raise ModuleError(f"d.d != 0 at position {i}")
+    def term(self, i: int) -> ModuleRep:
+        if i not in self._terms:
+            self._terms[i] = free_module(self.algebra, self.ranks[i])
+        return self._terms[i]
 
-    def diff(self, i: int) -> LambdaMatrix:
-        if i in self.diffs:
-            return self.diffs[i]
-        return LambdaMatrix.zeros(self.algebra,
-                                  self.ranks.get(i - 1, 0), self.ranks.get(i, 0))
+    def linear(self, i: int) -> np.ndarray | None:
+        return self.diffs[i].to_linear() if i in self.diffs else None
+
+    def rank(self, i: int) -> int:
+        return self.diffs[i].linear_rank() if i in self.diffs else 0
 
     def dual(self) -> "FreeComplex":
         """Entry-wise transposed complex on reversed positions."""
         ranks = {-i: r for i, r in self.ranks.items()}
-        diffs = {}
-        for i in range(self.lo + 1, self.hi + 1):
-            if i in self.diffs:
-                diffs[-(i - 1)] = self.diffs[i].transpose()
+        diffs = {-(i - 1): d.transpose() for i, d in sorted(self.diffs.items())}
         return FreeComplex(self.algebra, ranks, diffs, check=False)
 
-    def _rank_out(self, i: int) -> int:
-        if i not in self.diffs:
-            return 0
-        return self.diffs[i].linear_rank()
-
-    def exactness_defects(self, positions) -> dict[int, int]:
-        """dim ker(d_i) - rank(d_{i+1}) per requested position."""
-        D = self.algebra.dim
-        out = {}
-        for i in positions:
-            space = self.ranks.get(i, 0) * D
-            kerdim = space - self._rank_out(i) if i >= self.lo + 1 and i in self.diffs \
-                else space
-            defect = kerdim - (self._rank_out(i + 1) if i + 1 <= self.hi else 0)
-            if defect < 0:
-                raise AssertionError("image not contained in kernel")
-            out[i] = defect
-        return out
-
     def to_module_complex(self) -> "ModuleComplex":
-        mods = {i: free_module(self.algebra, r) for i, r in self.ranks.items()}
+        mods = {i: self.term(i) for i in self.ranks}
         maps = {i: ModuleMap(mods[i], mods[i - 1], d.to_linear())
                 for i, d in self.diffs.items()}
         return ModuleComplex(mods, maps, check=False)
@@ -128,21 +131,19 @@ class FreeComplex:
                 "differentials": {str(i): d.to_jsonable() for i, d in self.diffs.items()}}
 
 
-class ModuleComplex:
-    """A complex of modules; differential at position i maps i to i-1."""
+class ModuleComplex(_Complex):
+    """A complex of modules; each map's rank is computed once."""
 
     def __init__(self, modules: dict[int, ModuleRep], maps: dict[int, ModuleMap],
                  *, check: bool = True):
         self.modules = dict(modules)
         self.maps = dict(maps)
-        if not self.modules:
-            raise ModuleError("empty complex")
-        self.lo = min(self.modules)
-        self.hi = max(self.modules)
+        self._check_positions(self.modules, self.maps)
         for i, f in self.maps.items():
             if f.source.dim != self.modules[i].dim or \
                f.target.dim != self.modules[i - 1].dim:
                 raise ModuleError(f"map at position {i} does not fit its terms")
+        self._ranks: dict[int, int] = {}
         if check:
             self.check_composition()
 
@@ -150,26 +151,22 @@ class ModuleComplex:
     def algebra(self):
         return self.modules[self.lo].algebra
 
-    def check_composition(self):
-        for i in self.maps:
-            if i - 1 in self.maps:
-                if (self.maps[i - 1] @ self.maps[i]).mat.any():
-                    raise ModuleError(f"d.d != 0 at position {i}")
+    def term(self, i: int) -> ModuleRep:
+        return self.modules[i]
 
-    def exactness_defects(self, positions) -> dict[int, int]:
-        out = {}
-        for i in positions:
-            dim_i = self.modules[i].dim if i in self.modules else 0
-            if i in self.maps:
-                kerdim = dim_i - self.maps[i].rank()
-            else:
-                kerdim = dim_i
-            in_rank = self.maps[i + 1].rank() if (i + 1) in self.maps else 0
-            defect = kerdim - in_rank
-            if defect < 0:
-                raise AssertionError("image not contained in kernel")
-            out[i] = defect
-        return out
+    def linear(self, i: int) -> np.ndarray | None:
+        return self.maps[i].mat if i in self.maps else None
+
+    def rank(self, i: int) -> int:
+        if i not in self.maps:
+            return 0
+        if i not in self._ranks:
+            self._ranks[i] = self.maps[i].rank()
+        return self._ranks[i]
+
+    def dual(self) -> "ModuleComplex":
+        """Term-wise Hom(-, Lambda) on reversed positions (see apply_dual)."""
+        return apply_dual(self)
 
     def to_jsonable(self) -> dict:
         return {"kind": "modules",
@@ -279,10 +276,10 @@ class MinimalResolution:
             self._syzygies[n] = submodule_from_rows(ambient, rows, piv)[0]
         return self._syzygies[n]
 
-    def free_complex(self, upto: int, shift: int = 0) -> FreeComplex:
+    def free_complex(self, upto: int) -> FreeComplex:
         self.extend(upto)
-        ranks = {i + shift: self.betti[i] for i in range(upto + 1)}
-        diffs = {i + shift: self.diffs[i - 1] for i in range(1, upto + 1)}
+        ranks = {i: self.betti[i] for i in range(upto + 1)}
+        diffs = {i: self.diffs[i - 1] for i in range(1, upto + 1)}
         return FreeComplex(self.algebra, ranks, diffs, check=False)
 
     def dual_rank(self, i: int) -> int:
@@ -406,6 +403,6 @@ def ext_dims_via_dual_complex(source: ModuleRep, bound: int) -> list[int]:
     machinery, and measure exactness defects.
     """
     res = resolution_of(source)
-    dual = apply_dual(res.free_complex(bound + 1).to_module_complex())
+    dual = res.free_complex(bound + 1).to_module_complex().dual()
     defects = dual.exactness_defects([-i for i in range(bound + 1)])
     return [defects[-i] for i in range(bound + 1)]

@@ -13,7 +13,9 @@ Conventions fixed once and used everywhere:
   enumerated in increasing column order and set to zero in particular
   solutions;
 * matrices are plain int64 arrays with entries in [0, p); the modulus
-  comes from the algebra and is passed to each function here.
+  comes from the algebra and is passed to each function here, and
+  `check_modulus` validates it where a ring is built.  There is no
+  matrix class (`Matrix` is an empty placeholder, see its docstring).
 
 `kernel` returns a column basis with its free coordinates; `kernel_rows`
 returns the canonical rref row basis of the same kernel from a single
@@ -33,10 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 MAX_MODULUS = 2**31
-
-
-class FieldMismatchError(ValueError):
-    """Raised when operands over different prime fields are combined."""
 
 
 class ShapeMismatchError(ValueError):
@@ -277,98 +275,14 @@ def in_rowspace(rows: np.ndarray, pivots: tuple[int, ...],
     return not reduce_mod_rowspace(rows, pivots, np.asarray(vecs) % p, p).any()
 
 
-_validated_moduli: set[int] = set()
-
-
 class Matrix:
-    """Immutable dense matrix over GF(p).
+    """Placeholder kept only for the benchmark's tracer.
 
-    Thin wrapper that carries the modulus with the entries and rejects
-    cross-modulus arithmetic.  Empty shapes (0 x n, n x 0) are legal and
-    behave as zero maps.  The rest of the package works on plain arrays;
-    this class, `kernel_basis` and `solve_linear` stay only while the
-    benchmark's tracer counts `Matrix` constructions.
+    The package works on plain int64 arrays and the functions above;
+    nothing constructs a Matrix.  `perfbench/tracing.py` still wraps
+    `Matrix.__init__` for its `gf.Matrix.constructions` counter (0 on
+    every workload), so the class goes together with that counter.
     """
 
-    __slots__ = ("p", "a")
-
-    def __init__(self, p: int, entries):
-        self.p = int(p)
-        if self.p not in _validated_moduli:
-            check_modulus(self.p)
-            _validated_moduli.add(self.p)
-        a = np.array(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise ShapeMismatchError(f"matrix entries must be 2-d, got shape {a.shape}")
-        a %= self.p
-        a.flags.writeable = False
-        self.a = a
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "Matrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "Matrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def _check(self, other: "Matrix"):
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other)!r}")
-        if other.p != self.p:
-            raise FieldMismatchError(f"mixed moduli {self.p} and {other.p}")
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        return Matrix(self.p, mat_mul(self.a, other.a, self.p))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.p, self.a.T)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and other.p == self.p
-                and other.a.shape == self.a.shape and bool((other.a == self.a).all()))
-
-    def __hash__(self):
-        return hash((self.p, self.a.shape, self.a.tobytes()))
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
-
-    def rank(self) -> int:
-        return rank(self.a, self.p)
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        red, pivots = rref(self.a, self.p)
-        return Matrix(self.p, red), pivots
-
-    def tolist(self):
-        return self.a.tolist()
-
-    def __repr__(self):
-        return f"Matrix(p={self.p}, {self.a.tolist()!r})"
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a deterministic basis of ker(m); count = cols - rank."""
-    k, _ = kernel(m.a, m.p)
-    return Matrix(m.p, k)
-
-
-def solve_linear(m: Matrix, b: Matrix) -> Matrix | None:
-    """X with m @ X = b (free variables zero), or None when unsolvable."""
-    if m.p != b.p:
-        raise FieldMismatchError(f"mixed moduli {m.p} and {b.p}")
-    if m.rows != b.rows:
-        raise ShapeMismatchError(f"solve_linear: {m.rows} rows vs rhs {b.rows}")
-    x = solve(m.a, b.a, m.p)
-    return None if x is None else Matrix(m.p, x)
-
+    def __init__(self):
+        raise TypeError("gf.Matrix is retired: use plain int64 arrays")

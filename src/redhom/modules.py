@@ -428,10 +428,6 @@ class LambdaMatrix:
         self.entries = e
         self._cache = {}
 
-    @classmethod
-    def zeros(cls, algebra: AlgebraRep, rows: int, cols: int) -> "LambdaMatrix":
-        return cls(algebra, np.zeros((rows, cols, algebra.dim), dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.entries.shape[0]

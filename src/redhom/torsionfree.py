@@ -32,13 +32,13 @@ from .complexes import (
     FreeComplex,
     MinimalResolution,
     ModuleComplex,
-    apply_dual,
     check_exactness,
     ext_dims,
     resolution_of,
     ring_module,
 )
 from .modules import (
+    LambdaMatrix,
     ModuleError,
     ModuleMap,
     ModuleRep,
@@ -136,6 +136,7 @@ def is_totally_reflexive_up_to(mod: ModuleRep, bound: int) -> bool:
 @dataclass
 class PushforwardResult:
     complex: ModuleComplex               # 0 -> M -> F_{-1} -> ... -> F_{-n}
+    tail: dict[int, LambdaMatrix]        # its free maps at -1 .. -(n-1)
     n: int
     ext_transpose: tuple[int, ...]       # Ext^j(tr core, Lambda) for j = 1..n
     primal_defects: dict[int, int]
@@ -197,6 +198,12 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     res_t = transpose_resolution(mod)
     ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(1, n + 1))
     g = res_t.betti[:n + 2]
+    # F_{-j} -> F_{-(j+1)} is d_{j+2}^T, zero on the split-off free part of F_{-1}
+    tail = {-j: res_t.diff(j + 2).transpose() for j in range(1, n)}
+    if r and n > 1:
+        d3 = tail[-1]
+        tail[-1] = LambdaMatrix(A, np.concatenate(
+            [d3.entries, np.zeros((d3.rows, r, A.dim), dtype=np.int64)], axis=1))
     ident = "canonical quotient comparison" if core.dim else "no core (free module)"
 
     modules = {0: mod}
@@ -217,12 +224,7 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
         top[f1.dim - r * D:, :] = free_part
     maps[0] = ModuleMap(mod, f1, top)
     for j in range(1, n):
-        src, tgt = modules[-j], modules[-(j + 1)]
-        mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-        if g[j + 2] and g[j + 1]:
-            dual_lin = res_t.diff(j + 2).transpose().to_linear()
-            mat[:, :dual_lin.shape[1]] = dual_lin
-        maps[-j] = ModuleMap(src, tgt, mat)
+        maps[-j] = ModuleMap(modules[-j], modules[-(j + 1)], tail[-j].to_linear())
     comp = ModuleComplex(modules, maps, check=True)
 
     check_positions = [-(j - 1) for j in range(1, n + 1)]
@@ -240,11 +242,10 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
             break
     dual_defects = None
     if dual_check:
-        dual = apply_dual(comp)
-        dual_defects = dual.exactness_defects(list(range(0, n)))
+        dual_defects = comp.dual().exactness_defects(list(range(0, n)))
         if any(dual_defects.values()):
             raise AssertionError("the dual of a pushforward must be exact")
-    return PushforwardResult(comp, n, ext_tr, primal, exact_while,
+    return PushforwardResult(comp, tail, n, ext_tr, primal, exact_while,
                              dual_defects, r, ident)
 
 
@@ -306,9 +307,7 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
             ranks[-j] = pf.complex.modules[-j].free_rank
         partial = gf.mat_mul(pf.complex.maps[0].mat, cover_matrix(mod), A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
-        for j in range(1, n):
-            diffs[-j] = lambda_from_linear(A, pf.complex.maps[-j].mat,
-                                           ranks[-(j + 1)], ranks[-j])
+        diffs.update(pf.tail)
         comp = FreeComplex(A, ranks, diffs, check=True)
         img_rows, img_piv = gf.row_basis(pf.complex.maps[0].mat.T, A.p)
         image_module, _ = submodule_from_rows(pf.complex.modules[-1], img_rows, img_piv)
@@ -357,12 +356,12 @@ class WindowVerdict:
                 "reasons": self.reasons}
 
 
-def _image_of_middle(comp: ModuleComplex, n: int):
+def _image_of_middle(comp: ModuleComplex | FreeComplex, n: int):
     """Image of the middle map (or for n = 0 the cokernel convention)."""
-    rows, piv = gf.row_basis(comp.maps[1 if n == 0 else 0].mat.T, comp.algebra.p)
+    rows, piv = gf.row_basis(comp.linear(1 if n == 0 else 0).T, comp.algebra.p)
     if n == 0:
-        return quotient_module(comp.modules[0], rows, piv)[0]
-    return submodule_from_rows(comp.modules[-1], rows, piv)[0]
+        return quotient_module(comp.term(0), rows, piv)[0]
+    return submodule_from_rows(comp.term(-1), rows, piv)[0]
 
 
 def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
@@ -381,23 +380,19 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
     if comp.lo != lo_expect or comp.hi != hi_expect:
         raise ModuleError(
             f"sequence spans [{comp.lo}, {comp.hi}], expected [{lo_expect}, {hi_expect}]")
-    carrier = comp.diffs if isinstance(comp, FreeComplex) else comp.maps
-    missing = [i for i in range(comp.lo + 1, comp.hi + 1) if i not in carrier]
+    missing = [i for i in range(comp.lo + 1, comp.hi + 1) if comp.linear(i) is None]
     if missing:
         raise ModuleError(f"sequence is missing differentials at positions {missing}")
     reasons = []
     bound = max(m, n, 1)
-    if isinstance(comp, FreeComplex):
-        mc, dual = comp.to_module_complex(), comp.dual()
-    else:
-        mc, dual = comp, apply_dual(comp)
+    dual = comp.dual()
     primal = check_exactness(comp)
     dual_defects = check_exactness(dual)
 
-    image = _image_of_middle(mc, n)
+    image = _image_of_middle(comp, n)
     if n == 0:
         # augmented dual exactness at P_0*: ker d_1^* must be Hom(image, Lambda)
-        hom_dim = hom_space(image, ring_module(mc.algebra)).dim
+        hom_dim = hom_space(image, ring_module(comp.algebra)).dim
         ker_dual = dual.exactness_defects([0])[0]
         if ker_dual != hom_dim:
             dual_defects[0] = ker_dual - hom_dim
@@ -409,7 +404,7 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
         requirements = {i: (m, 0) for i in range(0, comp.hi + 1)}
         requirements.update({i: (0, n) for i in range(comp.lo, 0)})
     for i, (need_m, need_n) in sorted(requirements.items(), reverse=True):
-        term = mc.modules[i]
+        term = comp.term(i)
         if term.free_rank is not None or (need_m == 0 and need_n == 0):
             continue
         cls = torsionfree_classify(term, bound)

@@ -172,6 +172,19 @@ def test_check_commands(capsys):
     assert report["results"]["report"]["consistent"]
 
 
+def test_check_prop7_inconclusive_plexity_is_consistent(capsys):
+    # R2 is Gorenstein, so k has a gdim witness; Bass numbers to bound 4
+    # are too few for the growth window, and an inconclusive plexity
+    # estimate contradicts nothing
+    report, _ = run_cli(capsys, ["check", "prop7", "--ring", "R2q5",
+                                 "--module", "k", "--bound", "4"])
+    rep = report["results"]["report"]
+    assert rep["plexity_instance"]["k_ured_gdim"]["found"]
+    assert rep["ring_plexity"]["verdict"] == "inconclusive"
+    assert rep["plexity_instance"]["instance_consistent"]
+    assert rep["consistent"]
+
+
 def test_module_file_input(tmp_path, capsys):
     spec = tmp_path / "mod.json"
     spec.write_text(json.dumps({"actions": [[[0]], [[0]]]}))

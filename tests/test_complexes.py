@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from redhom import gf
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
 from redhom.catalog import catalog_ring, sample_modules
 from redhom.complexes import (
@@ -253,3 +255,38 @@ def test_dd_zero_enforced(R2):
     with pytest.raises(Exception):
         FreeComplex(R2, {2: 1, 1: 1, 0: 1}, {2: LambdaMatrix(R2, one),
                                              1: LambdaMatrix(R2, one)})
+
+
+@st.composite
+def scaled_resolution_windows(draw):
+    """A resolution window (or its dual) with each differential scaled.
+
+    Multiplying every differential by a ring element keeps d.d = 0, the
+    ring being commutative; a non-unit scalar usually breaks exactness.
+    """
+    alg = catalog_ring(draw(st.sampled_from(["R1q2", "R2q5", "R3q2", "R4q2"])))
+    mods = [m for _, m in sample_modules(alg, count=5, max_dim=4, seed=1)]
+    comp = resolution_of(draw(st.sampled_from(mods))).free_complex(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        comp = comp.dual()
+    diffs = {}
+    for i, d in comp.diffs.items():
+        c = draw(st.lists(st.integers(0, alg.p - 1), min_size=alg.dim, max_size=alg.dim))
+        scaled = gf.mat_mul(d.entries.reshape(-1, alg.dim), alg.L_of(np.array(c)).T, alg.p)
+        diffs[i] = LambdaMatrix(alg, scaled.reshape(d.entries.shape))
+    return FreeComplex(alg, comp.ranks, diffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_resolution_windows())
+def test_free_and_module_complexes_have_equal_defects(comp):
+    positions = list(range(comp.lo - 1, comp.hi + 2))
+    defects = comp.exactness_defects(positions)
+    assert comp.to_module_complex().exactness_defects(positions) == defects
+    p = comp.algebra.p
+    for i in positions:
+        space = comp.ranks.get(i, 0) * comp.algebra.dim
+        kerdim = gf.kernel(comp.diffs[i].to_linear(), p)[0].shape[1] \
+            if i in comp.diffs else space
+        image = gf.rank(comp.diffs[i + 1].to_linear(), p) if i + 1 in comp.diffs else 0
+        assert defects[i] == kerdim - image

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhom.gf import (
-    FieldMismatchError,
-    Matrix,
     ShapeMismatchError,
     batch_rank,
     check_modulus,
     is_prime,
     kernel,
-    kernel_basis,
     kernel_rows,
     mat_mul,
     rank,
     row_basis,
     rref,
-    solve_linear,
+    solve,
 )
 
 
@@ -55,66 +52,58 @@ def test_check_modulus_rejects():
 
 
 def test_kernel_identity_trivial():
-    k = kernel_basis(Matrix.identity(5, 2))
-    assert k.rows == 2 and k.cols == 0
+    k, free = kernel(np.eye(2, dtype=np.int64), 5)
+    assert k.shape == (2, 0) and free == ()
 
 
 def test_kernel_zero_map():
-    k = kernel_basis(Matrix.zeros(5, 2, 3))
-    assert k == Matrix.identity(5, 3)
+    k, free = kernel(np.zeros((2, 3), dtype=np.int64), 5)
+    assert (k == np.eye(3, dtype=np.int64)).all() and free == (0, 1, 2)
 
 
 def test_kernel_row_example_gf5():
     # Oracle: exhaustive enumeration gives kernel dimension 2.
     a = np.array([[1, 2, 3]], dtype=np.int64)
     assert brute_kernel_dim(a, 5) == 2
-    m = Matrix(5, a)
-    k = kernel_basis(m)
+    k, _ = kernel(a, 5)
     assert k.tolist() == [[3, 2], [1, 0], [0, 1]]
-    assert (m @ k).is_zero()
-    assert k.rank() == 2
+    assert not mat_mul(a, k, 5).any()
+    assert rank(k, 5) == 2
 
 
 def test_solve_identity():
-    b = Matrix(5, [[3], [1]])
-    x = solve_linear(Matrix.identity(5, 2), b)
-    assert x == b
+    b = np.array([[3], [1]], dtype=np.int64)
+    assert (solve(np.eye(2, dtype=np.int64), b, 5) == b).all()
 
 
 def test_solve_underdetermined_gf5():
-    a = Matrix(5, [[1, 1]])
-    b = Matrix(5, [[3]])
-    x = solve_linear(a, b)
+    a = np.array([[1, 1]], dtype=np.int64)
+    b = np.array([[3]], dtype=np.int64)
+    x = solve(a, b, 5)
     assert x.tolist() == [[3], [0]]
-    assert a @ x == b
+    assert (mat_mul(a, x, 5) == b).all()
 
 
 def test_solve_no_solution():
-    assert solve_linear(Matrix.zeros(5, 1, 1), Matrix(5, [[1]])) is None
+    assert solve(np.zeros((1, 1), dtype=np.int64), np.array([[1]]), 5) is None
 
 
 def test_solve_shape_contract():
     with pytest.raises(ShapeMismatchError):
-        solve_linear(Matrix.zeros(5, 2, 2), Matrix.zeros(5, 3, 1))
-
-
-def test_cross_modulus_rejected():
-    with pytest.raises(FieldMismatchError):
-        Matrix.identity(5, 2) @ Matrix.identity(7, 2)
+        solve(np.zeros((2, 2), dtype=np.int64), np.zeros((3, 1), dtype=np.int64), 5)
 
 
 def test_empty_shapes_behave_as_zero_maps():
-    a = Matrix.zeros(5, 0, 3)
-    k = kernel_basis(a)
-    assert k == Matrix.identity(5, 3)
-    b = Matrix.zeros(5, 3, 0)
-    assert (b @ Matrix.zeros(5, 0, 2)).is_zero()
-    assert kernel_basis(b).cols == 0
+    k, _ = kernel(np.zeros((0, 3), dtype=np.int64), 5)
+    assert (k == np.eye(3, dtype=np.int64)).all()
+    prod = mat_mul(np.zeros((3, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 5)
+    assert prod.shape == (3, 2) and not prod.any()
+    assert kernel(np.zeros((3, 0), dtype=np.int64), 5)[0].shape == (0, 0)
+    assert rank(np.zeros((0, 3), dtype=np.int64), 5) == 0
 
 
 def test_rref_canonical_form():
-    m = Matrix(5, [[2, 4, 1], [1, 2, 0]])
-    red, pivots = m.rref()
+    red, pivots = rref(np.array([[2, 4, 1], [1, 2, 0]], dtype=np.int64), 5)
     assert pivots == (0, 2)
     assert red.tolist() == [[1, 2, 0], [0, 0, 1]]
 
@@ -133,46 +122,51 @@ small_prime = st.sampled_from([2, 3, 5, 7])
 
 @st.composite
 def random_matrix(draw, max_dim=5):
+    """(p, a): a random r x c array over GF(p), empty shapes included."""
     p = draw(small_prime)
     r = draw(st.integers(0, max_dim))
     c = draw(st.integers(0, max_dim))
     entries = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
                             min_size=r, max_size=r))
-    return Matrix(p, np.array(entries, dtype=np.int64).reshape(r, c))
+    return p, np.array(entries, dtype=np.int64).reshape(r, c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix())
-def test_rank_nullity(m):
-    k = kernel_basis(m)
-    assert m.rank() + k.cols == m.cols
-    if k.cols:
-        assert (m @ k).is_zero()
-        assert k.rank() == k.cols
+def test_rank_nullity(pm):
+    p, a = pm
+    k, free = kernel(a, p)
+    assert rank(a, p) + k.shape[1] == a.shape[1] == k.shape[0]
+    assert len(free) == k.shape[1]
+    if k.shape[1]:
+        assert not mat_mul(a, k, p).any()
+        assert rank(k, p) == k.shape[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix(), st.integers(0, 3), st.data())
-def test_solve_roundtrip(m, c, data):
-    x0 = Matrix(m.p, np.array(
-        data.draw(st.lists(st.lists(st.integers(0, m.p - 1), min_size=c, max_size=c),
-                           min_size=m.cols, max_size=m.cols)),
-        dtype=np.int64).reshape(m.cols, c))
-    b = m @ x0
-    x = solve_linear(m, b)
-    assert x is not None
-    assert m @ x == b
+def test_solve_roundtrip(pm, c, data):
+    p, a = pm
+    x0 = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
+                           min_size=a.shape[1], max_size=a.shape[1])),
+        dtype=np.int64).reshape(a.shape[1], c)
+    b = mat_mul(a, x0, p)
+    x = solve(a, b, p)
+    assert x is not None and x.shape == x0.shape
+    assert (mat_mul(a, x, p) == b).all()
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_matrix())
-def test_determinism(m):
-    r1 = rref(m.a, m.p)
-    r2 = rref(m.a.copy(), m.p)
+def test_determinism(pm):
+    p, a = pm
+    r1 = rref(a, p)
+    r2 = rref(a.copy(), p)
     assert (r1[0] == r2[0]).all() and r1[1] == r2[1]
-    assert rank(m.a, m.p) == rank(m.a.copy(), m.p)
-    k1, f1 = kernel(m.a, m.p)
-    k2, f2 = kernel(m.a, m.p)
+    assert rank(a, p) == rank(a.copy(), p)
+    k1, f1 = kernel(a, p)
+    k2, f2 = kernel(a, p)
     assert (k1 == k2).all() and f1 == f2
 
 
@@ -190,8 +184,9 @@ def assert_kernel_rows_match(a: np.ndarray, p: int):
 
 @settings(max_examples=80, deadline=None)
 @given(random_matrix(max_dim=7))
-def test_kernel_rows_is_row_basis_of_kernel(m):
-    assert_kernel_rows_match(m.a, m.p)
+def test_kernel_rows_is_row_basis_of_kernel(pm):
+    p, a = pm
+    assert_kernel_rows_match(a, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -282,6 +282,13 @@ def test_is_isomorphic_caches_end_dimensions(monkeypatch, R2):
     assert np.array_equal(again.witness.mat, first.witness.mat)
 
 
+def test_maps_between_algebras_refused():
+    # arrays carry no modulus: ModuleMap is what keeps fields from mixing
+    k2, k5 = simple_module(catalog_ring("R1", 2)), simple_module(catalog_ring("R1", 5))
+    with pytest.raises(ModuleError, match="different algebras"):
+        ModuleMap(k2, k5, np.eye(1, dtype=np.int64))
+
+
 def test_direct_sum_and_maps(R2):
     k = simple_module(R2)
     F = free_module(R2, 1)

@@ -235,10 +235,11 @@ def test_window_verify_free_and_module_paths_agree(R3):
     assert verdicts[0].primal_defects == verdicts[1].primal_defects
 
 
-def test_matrix_rejects_composite_modulus():
-    from redhom.gf import Matrix
-    with pytest.raises(ValueError):
-        Matrix(6, [[1]])
+def test_ring_rejects_composite_modulus():
+    # check_modulus guards every ring, so no array ever carries a composite modulus
+    with pytest.raises(ValueError, match="not prime"):
+        build_monomial_quotient(RingSpec(
+            "monomial_quotient", 6, variables=["x"], ideal=["x^2"]))
 
 
 def test_transpose_of_free_is_zero_on_catalog(R1, R3):

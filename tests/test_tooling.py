@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "redhom"
 
 
@@ -28,21 +30,21 @@ def test_only_gf_names_matrix():
     assert not found, f"Matrix named outside gf.py: {found}"
 
 
-def _load_tracing():
-    """perfbench/tracing.py as a private module (read only, nothing installed)."""
+def _load_perfbench(name):
+    """perfbench/<name>.py as a private module (read only, nothing installed)."""
     import importlib.util
 
-    path = SRC.parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    path = SRC.parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_exists():
     # the benchmark's tracer wraps these names; a traced run fails to
     # install when one is renamed or deleted
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     wrapped = [(prefix, owner, attr) for prefix, owner, attr, *_ in
                tracing.LEAVES + tracing.SPANS + tracing.COUNTERS]
     assert len(wrapped) >= 20
@@ -59,7 +61,21 @@ def test_every_traced_name_exists():
 def test_benchmark_per_layer_metrics_are_traced():
     import json
 
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     bench = json.loads((SRC.parent.parent / "BENCHMARK.json").read_text())
     declared = {m["name"] for m in bench["per_layer"]} - {"trace.overhead_s"}
     assert declared <= set(tracing.per_layer_names())
+
+
+@pytest.mark.parametrize("workload", ["certify", "search", "tables"])
+def test_every_benchmark_job_passes_at_seed_0(workload):
+    # a benchmark run fails on any job whose verdict check fails, so an
+    # API change that breaks a job must fail here first
+    jobs = _load_perfbench("workloads").WORKLOADS[workload](0)
+    assert jobs
+    failed = []
+    for name, job in jobs:
+        ok, detail = job()
+        if not ok:
+            failed.append(f"{name}: {detail}")
+    assert not failed, failed
