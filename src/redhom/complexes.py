@@ -47,10 +47,10 @@ def ring_module(algebra: AlgebraRep) -> ModuleRep:
 class _Complex:
     """Positions lo..hi; the differential at position i maps term i to i-1.
 
-    Both kinds answer term(i) (the module at i), linear(i) (d_i as a
-    GF(p) matrix, None where the complex has no differential) and
-    rank(i) (0 there), so composition and exactness are checked here
-    once for both.
+    Every position lo+1..hi carries a differential; a gap is refused at
+    construction.  Both kinds answer term(i) (the module at i), linear(i)
+    (d_i as a GF(p) matrix, None outside lo+1..hi) and rank(i) (0
+    there), so composition and exactness are checked here once for both.
     """
 
     def _check_positions(self, terms, differentials):
@@ -63,12 +63,13 @@ class _Complex:
         for i in differentials:
             if not (self.lo + 1 <= i <= self.hi):
                 raise ModuleError(f"differential at position {i} outside range")
+        missing = [i for i in range(self.lo + 1, self.hi + 1) if i not in differentials]
+        if missing:
+            raise ModuleError(f"missing differentials at positions {missing}")
 
     def check_composition(self):
         for i in range(self.lo + 2, self.hi + 1):
-            outer, inner = self.linear(i - 1), self.linear(i)
-            if outer is not None and inner is not None and \
-                    gf.mat_mul(outer, inner, self.algebra.p).any():
+            if gf.mat_mul(self.linear(i - 1), self.linear(i), self.algebra.p).any():
                 raise ModuleError(f"d.d != 0 at position {i}")
 
     def exactness_defects(self, positions) -> dict[int, int]:

@@ -28,6 +28,17 @@ the reversed order, i.e. right of f in the original.  Sorted by f,
 these vectors are therefore in reduced echelon form with leading
 columns f, and since the rref of a row space is unique they are its
 canonical basis, entry for entry.
+
+`echelon_pivots` (and `rank`, its length) runs forward elimination
+only, yet returns exactly the pivot columns of the rref.  Why: let V be
+the row space and V_c the vectors of V that vanish on every column
+before c.  If the rows of any echelon form of the matrix lead at
+columns l_1 < ... < l_r, then V_c is spanned by the rows with l_i >= c
+(a combination using a row that leads before c is nonzero at the
+smallest such leading column), so dim V_c counts the l_i >= c.  The
+leading columns are therefore the c with dim V_c > dim V_{c+1}, which
+depends on V alone; forward elimination and rref use invertible row
+operations, so both have row space V and the same pivot columns.
 """
 
 from __future__ import annotations
@@ -109,9 +120,22 @@ def lincomb(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
     return mat_mul(coeffs, stack.reshape(n, int(np.prod(shape))), p).reshape(shape)
 
 
+def _reduced(arr: np.ndarray, p: int) -> np.ndarray:
+    """A fresh copy of arr reduced mod p, in the elimination dtype.
+
+    The reduction is computed in int64 and only its result is narrowed:
+    narrowing an unreduced entry such as 2^32 to int32 first would wrap
+    it to 0.  Writing straight into the narrow output allocates no
+    int64 temporary.
+    """
+    arr = np.asarray(arr, dtype=np.int64)
+    return np.remainder(arr, p, out=np.empty(arr.shape, dtype=_work_dtype(p)),
+                        casting="unsafe")
+
+
 def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (deterministic)."""
-    a = (np.array(arr, dtype=_work_dtype(p)) % p)
+    a = _reduced(arr, p)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -136,12 +160,16 @@ def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return a.astype(np.int64), tuple(pivots)
 
 
-def rank(arr: np.ndarray, p: int) -> int:
-    """Rank by forward elimination only (cheaper than a full rref)."""
-    a = (np.array(arr, dtype=_work_dtype(p)) % p)
+def echelon_pivots(arr: np.ndarray, p: int) -> tuple[int, ...]:
+    """Pivot columns of the rref, by forward elimination only.
+
+    Equal to rref(arr, p)[1] (see the module docstring).
+    """
+    a = _reduced(arr, p)
     rows, cols = a.shape
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -156,8 +184,13 @@ def rank(arr: np.ndarray, p: int) -> int:
             inv = pow(int(a[r, c]), p - 2, p)
             factors = (a[idx, c] * inv) % p
             a[idx, c:] = (a[idx, c:] - factors[:, None] * a[r, c:]) % p
-        r += 1
-    return r
+        pivots.append(c)
+    return tuple(pivots)
+
+
+def rank(arr: np.ndarray, p: int) -> int:
+    """Rank by forward elimination only (cheaper than a full rref)."""
+    return len(echelon_pivots(arr, p))
 
 
 def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:

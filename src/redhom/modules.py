@@ -441,9 +441,16 @@ class LambdaMatrix:
         if "linear" not in self._cache:
             A = self.algebra
             r, c, D = self.entries.shape
-            flat = gf.mat_mul(self.entries.reshape(r * c, D),
-                              A.left_mult.reshape(D, D * D), A.p)
-            lin = flat.reshape(r, c, D, D).transpose(0, 2, 1, 3).reshape(r * D, c * D)
+            dual = self._cache.get("transpose")
+            if dual is not None and "linear" in dual._cache:
+                # block (s, t) of the linear form is L(entry (s, t)), so the
+                # transpose's form is the partner's with its blocks swapped
+                lin = dual._cache["linear"].reshape(c, D, r, D).transpose(2, 1, 0, 3)
+            else:
+                flat = gf.mat_mul(self.entries.reshape(r * c, D),
+                                  A.left_mult.reshape(D, D * D), A.p)
+                lin = flat.reshape(r, c, D, D).transpose(0, 2, 1, 3)
+            lin = np.ascontiguousarray(lin.reshape(r * D, c * D))
             lin.flags.writeable = False
             self._cache["linear"] = lin
         return self._cache["linear"]
@@ -510,15 +517,25 @@ def columns_to_lambda(algebra: AlgebraRep, columns: np.ndarray,
 
 def minimal_generator_columns(free: ModuleRep, rows: np.ndarray,
                               pivots: tuple[int, ...]) -> np.ndarray:
-    """Columns minimally generating the submodule spanned by the rows."""
+    """Columns minimally generating the submodule of a free module spanned by the rows.
+
+    The rows (rref, with these pivots) are kept except those whose pivot
+    coordinate leads a row of the radical: the images x_j * row of every
+    generator and row come from one product on the rows' summand
+    blocks, and the radical's leading columns from forward elimination.
+    """
     A = free.algebra
-    s = rows.shape[0]
+    s, n, D = rows.shape[0], A.num_gens, A.dim
     if s == 0:
         return np.zeros((free.dim, 0), dtype=np.int64)
-    piv = list(pivots)
-    coord_imgs = [free.act(j, rows.T)[piv, :].T for j in range(A.num_gens)]
-    rad_rows, rad_piv = gf.row_basis(np.vstack(coord_imgs), A.p) if coord_imgs \
-        else (np.zeros((0, s), dtype=np.int64), ())
+    rad_piv = ()
+    if n:
+        # block t of a row is the coefficient vector of an algebra element,
+        # so x_j * row is that block times gen_L(j)^T, for every t at once
+        gens_T = np.hstack([A.gen_L(j).T for j in range(n)])
+        imgs = gf.mat_mul(rows.reshape(-1, D), gens_T, A.p)
+        imgs = imgs.reshape(s, -1, n, D).transpose(2, 0, 1, 3).reshape(n, s, -1)
+        rad_piv = gf.echelon_pivots(imgs[:, :, list(pivots)].reshape(n * s, s), A.p)
     rad_set = set(rad_piv)
     keep = [c for c in range(s) if c not in rad_set]
     return rows[keep].T

@@ -96,7 +96,7 @@ class Ext1Space:
         self.hom_syz = hom_space(self.cover.syzygy, target)
         hom_free = hom_space(self.cover.free, target)
         restriction = hom_free.precompose(self.cover.inclusion.mat, self.hom_syz)
-        pivot_set = set(gf.row_basis(restriction, A.p)[1])
+        pivot_set = set(gf.echelon_pivots(restriction, A.p))
         coset = [c for c in range(self.hom_syz.dim) if c not in pivot_set]
         self.coset_basis = self.hom_syz.kernel[:, coset]
         self.dim = len(coset)

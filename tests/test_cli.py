@@ -140,6 +140,21 @@ def test_seq_verify_refuses_bad_degrees(tmp_path, capsys, flags, edit, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_seq_verify_refuses_missing_differential(tmp_path, capsys):
+    # a window with a gap is malformed input (exit 2), refused when the
+    # complex is built, not an internal invariant failure (exit 3)
+    out = tmp_path / "window.json"
+    run_cli(capsys, ["seq", "build", "--ring", "R2q5", "--module", "k",
+                     "--m", "1", "--n", "1", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    del doc["sequence"]["differentials"]["0"]
+    out.write_text(json.dumps(doc))
+    report, err = run_cli(capsys, ["seq", "verify", "--ring", "R2q5",
+                                   "--file", str(out)], expect=2)
+    assert "error" in report and "results" not in report
+    assert err.startswith("error: ") and "missing differentials at positions [0]" in err
+
+
 def test_seq_verify_rejects_bad_file(tmp_path, capsys):
     f = tmp_path / "bad_seq.json"
     f.write_text(json.dumps({"kind": "free", "m": 0, "n": 0,

@@ -8,6 +8,7 @@ from redhom.gf import (
     ShapeMismatchError,
     batch_rank,
     check_modulus,
+    echelon_pivots,
     is_prime,
     kernel,
     kernel_rows,
@@ -168,6 +169,35 @@ def test_determinism(pm):
     k1, f1 = kernel(a, p)
     k2, f2 = kernel(a, p)
     assert (k1 == k2).all() and f1 == f2
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 5, 46349]), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_echelon_pivots_are_rref_pivots(p, r, c, data):
+    # dense draws rarely hit a rank drop, so every matrix is also tried
+    # with a random subset of its rows zeroed and duplicated
+    a = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=r * c,
+                                    max_size=r * c)), dtype=np.int64).reshape(r, c)
+    low = np.vstack([a, a])
+    low[data.draw(st.lists(st.integers(0, 2 * r - 1), max_size=2 * r)) if r else []] = 0
+    for m in (a, low):
+        assert echelon_pivots(m, p) == rref(m, p)[1]
+        assert rank(m, p) == len(rref(m, p)[1])
+
+
+@pytest.mark.parametrize("p", [5, 46349])
+@pytest.mark.parametrize("big", [2**32, -2**32, 2**32 + 1, -(2**32 + 1)])
+def test_unreduced_int64_entries_are_reduced_before_narrowing(p, big):
+    # 2^32 wraps to 0 in int32; the entry must be reduced mod p first
+    a = np.array([[big]], dtype=np.int64)
+    want = big % p
+    assert rank(a, p) == (1 if want else 0)
+    red, piv = rref(a, p)
+    assert red.tolist() == [[1 if want else 0]] and piv == ((0,) if want else ())
+    assert echelon_pivots(a, p) == piv
+    wide = np.array([[big, 1], [2 * big, 2]], dtype=np.int64)
+    assert rank(wide, p) == rank(wide % p, p)
+    assert (rref(wide, p)[0] == rref(wide % p, p)[0]).all()
 
 
 def assert_kernel_rows_match(a: np.ndarray, p: int):

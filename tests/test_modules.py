@@ -535,3 +535,27 @@ def test_is_isomorphic_witness_follows_product_order(rid, q):
     ginv = gf.solve(g, np.eye(m.dim, dtype=np.int64), q)
     n = ModuleRep(alg, [(g @ m.action_arr(j) @ ginv) % q for j in range(alg.num_gens)])
     _assert_matches_sequential_scan(m, n)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 1), (3, 1), (0, 2), (2, 0)])
+def test_transpose_linear_form_by_blocks_equals_product_form(R1, R4, monkeypatch, shape):
+    # lin(d^T) is lin(d) with its D x D blocks swapped; whichever side is
+    # built first, the other is read off it with no product
+    for alg in (R1, R4):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        entries = rng.integers(0, alg.p, size=shape + (alg.dim,), dtype=np.int64)
+        # separate matrices with no transpose partner take the product path
+        want = LambdaMatrix(alg, entries).to_linear()
+        want_t = LambdaMatrix(alg, entries.transpose(1, 0, 2)).to_linear()
+        for dual_first in (False, True):
+            lam = LambdaMatrix(alg, entries)
+            first, second = (lam.transpose(), lam) if dual_first else (lam, lam.transpose())
+            first.to_linear()
+            calls = []
+            monkeypatch.setattr(gf, "mat_mul", lambda *a: calls.append(a))
+            got = second.to_linear()
+            monkeypatch.undo()
+            assert not calls
+            assert not got.flags.writeable and got.dtype == np.int64
+            assert (lam.to_linear() == want).all()
+            assert (lam.transpose().to_linear() == want_t).all()

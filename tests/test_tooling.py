@@ -79,3 +79,29 @@ def test_every_benchmark_job_passes_at_seed_0(workload):
         if not ok:
             failed.append(f"{name}: {detail}")
     assert not failed, failed
+
+
+def test_traced_search_counts_do_not_depend_on_hash_seed():
+    # a traced benchmark run fails when a per-layer count differs between
+    # passes; counts that follow str hashing (set or dict order keyed by
+    # id() or hash) would differ between worker processes
+    import json
+    import os
+    import subprocess
+    import sys
+    import time
+
+    worker = SRC.parent.parent / "perfbench" / "worker.py"
+    counts = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, str(worker), "--workload", "search", "--seed", "0",
+             "--trace", "1", "--spawned-at", str(time.time())],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        out = json.loads(done.stdout.strip().splitlines()[-1])
+        assert all(ok for _, _, ok, _ in out["jobs"])
+        counts.append({name: value for name, value in out["per_layer"].items()
+                       if not name.endswith("_s")})
+    assert counts[0]["gf.rank.calls"] > 0
+    assert counts[0] == counts[1]

@@ -310,3 +310,39 @@ def test_roundtrip_classify_build_verify(R1, R2, R4):
                     else:
                         with pytest.raises(TorsionfreeError):
                             build_window_sequence(mod, m, n)
+
+
+def _fresh_image(comp, n):
+    """The middle image built directly, never looked up among earlier images."""
+    from redhom.modules import quotient_module, submodule_from_rows
+    rows, piv = gf.row_basis(comp.linear(1 if n == 0 else 0).T, comp.algebra.p)
+    if n == 0:
+        return quotient_module(comp.term(0), rows, piv)[0]
+    return submodule_from_rows(comp.term(-1), rows, piv)[0]
+
+
+def test_verifier_keeps_one_module_per_distinct_window_image(monkeypatch):
+    # a fresh ring, so no other test has looked up images on it; over
+    # R3q5 the second syzygy of k has two distinct images in 9 windows
+    from redhom import torsionfree
+    alg = build_ring(catalog_spec("R3", 5))
+    mod = resolution_of(simple_module(alg)).syzygy_module(2)
+    windows = [(m, n, build_window_sequence(mod, m, n).complex)
+               for m in range(3) for n in range(3)]
+    cached = [verify_window_sequence(comp, m, n, "(4)").to_jsonable()
+              for m, n, comp in windows]
+    images = alg._cache["window_images"]
+    keys = set()
+    for m, n, comp in windows:
+        image = _fresh_image(comp, n)
+        key = (image.dim,) + tuple(image.action_arr(j).tobytes()
+                                   for j in range(alg.num_gens))
+        keys.add(key)
+        assert images[key] is not image
+        assert torsionfree._image_of_middle(comp, n) is images[key]
+    assert len(images) == len(keys) == 2
+    monkeypatch.setattr(torsionfree, "_image_of_middle", _fresh_image)
+    fresh = [verify_window_sequence(comp, m, n, "(4)").to_jsonable()
+             for m, n, comp in windows]
+    assert cached == fresh
+    assert all(v["ok"] for v in cached)
