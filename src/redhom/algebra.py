@@ -199,6 +199,16 @@ class AlgebraRep:
             self._cache[key] = self.L_of(self.gens[j])
         return self._cache[key]
 
+    def gen_L_stack(self) -> np.ndarray:
+        """gen_L(j) for every generator j, stacked: shape (num_gens, dim, dim)."""
+        if "gen_L_stack" not in self._cache:
+            stack = np.zeros((self.num_gens, self.dim, self.dim), dtype=np.int64)
+            for j in range(self.num_gens):
+                stack[j] = self.gen_L(j)
+            stack.flags.writeable = False
+            self._cache["gen_L_stack"] = stack
+        return self._cache["gen_L_stack"]
+
     def unit(self) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
         e[0] = 1
@@ -279,10 +289,7 @@ class AlgebraRep:
     def socle(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Canonical row basis of {a : m * a = 0}."""
         if "socle" not in self._cache:
-            if self.num_gens == 0:
-                stacked = np.zeros((0, self.dim), dtype=np.int64)
-            else:
-                stacked = np.vstack([self.gen_L(j) for j in range(self.num_gens)])
+            stacked = self.gen_L_stack().reshape(-1, self.dim)
             self._cache["socle"] = gf.kernel_rows(stacked, self.p)
         return self._cache["socle"]
 

@@ -26,7 +26,13 @@ from .complexes import (
     minimal_free_resolution,
     ring_module,
 )
-from .modules import LambdaMatrix, ModuleError, ModuleMap, ModuleRep
+from .modules import (
+    LambdaMatrix,
+    LinearFormBudgetError,
+    ModuleError,
+    ModuleMap,
+    ModuleRep,
+)
 from .reducing import (
     SearchLimits,
     bass_growth,
@@ -444,7 +450,7 @@ def cli_run(argv) -> int:
     }
     try:
         results, lines, alg = _HANDLERS[args.command](args)
-    except InputError as err:
+    except (InputError, LinearFormBudgetError) as err:
         report["error"] = str(err)
         print(json.dumps(report, indent=2, sort_keys=True))
         print(f"error: {err}", file=sys.stderr)

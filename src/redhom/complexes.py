@@ -23,6 +23,7 @@ from . import gf
 from .algebra import AlgebraRep
 from .modules import (
     LambdaMatrix,
+    LinearFormBudgetError,
     ModuleError,
     ModuleMap,
     ModuleRep,
@@ -224,11 +225,19 @@ class MinimalResolution:
             if rows[:, units].any():
                 raise AssertionError("kernel leaves the radical: resolution not minimal")
 
+    def _at_step(self, i: int, compute):
+        """compute(), naming step i and the Betti numbers if d_i is over budget."""
+        try:
+            return compute()
+        except LinearFormBudgetError as err:
+            raise LinearFormBudgetError(
+                f"resolution step {i}: {err}; Betti numbers so far {self.betti}") from None
+
     def _kernel(self, i: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """Row basis of ker d_i (i >= 1); the (i+1)-st syzygy."""
         if i not in self.kernels:
             self.extend(i)
-            rows_piv = self.diffs[i - 1].kernel_rows()
+            rows_piv = self._at_step(i, self.diffs[i - 1].kernel_rows)
             self._check_minimal(rows_piv[0], self.betti[i])
             self.kernels[i] = rows_piv
         return self.kernels[i]
@@ -285,7 +294,9 @@ class MinimalResolution:
 
     def dual_rank(self, i: int) -> int:
         """Rank of the dualized differential d_i^T (0 for i out of range)."""
-        return self.diff(i).transpose().linear_rank() if i >= 1 else 0
+        if i < 1:
+            return 0
+        return self._at_step(i, self.diff(i).transpose().linear_rank)
 
     def ext_ring_dim(self, i: int) -> int:
         """dim Ext^i(X, Lambda) for the resolved X, read off the dual complex.

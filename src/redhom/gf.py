@@ -39,6 +39,29 @@ smallest such leading column), so dim V_c counts the l_i >= c.  The
 leading columns are therefore the c with dim V_c > dim V_{c+1}, which
 depends on V alone; forward elimination and rref use invertible row
 operations, so both have row space V and the same pivot columns.
+
+Inputs of more than ROUNDS_MIN_CELLS cells are eliminated in
+leading-column rounds rather than one column per step (the per-column
+loop stays for small inputs and is the tests' reference).  Every output
+is the loop's, bit for bit:
+
+* a round stably sorts the nonzero rows by leading column and, in each
+  group sharing one, subtracts from every other row the multiple of the
+  group's first row that clears its leading entry.  That first row is
+  not changed in the round, so each step is an invertible row
+  operation and the row space stays V; a cleared row's leading column
+  grows or the row vanishes, so the rounds end, with distinct leading
+  columns: an echelon form, whose leading columns are the rref's pivots
+  by the argument above (this is all `echelon_pivots` reads);
+* `rref` scales each row to a leading 1, then reduces level by level:
+  a row is reduced only against rows that are already reduced, i.e.
+  have a 1 at their own pivot and 0 at every other pivot.  Subtracting
+  c times such a row j zeroes the row's entry at pivot j and no other
+  pivot entry changes, so no new pivot entries appear; a row's pivot
+  entries lie right of its own pivot, so the pending row with the
+  largest pivot is always ready and the levels end;
+* the result is a reduced echelon form of V, and the rref of a row
+  space is unique, so it equals the loop's entry for entry.
 """
 
 from __future__ import annotations
@@ -88,6 +111,17 @@ def power_at_most(p: int, e: int, cap: int) -> int | None:
     return size
 
 
+# Inputs of at most this many cells are eliminated by the per-column
+# loop; above it, in leading-column rounds.  Call by call the rounds
+# win from about 100 cells, but the benchmark's `search` pass (hundreds
+# of calls of 100 to 1,000 cells) ran 5-10 % slower with the cutover at
+# 100 or 300 than at 1,000, while `tables` gained the same.
+ROUNDS_MIN_CELLS = 1000
+# Rounds and kernel_rows handle a block of rows of about this many
+# cells at a time, which bounds their temporaries (and so peak memory).
+BLOCK_CELLS = 2**16
+
+
 def _work_dtype(p: int):
     # (p-1)^2 + (p-1) must fit the elimination dtype; int32 is fine up to 46340.
     return np.int32 if p <= 46340 else np.int64
@@ -126,16 +160,39 @@ def _reduced(arr: np.ndarray, p: int) -> np.ndarray:
     The reduction is computed in int64 and only its result is narrowed:
     narrowing an unreduced entry such as 2^32 to int32 first would wrap
     it to 0.  Writing straight into the narrow output allocates no
-    int64 temporary.
+    int64 temporary.  An input above ROUNDS_MIN_CELLS whose entries are
+    already in [0, p) (checked by its min and max) is narrowed by one
+    astype instead, which is an order of magnitude cheaper; tiny inputs
+    skip that check, whose cost would show on them.
     """
     arr = np.asarray(arr, dtype=np.int64)
-    return np.remainder(arr, p, out=np.empty(arr.shape, dtype=_work_dtype(p)),
-                        casting="unsafe")
+    dtype = _work_dtype(p)
+    if arr.size > ROUNDS_MIN_CELLS and arr.min() >= 0 and arr.max() < p:
+        return arr.astype(dtype)
+    return np.remainder(arr, p, out=np.empty(arr.shape, dtype=dtype), casting="unsafe")
 
 
-def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns (deterministic)."""
-    a = _reduced(arr, p)
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p entrywise in int64: the inverses of nonzero residues.
+
+    Factors stay below p < 2^31, so every product stays below 2^62.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _rref_loop(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """rref of a reduced work array in place, one column per step.
+
+    Returns the nonzero rows (a view of a) and the pivot columns.
+    """
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -157,15 +214,11 @@ def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
             a[touched] = (a[touched] - np.outer(col[touched], a[r])) % p
         pivots.append(c)
         r += 1
-    return a.astype(np.int64), tuple(pivots)
+    return a[:r], tuple(pivots)
 
 
-def echelon_pivots(arr: np.ndarray, p: int) -> tuple[int, ...]:
-    """Pivot columns of the rref, by forward elimination only.
-
-    Equal to rref(arr, p)[1] (see the module docstring).
-    """
-    a = _reduced(arr, p)
+def _pivots_loop(a: np.ndarray, p: int) -> tuple[int, ...]:
+    """Pivot columns of a reduced work array by forward elimination, one column per step."""
     rows, cols = a.shape
     pivots = []
     for c in range(cols):
@@ -186,6 +239,108 @@ def echelon_pivots(arr: np.ndarray, p: int) -> tuple[int, ...]:
             a[idx, c:] = (a[idx, c:] - factors[:, None] * a[r, c:]) % p
         pivots.append(c)
     return tuple(pivots)
+
+
+def _echelon_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward elimination of a reduced work array in rounds, in place.
+
+    Afterwards the rows a[live] form an echelon form without its zero
+    rows; returns live and their leading columns, which ascend.  Each
+    round stably sorts the live rows by leading column; in every group
+    sharing a column the first row is the pivot and each other row is
+    cleared against it, all groups in one array step.  Rounds stop when
+    the leading columns are distinct.  Rows are read and cleared in
+    blocks of about BLOCK_CELLS cells, which bounds the temporaries.
+    """
+    rows, cols = a.shape
+    step = max(1, BLOCK_CELLS // max(cols, 1))
+    lead = np.zeros(rows, dtype=np.intp)
+    for i in range(0, rows, step):
+        lead[i:i + step] = (a[i:i + step] != 0).argmax(axis=1)
+    # a row is zero exactly when its entry at its leading column is
+    live = np.flatnonzero(a[np.arange(rows), lead])
+    lead = lead[live]
+    while True:
+        order = np.argsort(lead, kind="stable")
+        live, lead = live[order], lead[order]
+        repeat = np.flatnonzero(lead[1:] == lead[:-1]) + 1
+        if not repeat.size:
+            return live, lead
+        # the pivot of a repeated row is the first row of its group
+        starts = np.arange(lead.size)
+        starts[repeat] = 0
+        head = live[np.maximum.accumulate(starts)[repeat]]
+        tail = live[repeat]
+        c = lead[repeat]
+        lo = int(c[0])      # the smallest leading column of this round
+        factor = (a[tail, c] * _inverses(a[head, c], p) % p).astype(a.dtype)
+        step = max(1, BLOCK_CELLS // (cols - lo))
+        for i in range(0, tail.size, step):
+            block = slice(i, i + step)
+            cleared = a[tail[block], lo:]
+            scaled = a[head[block], lo:]
+            scaled *= factor[block, None]
+            cleared -= scaled
+            cleared %= p
+            a[tail[block], lo:] = cleared
+            lead[repeat[block]] = (cleared != 0).argmax(axis=1) + lo
+        keep = np.ones(lead.size, dtype=bool)
+        keep[repeat] = a[tail, lead[repeat]] != 0
+        live, lead = live[keep], lead[keep]
+
+
+def _rref_rounds(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """rref of a reduced work array from its echelon form in rounds.
+
+    The pivots are normalised to 1; then every row whose off-diagonal
+    pivot entries point only at rows that are already reduced is
+    reduced against them with one mat_mul, level by level.
+    """
+    live, lead = _echelon_rounds(a, p)
+    rows = a[live]
+    del a       # the work array is not needed past this point; free it
+    r = lead.size
+    diag = np.arange(r)
+    rows *= _inverses(rows[diag, lead], p).astype(rows.dtype)[:, None]
+    rows %= p
+    coeff = rows[:, lead]
+    coeff[diag, diag] = 0
+    points = coeff != 0
+    clean = ~points.any(axis=1)
+    todo = np.flatnonzero(~clean)
+    while todo.size:
+        ready = ~(points[todo] & ~clean).any(axis=1)
+        now, todo = todo[ready], todo[~ready]
+        src = np.flatnonzero(points[now].any(axis=0))
+        rows[now] = (rows[now] - mat_mul(coeff[np.ix_(now, src)], rows[src], p)) % p
+        clean[now] = True
+    return rows, tuple(lead.tolist())
+
+
+def _rref_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The nonzero rows of rref(arr, p) in the work dtype, and the pivots."""
+    if np.size(arr) <= ROUNDS_MIN_CELLS:
+        return _rref_loop(_reduced(arr, p), p)
+    return _rref_rounds(_reduced(arr, p), p)
+
+
+def rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns (deterministic)."""
+    red, pivots = _rref_rows(arr, p)
+    out = np.zeros(np.shape(arr), dtype=np.int64)
+    out[:len(pivots)] = red
+    return out, pivots
+
+
+def echelon_pivots(arr: np.ndarray, p: int) -> tuple[int, ...]:
+    """Pivot columns of the rref, by forward elimination only.
+
+    Equal to rref(arr, p)[1] (see the module docstring).
+    """
+    a = _reduced(arr, p)
+    if a.size <= ROUNDS_MIN_CELLS:
+        return _pivots_loop(a, p)
+    return tuple(_echelon_rounds(a, p)[1].tolist())
 
 
 def rank(arr: np.ndarray, p: int) -> int:
@@ -233,14 +388,14 @@ def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     free rows, so coordinates of any kernel vector v are just v[free].
     """
     arr = np.asarray(arr, dtype=np.int64)
-    red, pivots = rref(arr, p)
+    red, pivots = _rref_rows(arr, p)
     cols = arr.shape[1]
     pivot_set = set(pivots)
-    free = tuple(c for c in range(cols) if c not in pivot_set)
+    free = [c for c in range(cols) if c not in pivot_set]
     k = np.zeros((cols, len(free)), dtype=np.int64)
-    k[list(free), np.arange(len(free))] = 1
-    k[list(pivots)] = -red[:len(pivots)][:, list(free)] % p
-    return k, free
+    k[free, np.arange(len(free))] = 1
+    k[list(pivots)] = -red[:, free] % p
+    return k, tuple(free)
 
 
 def kernel_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -252,7 +407,7 @@ def kernel_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """
     arr = np.asarray(arr, dtype=np.int64)
     cols = arr.shape[1]
-    red, pivots = rref(arr[:, ::-1], p)
+    red, pivots = _rref_rows(arr[:, ::-1], p)
     pivot_set = set(pivots)
     # free columns of the reversed matrix, descending, so that their
     # original columns (the leading columns of the rows) ascend
@@ -260,8 +415,13 @@ def kernel_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     lead = [cols - 1 - c for c in free]
     rows = np.zeros((len(free), cols), dtype=np.int64)
     rows[np.arange(len(free)), lead] = 1
-    neg = red[:len(pivots)][:, free].T
-    rows[:, [cols - 1 - c for c in pivots]] = np.where(neg, p - neg, 0)
+    # the pivot columns, scattered a block of rows at a time: one scatter
+    # over all rows is strided through the whole output and twice as slow
+    at = [cols - 1 - c for c in pivots]
+    step = max(1, BLOCK_CELLS // max(1, len(pivots)))
+    for i in range(0, len(free), step):
+        neg = red[:, free[i:i + step]].T
+        rows[i:i + step, at] = np.where(neg, p - neg, 0)
     return rows, tuple(lead)
 
 
@@ -273,21 +433,19 @@ def solve(arr: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
         b = b[:, None]
     if arr.shape[0] != b.shape[0]:
         raise ShapeMismatchError(f"solve: {arr.shape} vs rhs {b.shape}")
-    aug = np.hstack([arr, b % p])
-    red, pivots = rref(aug, p)
+    red, pivots = _rref_rows(np.hstack([arr, b % p]), p)
     ncols = arr.shape[1]
-    if any(c >= ncols for c in pivots):
+    if pivots and pivots[-1] >= ncols:
         return None
     x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c, :] = red[i, ncols:]
+    x[list(pivots)] = red[:, ncols:]
     return x
 
 
 def row_basis(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical (rref) basis of the row space, with pivot columns."""
-    red, pivots = rref(arr, p)
-    return red[: len(pivots)], pivots
+    red, pivots = _rref_rows(arr, p)
+    return red.astype(np.int64), pivots
 
 
 def reduce_mod_rowspace(rows: np.ndarray, pivots: tuple[int, ...],

@@ -28,6 +28,17 @@ class ModuleError(ValueError):
         self.witness = witness
 
 
+# Largest int64 linear form a LambdaMatrix may form (160 MiB).  Under a
+# 1.5 GiB address-space limit d_11 of k over R1 (144 MiB) resolves with
+# a peak RSS of 627 MB, and d_12 (576 MiB) fails with a MemoryError;
+# the suite needs at most 71 MiB (d_7 of k over R4), the benchmark 10 MiB.
+LINEAR_FORM_BUDGET_BYTES = 160 * 2**20
+
+
+class LinearFormBudgetError(ValueError):
+    """A linear form over LINEAR_FORM_BUDGET_BYTES: too large an input."""
+
+
 class ModuleRep:
     """A finitely generated module given by generator action matrices."""
 
@@ -441,6 +452,12 @@ class LambdaMatrix:
         if "linear" not in self._cache:
             A = self.algebra
             r, c, D = self.entries.shape
+            size = 8 * r * D * c * D
+            if size > LINEAR_FORM_BUDGET_BYTES:
+                raise LinearFormBudgetError(
+                    f"the linear form of a {r} x {c} matrix over the algebra "
+                    f"would take {size / 2**20:.0f} MiB, over the "
+                    f"{LINEAR_FORM_BUDGET_BYTES // 2**20} MiB budget")
             dual = self._cache.get("transpose")
             if dual is not None and "linear" in dual._cache:
                 # block (s, t) of the linear form is L(entry (s, t)), so the
@@ -520,22 +537,38 @@ def minimal_generator_columns(free: ModuleRep, rows: np.ndarray,
     """Columns minimally generating the submodule of a free module spanned by the rows.
 
     The rows (rref, with these pivots) are kept except those whose pivot
-    coordinate leads a row of the radical: the images x_j * row of every
-    generator and row come from one product on the rows' summand
-    blocks, and the radical's leading columns from forward elimination.
+    coordinate leads a row of the radical: the images x_j * row lie in
+    the row space, so their pivot coordinates are their coordinates in
+    the rows, and the radical's leading columns come from forward
+    elimination on those coordinates alone.
     """
     A = free.algebra
-    s, n, D = rows.shape[0], A.num_gens, A.dim
+    s, n, D, p = rows.shape[0], A.num_gens, A.dim, A.p
     if s == 0:
         return np.zeros((free.dim, 0), dtype=np.int64)
     rad_piv = ()
     if n:
-        # block t of a row is the coefficient vector of an algebra element,
-        # so x_j * row is that block times gen_L(j)^T, for every t at once
-        gens_T = np.hstack([A.gen_L(j).T for j in range(n)])
-        imgs = gf.mat_mul(rows.reshape(-1, D), gens_T, A.p)
-        imgs = imgs.reshape(s, -1, n, D).transpose(2, 0, 1, 3).reshape(n, s, -1)
-        rad_piv = gf.echelon_pivots(imgs[:, :, list(pivots)].reshape(n * s, s), A.p)
+        # pivot column t*D + d of x_j * row is sum_e gen_L(j)[d, e] * row[t*D + e]:
+        # gather entry e of block t for every nonzero weight and sum each
+        # (j, pivot)'s gathered columns (most have one: a monomial basis), a
+        # block of rows at a time.  Row r*n + j of imgs is x_j * row r at the
+        # pivots (the order of the rows does not change their span's pivots)
+        block, entry = np.divmod(np.asarray(pivots), D)
+        weights = A.gen_L_stack()[:, entry]
+        gen, at, e = np.nonzero(weights)
+        imgs = np.zeros((s, n * s), dtype=np.int64)
+        if gen.size:
+            key = gen * s + at      # ascending, shared by the terms of one sum
+            first = np.flatnonzero(np.concatenate(([1], np.diff(key))))
+            cols, w = block[at] * D + e, weights[gen, at, e]
+            step = max(1, gf.BLOCK_CELLS // gen.size)
+            for lo in range(0, s, step):
+                terms = rows[lo:lo + step, cols] * w
+                terms %= p
+                if first.size < key.size:
+                    terms = np.add.reduceat(terms, first, axis=1) % p
+                imgs[lo:lo + step, key[first]] = terms
+        rad_piv = gf.echelon_pivots(imgs.reshape(s * n, s), p)
     rad_set = set(rad_piv)
     keep = [c for c in range(s) if c not in rad_set]
     return rows[keep].T

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import redhom
-from redhom import cli
+from redhom import catalog, cli, modules
 from redhom.catalog import catalog_spec
 from redhom.cli import cli_run
 
@@ -138,6 +139,44 @@ def test_seq_verify_refuses_bad_degrees(tmp_path, capsys, flags, edit, message):
                                    "--file", str(out)] + flags, expect=2)
     assert "error" in report and "results" not in report
     assert err.startswith("error: ") and message in err
+
+
+def test_cor20_over_budget_exits_2_with_betti_numbers():
+    # at the default bound 12 the resolution of k over R1 would reach d_13,
+    # whose linear form alone is about 2.4 GB; the budget refuses d_12
+    # (576 MiB) as an input error.  The address-space limit applies to the
+    # child alone and turns a regression into a MemoryError, not a killed VM
+    limit = 1536 * 2**20
+    src = os.path.dirname(os.path.dirname(redhom.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from redhom.cli import main; main()",
+         "check", "cor20", "--ring", "R1q5", "--module", "k"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    assert "results" not in report
+    assert "resolution step 12" in report["error"]
+    assert "Betti numbers so far [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, " \
+        "4096]" in report["error"]
+
+
+def test_resolve_refuses_linear_form_over_budget(capsys, monkeypatch):
+    # `resolve --steps n` computes kernels up to d_{n-1} and forms d_n only
+    # for its exactness check; that form is refused too.  Over R1 beta_i =
+    # 2^i and dim 3, so with lin(d_4) as the budget 4 steps pass and 5 do
+    # not.  A fresh ring cache keeps other tests' cached forms out of it
+    monkeypatch.setattr(catalog, "_cached_rings", {})
+    monkeypatch.setattr(modules, "LINEAR_FORM_BUDGET_BYTES", 8 * 8 * 3 * 16 * 3)
+    report, _ = run_cli(capsys, ["resolve", "--ring", "R1q5", "--module", "k",
+                                 "--steps", "4"])
+    assert report["results"]["betti"] == [1, 2, 4, 8, 16]
+    report, err = run_cli(capsys, ["resolve", "--ring", "R1q5", "--module", "k",
+                                   "--steps", "5"], expect=2)
+    assert "results" not in report
+    assert "16 x 32 matrix" in report["error"] and err.startswith("error: ")
 
 
 def test_seq_verify_refuses_missing_differential(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redhom import gf
+from redhom import gf, modules
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
 from redhom.catalog import catalog_ring, sample_modules
 from redhom.complexes import (
@@ -118,6 +118,22 @@ def test_resolution_refuses_negative_indices(R1):
             res.diff(i)
     with pytest.raises(ModuleError, match="nonnegative"):
         res.syzygy_module(-1)
+
+
+def test_resolution_refuses_linear_forms_over_budget(monkeypatch):
+    # over R1 beta_i = 2^i and dim 3, so lin(d_3) takes 8 * 12 * 24 bytes;
+    # with that as the budget d_3 is formed and d_4 (four times as large)
+    # is refused before its kernel or its dual's rank is computed
+    ring = build_monomial_quotient(RingSpec(
+        "monomial_quotient", 5, variables=["x", "y"], ideal=["x^2", "xy", "y^2"]))
+    monkeypatch.setattr(modules, "LINEAR_FORM_BUDGET_BYTES", 8 * 12 * 24)
+    res = resolution_of(simple_module(ring))
+    assert res.betti_numbers(4) == [1, 2, 4, 8, 16]
+    res.dual_rank(3)
+    for step in (lambda: res.extend(5), lambda: res.dual_rank(4)):
+        with pytest.raises(modules.LinearFormBudgetError,
+                           match=r"step 4: .* Betti numbers so far \[1, 2, 4, 8, 16\]"):
+            step()
 
 
 def test_betti_numbers_refuses_negative_index(R1):

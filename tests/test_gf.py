@@ -1,9 +1,14 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from redhom import gf
+from redhom.catalog import catalog_ring
+from redhom.complexes import resolution_of
+from redhom.modules import simple_module
 from redhom.gf import (
     ShapeMismatchError,
     batch_rank,
@@ -260,3 +265,50 @@ def test_batch_rank_matches_rank(p):
 def test_batch_rank_rejects_non_stack():
     with pytest.raises(ShapeMismatchError):
         batch_rank(np.eye(3, dtype=np.int64), 5)
+
+
+def eliminations(a: np.ndarray, p: int) -> list:
+    return [rref(a, p), echelon_pivots(a, p), rank(a, p), kernel(a, p), kernel_rows(a, p)]
+
+
+def assert_rounds_match_loop(a: np.ndarray, p: int):
+    """rref, pivots, rank and both kernels equal the per-column loop's, bit for bit."""
+    got = eliminations(a, p)
+    with mock.patch.object(gf, "ROUNDS_MIN_CELLS", 2**62):
+        want = eliminations(a, p)
+    assert got[1:3] == want[1:3]
+    for (g, g_piv), (w, w_piv) in zip(got[:1] + got[3:], want[:1] + want[3:]):
+        assert g_piv == w_piv
+        assert g.dtype == w.dtype == np.int64 and g.shape == w.shape
+        assert (g == w).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 5, 46337, 46349, 2**31 - 1]), st.integers(1, 60),
+       st.integers(1, 60), st.sampled_from([0.05, 0.3, 1.0]), st.integers(0, 2**32),
+       st.booleans())
+def test_rounds_match_per_column_loop(p, r, c, density, seed, unreduced):
+    # shapes and entries come from the seed, so large matrices stay cheap to
+    # draw; each is also tried with zero rows and columns and duplicated rows
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (r, c), dtype=np.int64) * (rng.random((r, c)) < density)
+    a[rng.random(r) < 0.2] = 0
+    a[:, rng.random(c) < 0.2] = 0
+    a = np.vstack([a, a[rng.integers(0, r, r // 2)]])
+    if unreduced:
+        # unreduced entries, e.g. 2^32 wraps to 0 in int32 unless reduced first
+        a += rng.choice([0, 2**32, -2**32], a.shape)
+    with mock.patch.object(gf, "ROUNDS_MIN_CELLS", 0):
+        assert_rounds_match_loop(a, p)
+    assert_rounds_match_loop(a, p)
+
+
+@pytest.mark.parametrize("rid,top", [("R1q5", 9), ("R4q5", 6)])
+def test_rounds_match_loop_on_resolution_differentials(rid, top):
+    # the linear forms of d_1..d_top for k, and their transposes; over R4q5
+    # the loop reference takes 5 s more for d_7 (720 x 1,885) alone
+    res = resolution_of(simple_module(catalog_ring(rid)))
+    for i in range(1, top + 1):
+        d = res.diff(i)
+        for lam in (d, d.transpose()):
+            assert_rounds_match_loop(np.array(lam.to_linear()), res.algebra.p)
