@@ -253,18 +253,10 @@ class AlgebraRep:
                 raise AlgebraError(
                     f"product {self.basis_labels[i]} * {self.basis_labels[j]} has a unit "
                     "component, so the non-unit span is not an ideal", witness=(i, j))
-        # nilpotency of m
-        rows = np.eye(d, dtype=np.int64)[1:]
-        steps = 0
-        while rows.shape[0] and steps <= d:
-            prods = np.vstack([gf.mat_mul(rows, self.table[a], self.p)
-                               for a in range(1, d)])
-            rows, _ = gf.row_basis(prods, self.p)
-            steps += 1
-        if rows.shape[0]:
+        # nilpotency of m: radical_power_dims stops at m^(d+1) otherwise
+        if len(self.radical_power_dims()) > d:
             raise AlgebraError(
-                "maximal ideal is not nilpotent (algebra is not local)",
-                witness=steps)
+                "maximal ideal is not nilpotent (algebra is not local)", witness=d + 1)
         # generators must generate m as an ideal
         for g in self.gens:
             if g[0] % self.p != 0:
@@ -294,10 +286,11 @@ class AlgebraRep:
         return self._cache["socle"]
 
     def radical_power_dims(self) -> list[int]:
-        """Dimensions of m, m^2, ... down to zero."""
+        """Dimensions of m, m^2, ... down to zero, or dim + 1 of them when m
+        is not nilpotent (a nilpotent m has at most dim - 1 nonzero powers)."""
         dims = []
         rows = np.eye(self.dim, dtype=np.int64)[1:]
-        while rows.shape[0]:
+        while rows.shape[0] and len(dims) <= self.dim:
             dims.append(rows.shape[0])
             prods = np.vstack([gf.mat_mul(rows, self.table[a], self.p)
                                for a in range(1, self.dim)])

@@ -27,10 +27,10 @@ from .modules import (
     ModuleError,
     ModuleMap,
     ModuleRep,
-    columns_to_lambda,
+    check_minimal_kernel,
     free_module,
     hom_module,
-    minimal_generator_columns,
+    minimal_generators,
     minimal_presentation,
     projective_cover_and_syzygy,
     simple_module,
@@ -191,9 +191,9 @@ def check_exactness(complex_: ModuleComplex | FreeComplex, positions=None) -> di
 class MinimalResolution:
     """Lazily extended minimal free resolution, seeded by a presentation.
 
-    Betti numbers are the ranks; kernels[i] carries the canonical row
-    basis of ker(d_i restricted), i.e. the (i+1)-st syzygy inside
-    Lambda^{betti[i]}.  Every resolution starts from a minimal
+    Betti numbers are the ranks; the canonical row basis of ker d_i,
+    i.e. the (i+1)-st syzygy inside Lambda^{betti[i]}, is cached on d_i
+    (LambdaMatrix.kernel_rows).  Every resolution starts from a minimal
     presentation d_1: resolution_of(M) uses M's own cached one, so its
     d_1 and first syzygy are the cover's.  The transpose of M is
     resolved once, as tr(core) seeded by the core's transposed
@@ -206,7 +206,6 @@ class MinimalResolution:
         self.module: ModuleRep | None = None
         self.betti: list[int] = []
         self.diffs: list[LambdaMatrix] = []      # diffs[i] = d_{i+1}
-        self.kernels: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
         self._syzygies: dict[int, ModuleRep] = {}
 
     @classmethod
@@ -219,12 +218,6 @@ class MinimalResolution:
         res.diffs = [d1]
         return res
 
-    def _check_minimal(self, rows: np.ndarray, rank: int):
-        if rows.size:
-            units = [t * self.algebra.dim for t in range(rank)]
-            if rows[:, units].any():
-                raise AssertionError("kernel leaves the radical: resolution not minimal")
-
     def _at_step(self, i: int, compute):
         """compute(), naming step i and the Betti numbers if d_i is over budget."""
         try:
@@ -235,23 +228,17 @@ class MinimalResolution:
 
     def _kernel(self, i: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """Row basis of ker d_i (i >= 1); the (i+1)-st syzygy."""
-        if i not in self.kernels:
-            self.extend(i)
-            rows_piv = self._at_step(i, self.diffs[i - 1].kernel_rows)
-            self._check_minimal(rows_piv[0], self.betti[i])
-            self.kernels[i] = rows_piv
-        return self.kernels[i]
+        self.extend(i)
+        rows, piv = self._at_step(i, self.diffs[i - 1].kernel_rows)
+        check_minimal_kernel(rows, self.algebra.dim)
+        return rows, piv
 
     def extend(self, steps: int) -> "MinimalResolution":
         """Ensure betti[0..steps] and d_1..d_steps exist (kernels stay lazy)."""
         while len(self.betti) <= steps:
             i = len(self.diffs)          # building d_{i+1}
             rows, piv = self._kernel(i)
-            ambient = free_module(self.algebra, self.betti[i])
-            gens = minimal_generator_columns(ambient, rows, piv)
-            lam = columns_to_lambda(self.algebra, gens, self.betti[i])
-            if not lam.in_radical():
-                raise AssertionError("differential entries must lie in the radical")
+            lam = minimal_generators(self.algebra, self.betti[i], rows, piv)
             self.diffs.append(lam)
             self.betti.append(lam.cols)
         return self

@@ -17,17 +17,17 @@ Conventions fixed once and used everywhere:
   `check_modulus` validates it where a ring is built.  There is no
   matrix class (`Matrix` is an empty placeholder, see its docstring).
 
-`kernel` returns a column basis with its free coordinates; `kernel_rows`
-returns the canonical rref row basis of the same kernel from a single
-elimination of the column-reversed matrix.  Why that is exact: let f'
-be a free column of rref(arr[:, ::-1]) and f = n - 1 - f' its original
-column.  The kernel vector of f', mapped back, has a 1 at f, zeros at
-every other free column, and -red[i, f'] at the pivot column of each
-row i; rref puts red[i, f'] = 0 unless that pivot lies left of f' in
-the reversed order, i.e. right of f in the original.  Sorted by f,
-these vectors are therefore in reduced echelon form with leading
-columns f, and since the rref of a row space is unique they are its
-canonical basis, entry for entry.
+`kernel_rows` returns the canonical rref row basis of the kernel from a
+single elimination of the column-reversed matrix; `kernel` is read off
+it (see its docstring).  Why that is exact: let f' be a free column of
+rref(arr[:, ::-1]) and f = n - 1 - f' its original column.  The kernel
+vector of f', mapped back, has a 1 at f, zeros at every other free
+column, and -red[i, f'] at the pivot column of each row i; rref puts
+red[i, f'] = 0 unless that pivot lies left of f' in the reversed order,
+i.e. right of f in the original.  Sorted by f, these vectors are
+therefore in reduced echelon form with leading columns f, and since the
+rref of a row space is unique they are its canonical basis, entry for
+entry.
 
 `echelon_pivots` (and `rank`, its length) runs forward elimination
 only, yet returns exactly the pivot columns of the rref.  Why: let V be
@@ -386,16 +386,20 @@ def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
     The column for free variable f has a 1 in row f, zeros in the other
     free rows, so coordinates of any kernel vector v are just v[free].
+    It is kernel_rows(arr[:, ::-1]) read backwards, which eliminates
+    arr itself once.  Why that is exact: the rows of kernel_rows(B) for
+    B = arr[:, ::-1] are the rref basis of ker B, the reversals of the
+    vectors of ker arr.  Their leading columns are cols - 1 - f for the
+    free columns f of arr (those of rref(B[:, ::-1]) = rref(arr), in
+    reversed order), and each row is 1 at its own leading column and 0
+    at the others.  Reversing rows and columns therefore gives kernel
+    vectors of arr, ordered by ascending f, each 1 at f and 0 at every
+    other free column; transposed, that is the unique kernel basis that
+    is the identity on the free rows, entry for entry.
     """
-    arr = np.asarray(arr, dtype=np.int64)
-    red, pivots = _rref_rows(arr, p)
-    cols = arr.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    k = np.zeros((cols, len(free)), dtype=np.int64)
-    k[free, np.arange(len(free))] = 1
-    k[list(pivots)] = -red[:, free] % p
-    return k, tuple(free)
+    rows, lead = kernel_rows(np.asarray(arr)[:, ::-1], p)
+    cols = rows.shape[1]
+    return rows[::-1, ::-1].T, tuple(cols - 1 - c for c in reversed(lead))
 
 
 def kernel_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:

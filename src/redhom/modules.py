@@ -268,42 +268,28 @@ def simple_module(algebra: AlgebraRep) -> ModuleRep:
 
 
 def direct_sum(mods: list[ModuleRep], algebra: AlgebraRep | None = None) -> ModuleRep:
-    return direct_sum_with_maps(mods, algebra)[0]
-
-
-def direct_sum_with_maps(mods: list[ModuleRep], algebra: AlgebraRep | None = None):
-    """Block-diagonal sum plus the canonical injections and projections."""
+    """Block-diagonal sum; a single summand is returned as it is."""
     if not mods:
         if algebra is None:
             raise ModuleError("empty direct sum needs the algebra")
-        z = zero_module(algebra)
-        return z, [], []
+        return zero_module(algebra)
     A = mods[0].algebra
     for m in mods:
         if m.algebra is not A:
             raise ModuleError("direct sum of modules over different algebras")
-    dims = [m.dim for m in mods]
-    total = sum(dims)
-    offsets = np.cumsum([0] + dims)
+    if len(mods) == 1:
+        return mods[0]
     if all(m.free_rank is not None for m in mods):
-        out = free_module(A, sum(m.free_rank for m in mods))
-    else:
-        acts = []
-        for j in range(A.num_gens):
-            big = np.zeros((total, total), dtype=np.int64)
-            for m, off in zip(mods, offsets):
-                big[off:off + m.dim, off:off + m.dim] = m.action_arr(j)
-            acts.append(big)
-        out = ModuleRep(A, acts, dim=total)
-    injections, projections = [], []
-    for m, off in zip(mods, offsets):
-        inj = np.zeros((total, m.dim), dtype=np.int64)
-        inj[off:off + m.dim] = np.eye(m.dim, dtype=np.int64)
-        proj = np.zeros((m.dim, total), dtype=np.int64)
-        proj[:, off:off + m.dim] = np.eye(m.dim, dtype=np.int64)
-        injections.append(ModuleMap(m, out, inj))
-        projections.append(ModuleMap(out, m, proj))
-    return out, injections, projections
+        return free_module(A, sum(m.free_rank for m in mods))
+    total = sum(m.dim for m in mods)
+    offsets = np.cumsum([0] + [m.dim for m in mods])
+    acts = []
+    for j in range(A.num_gens):
+        big = np.zeros((total, total), dtype=np.int64)
+        for m, off in zip(mods, offsets):
+            big[off:off + m.dim, off:off + m.dim] = m.action_arr(j)
+        acts.append(big)
+    return ModuleRep(A, acts, dim=total)
 
 
 def submodule_from_rows(ambient: ModuleRep, rows: np.ndarray,
@@ -376,7 +362,6 @@ class CoverData:
     syzygy: ModuleRep
     inclusion: ModuleMap      # syzygy -> Lambda^g, columns in rref row form
     pivots: tuple[int, ...]   # pivot columns of those rows
-    generator_coords: tuple[int, ...]
     free: ModuleRep
 
 
@@ -385,15 +370,11 @@ def minimal_generator_coords(mod: ModuleRep) -> tuple[int, ...]:
     return tuple(c for c in range(mod.dim) if c not in pivots)
 
 
-def cover_matrix(mod: ModuleRep) -> np.ndarray:
-    """The matrix of the minimal projective cover Lambda^g -> M."""
-    A = mod.algebra
-    gens = minimal_generator_coords(mod)
-    if not gens:
-        return np.zeros((mod.dim, 0), dtype=np.int64)
-    rho = mod.rho()
-    blocks = [rho[:, :, c].T for c in gens]
-    return np.hstack(blocks)
+def check_minimal_kernel(rows: np.ndarray, ring_dim: int) -> None:
+    """Refuse kernel rows of a minimal cover or differential out of Lambda^g
+    that leave m * Lambda^g, i.e. are nonzero at a unit coordinate t * dim Lambda."""
+    if rows[:, ::ring_dim].any():
+        raise AssertionError("kernel leaves the radical: map is not minimal")
 
 
 def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
@@ -402,19 +383,15 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     if "cover" in mod._cache:
         return mod._cache["cover"]
     gens = minimal_generator_coords(mod)
-    g = len(gens)
-    phi = cover_matrix(mod)
-    free = free_module(A, g)
+    # column t * dim Lambda + i is e_i times the t-th minimal generator
+    phi = mod.rho()[:, :, list(gens)].transpose(1, 2, 0).reshape(mod.dim, len(gens) * A.dim)
+    free = free_module(A, len(gens))
     if gf.rank(phi, A.p) != mod.dim:
         raise AssertionError("projective cover must be surjective")
     rows, piv = gf.kernel_rows(phi, A.p)
-    # minimality: the kernel sits inside m * Lambda^g
-    if rows.size:
-        unit_coords = [t * A.dim for t in range(g)]
-        if rows[:, unit_coords].any():
-            raise AssertionError("cover is not minimal: kernel leaves the radical")
+    check_minimal_kernel(rows, A.dim)
     syz, incl = submodule_from_rows(free, rows, piv)
-    data = CoverData(ModuleMap(free, mod, phi), syz, incl, piv, gens, free)
+    data = CoverData(ModuleMap(free, mod, phi), syz, incl, piv, free)
     mod._cache["cover"] = data
     return data
 
@@ -522,39 +499,28 @@ def lambda_from_linear(algebra: AlgebraRep, mat: np.ndarray,
     return lam
 
 
-def columns_to_lambda(algebra: AlgebraRep, columns: np.ndarray,
-                      target_rank: int) -> LambdaMatrix:
-    """Interpret columns of Lambda^target_rank as a map from a free module."""
-    D = algebra.dim
-    cols = np.asarray(columns, dtype=np.int64)
-    g = cols.shape[1]
-    entries = cols.T.reshape(g, target_rank, D).transpose(1, 0, 2)
-    return LambdaMatrix(algebra, entries)
+def minimal_generators(algebra: AlgebraRep, rank: int, rows: np.ndarray,
+                       pivots: tuple[int, ...]) -> LambdaMatrix:
+    """Map onto the submodule of Lambda^rank spanned by the rows, minimally.
 
-
-def minimal_generator_columns(free: ModuleRep, rows: np.ndarray,
-                              pivots: tuple[int, ...]) -> np.ndarray:
-    """Columns minimally generating the submodule of a free module spanned by the rows.
-
-    The rows (rref, with these pivots) are kept except those whose pivot
-    coordinate leads a row of the radical: the images x_j * row lie in
-    the row space, so their pivot coordinates are their coordinates in
-    the rows, and the radical's leading columns come from forward
-    elimination on those coordinates alone.
+    The columns of the result are the rows (rref, with these pivots)
+    except those whose pivot coordinate leads a row of the radical: the
+    images x_j * row lie in the row space, so their pivot coordinates
+    are their coordinates in the rows, and the radical's leading columns
+    come from forward elimination on those coordinates alone.  This is
+    the next differential of a resolution, and the relations of a
+    minimal presentation.
     """
-    A = free.algebra
-    s, n, D, p = rows.shape[0], A.num_gens, A.dim, A.p
-    if s == 0:
-        return np.zeros((free.dim, 0), dtype=np.int64)
-    rad_piv = ()
-    if n:
+    s, n, D, p = rows.shape[0], algebra.num_gens, algebra.dim, algebra.p
+    keep = list(range(s))
+    if s and n:
         # pivot column t*D + d of x_j * row is sum_e gen_L(j)[d, e] * row[t*D + e]:
         # gather entry e of block t for every nonzero weight and sum each
         # (j, pivot)'s gathered columns (most have one: a monomial basis), a
         # block of rows at a time.  Row r*n + j of imgs is x_j * row r at the
         # pivots (the order of the rows does not change their span's pivots)
         block, entry = np.divmod(np.asarray(pivots), D)
-        weights = A.gen_L_stack()[:, entry]
+        weights = algebra.gen_L_stack()[:, entry]
         gen, at, e = np.nonzero(weights)
         imgs = np.zeros((s, n * s), dtype=np.int64)
         if gen.size:
@@ -568,10 +534,13 @@ def minimal_generator_columns(free: ModuleRep, rows: np.ndarray,
                 if first.size < key.size:
                     terms = np.add.reduceat(terms, first, axis=1) % p
                 imgs[lo:lo + step, key[first]] = terms
-        rad_piv = gf.echelon_pivots(imgs.reshape(s * n, s), p)
-    rad_set = set(rad_piv)
-    keep = [c for c in range(s) if c not in rad_set]
-    return rows[keep].T
+        rad_set = set(gf.echelon_pivots(imgs.reshape(s * n, s), p))
+        keep = [c for c in range(s) if c not in rad_set]
+    # entry (r, t) of the map is block r of the t-th kept row
+    lam = LambdaMatrix(algebra, rows[keep].reshape(len(keep), rank, D).transpose(1, 0, 2))
+    if not lam.in_radical():
+        raise AssertionError("differential entries must lie in the radical")
+    return lam
 
 
 @dataclass
@@ -585,10 +554,8 @@ def minimal_presentation(mod: ModuleRep) -> Presentation:
     if "presentation" in mod._cache:
         return mod._cache["presentation"]
     data = projective_cover_and_syzygy(mod)
-    gens = minimal_generator_columns(data.free, data.inclusion.mat.T, data.pivots)
-    lam = columns_to_lambda(mod.algebra, gens, len(data.generator_coords))
-    if not lam.in_radical():
-        raise AssertionError("presentation relations must lie in the radical")
+    lam = minimal_generators(mod.algebra, data.free.free_rank,
+                             data.inclusion.mat.T, data.pivots)
     pres = Presentation(data.cover, lam)
     mod._cache["presentation"] = pres
     return pres
@@ -730,7 +697,7 @@ def has_free_summand(mod: ModuleRep) -> bool:
         return False
     dual = minimal_presentation(mod).relations.transpose()
     rows, _ = dual.kernel_rows()
-    return bool(rows[:, [t * mod.algebra.dim for t in range(dual.cols)]].any())
+    return bool(rows[:, ::mod.algebra.dim].any())
 
 
 def split_free_summands(mod: ModuleRep) -> SplitResult:

@@ -43,7 +43,6 @@ from .modules import (
     ModuleMap,
     ModuleRep,
     direct_sum,
-    direct_sum_with_maps,
     hom_space,
     is_isomorphic,
     minimal_generator_coords,
@@ -74,7 +73,7 @@ class SearchLimits:
 class ExtElement:
     space: "Ext1Space"
     coeffs: tuple[int, ...]
-    rep: ModuleMap                  # syzygy(C) -> A, coset representative
+    rep: np.ndarray                 # syzygy(C) -> A, coset representative
 
     @property
     def is_zero(self) -> bool:
@@ -109,9 +108,8 @@ class Ext1Space:
         if vec.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coefficients, got {vec.size}")
         rep = gf.mat_mul(self.coset_basis, vec[:, None], p)
-        syz = self.cover.syzygy
         return ExtElement(self, tuple(vec.tolist()),
-                          ModuleMap(syz, self.A, rep.reshape(self.A.dim, syz.dim)))
+                          rep.reshape(self.A.dim, self.cover.syzygy.dim))
 
     def elements(self, *, scalar_orbits: bool = False, samples: int = 64,
                  seed: int = 0):
@@ -155,17 +153,17 @@ def middle_term(element: ExtElement):
     """
     space = element.space
     A_mod, C = space.A, space.C
-    alg = A_mod.algebra
-    p = alg.p
+    p = A_mod.algebra.p
     cov = space.cover
-    ambient, injs, _ = direct_sum_with_maps([A_mod, cov.free])
+    ambient = direct_sum([A_mod, cov.free])
     syz_dim = cov.syzygy.dim
-    graph = np.vstack([element.rep.mat, (-cov.inclusion.mat) % p])  # columns = graph vectors
+    graph = np.vstack([element.rep, (-cov.inclusion.mat) % p])  # columns = graph vectors
     rows, piv = gf.row_basis(graph.T, p)
     if rows.shape[0] != syz_dim:
         raise AssertionError("graph of the extension class must be embedded")
     middle, proj, embed = quotient_module(ambient, rows, piv)
-    left = proj @ injs[0]
+    # A enters the sum as its first A.dim coordinates
+    left = ModuleMap(A_mod, middle, proj.mat[:, :A_mod.dim])
     right = ModuleMap(middle, C,
                       gf.mat_mul(cov.cover.mat, embed[A_mod.dim:, :], p))
     seq = ModuleComplex({2: A_mod, 1: middle, 0: C}, {2: left, 1: right})
@@ -213,7 +211,7 @@ def connecting_rank(element: ExtElement) -> int:
     p = space.A.algebra.p
     rows, piv = space.A.radical_rows()
     syz_gens = list(minimal_generator_coords(space.cover.syzygy))
-    reduced = gf.reduce_mod_rowspace(rows, piv, element.rep.mat[:, syz_gens], p)
+    reduced = gf.reduce_mod_rowspace(rows, piv, element.rep[:, syz_gens], p)
     return gf.rank(reduced[list(minimal_generator_coords(space.A))], p)
 
 
@@ -312,12 +310,12 @@ def _step_space(x: ModuleRep, n: int, a: int, b: int, cap: int) -> Ext1Space:
 
 
 def _fingerprint(mod: ModuleRep) -> tuple:
-    """Isomorphism-invariant key: dims, radical series, Betti and Ext prefix."""
-    if "fingerprint" not in mod._cache:
-        res = resolution_of(mod)
-        mod._cache["fingerprint"] = (mod.dim, tuple(mod.radical_series_dims()),
-                                     tuple(res.betti_numbers(2)), res.ext_ring_dim(1))
-    return mod._cache["fingerprint"]
+    """Frontier bucket key: dimension and radical series, nothing resolved.
+
+    A finer key would skip no more: a module is skipped only on a "yes"
+    of is_isomorphic, and isomorphic modules share every invariant.
+    """
+    return mod.dim, tuple(mod.radical_series_dims())
 
 
 def _candidate_triples(mode: str, limits: SearchLimits):

@@ -44,7 +44,6 @@ from .modules import (
     ModuleError,
     ModuleMap,
     ModuleRep,
-    cover_matrix,
     free_module,
     hom_space,
     lambda_from_linear,
@@ -307,7 +306,8 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         pf = pushforward(mod, n, dual_check=False)
         for j in range(1, n + 1):
             ranks[-j] = pf.complex.modules[-j].free_rank
-        partial = gf.mat_mul(pf.complex.maps[0].mat, cover_matrix(mod), A.p)
+        cover = minimal_presentation(mod).cover.mat
+        partial = gf.mat_mul(pf.complex.maps[0].mat, cover, A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
         diffs.update(pf.tail)
         comp = FreeComplex(A, ranks, diffs, check=True)

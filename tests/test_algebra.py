@@ -142,6 +142,7 @@ def test_non_nilpotent_rejected():
             mode="structure_constants", p=5, labels=["1", "e"],
             products={"e,e": "e"}))
     assert "nilpotent" in str(err.value)
+    assert err.value.witness == 3      # m^3 != 0 in a 2-dimensional algebra
 
 
 def test_unit_acts_as_identity_everywhere():

@@ -224,6 +224,27 @@ def test_kernel_rows_is_row_basis_of_kernel(pm):
     assert_kernel_rows_match(a, p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 5, 46349]), st.integers(0, 60), st.integers(0, 60),
+       st.integers(0, 2**32))
+def test_kernel_meets_its_definition(p, r, c, seed):
+    # kernel is kernel_rows read backwards, so it is checked here against
+    # the definition alone; shapes reach past ROUNDS_MIN_CELLS (3,600 cells),
+    # and each matrix is a product through a random inner rank with some
+    # columns zeroed, so its free columns are scattered
+    rng = np.random.default_rng(seed)
+    inner = int(rng.integers(0, min(r, c) + 1))
+    a = mat_mul(rng.integers(0, p, (r, inner)), rng.integers(0, p, (inner, c)), p)
+    a[:, rng.random(c) < 0.2] = 0
+    k, free = kernel(a, p)
+    pivots = rref(a, p)[1]
+    assert free == tuple(j for j in range(c) if j not in pivots)
+    assert k.dtype == np.int64 and k.shape == (c, c - rank(a, p))
+    assert (k[list(free)] == np.eye(len(free), dtype=np.int64)).all()
+    assert ((0 <= k) & (k < p)).all()
+    assert not mat_mul(a, k, p).any()
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_kernel_rows_edge_shapes(p):
     rng = np.random.default_rng(p)

@@ -13,7 +13,6 @@ from redhom.modules import (
     ModuleRep,
     cokernel_of_lambda_matrix,
     direct_sum,
-    direct_sum_with_maps,
     free_module,
     has_free_summand,
     hom_module,
@@ -291,12 +290,16 @@ def test_maps_between_algebras_refused():
 
 def test_direct_sum_and_maps(R2):
     k = simple_module(R2)
-    F = free_module(R2, 1)
-    S, injs, projs = direct_sum_with_maps([k, F])
-    assert S.dim == 3
-    assert np.array_equal((projs[0] @ injs[0]).mat, np.eye(1, dtype=np.int64))
-    assert np.array_equal((projs[1] @ injs[1]).mat, np.eye(2, dtype=np.int64))
-    assert not (projs[0] @ injs[1]).mat.any()
+    M = direct_sum([k, free_module(R2, 1)], R2)   # k + ring is not all free
+    S = direct_sum([k, M])
+    assert S.dim == 1 + M.dim
+    for j in range(R2.num_gens):
+        act = S.action_arr(j)
+        assert np.array_equal(act[:1, :1], k.action_arr(j))
+        assert np.array_equal(act[1:, 1:], M.action_arr(j))
+        assert not act[:1, 1:].any() and not act[1:, :1].any()
+    assert direct_sum([M]) is M
+    assert direct_sum([k], R2) is k
     assert direct_sum([], R2).dim == 0
     z = direct_sum([zero_module(R2), zero_module(R2)])
     assert z.dim == 0
