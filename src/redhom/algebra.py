@@ -13,11 +13,30 @@ explicit witness on failure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from . import gf
+
+
+def cached(fn):
+    """Compute fn(obj, *args) once and keep it in obj._cache, under fn's
+    qualified name (with the args, if any); a call that raises stores
+    nothing.  The value is freed with obj, e.g. with a search's middles."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (name, *args) if args else name
+        try:
+            return obj._cache[key]
+        except KeyError:
+            pass
+        value = obj._cache[key] = fn(obj, *args)
+        return value
+    return wrapper
 
 
 class AlgebraError(ValueError):
@@ -176,10 +195,7 @@ class AlgebraRep:
         self.socle_dim = socle_rows.shape[0]
         self.is_field = self.dim == 1
         self.is_gorenstein = self.socle_dim == 1
-        if monomial_ci is not None:
-            self.is_monomial_ci = monomial_ci
-        else:
-            self.is_monomial_ci = False
+        self.is_monomial_ci = bool(monomial_ci)
         self.words = self._build_words()
 
     # -- elementary operations -------------------------------------------
@@ -194,20 +210,16 @@ class AlgebraRep:
         return gf.lincomb(v, self.left_mult, self.p)
 
     def gen_L(self, j: int) -> np.ndarray:
-        key = ("gen_L", j)
-        if key not in self._cache:
-            self._cache[key] = self.L_of(self.gens[j])
-        return self._cache[key]
+        return self.gen_L_stack()[j]
 
+    @cached
     def gen_L_stack(self) -> np.ndarray:
         """gen_L(j) for every generator j, stacked: shape (num_gens, dim, dim)."""
-        if "gen_L_stack" not in self._cache:
-            stack = np.zeros((self.num_gens, self.dim, self.dim), dtype=np.int64)
-            for j in range(self.num_gens):
-                stack[j] = self.gen_L(j)
-            stack.flags.writeable = False
-            self._cache["gen_L_stack"] = stack
-        return self._cache["gen_L_stack"]
+        stack = np.zeros((self.num_gens, self.dim, self.dim), dtype=np.int64)
+        for j in range(self.num_gens):
+            stack[j] = self.L_of(self.gens[j])
+        stack.flags.writeable = False
+        return stack
 
     def unit(self) -> np.ndarray:
         e = np.zeros(self.dim, dtype=np.int64)
@@ -278,12 +290,10 @@ class AlgebraRep:
 
     # -- structure --------------------------------------------------------
 
+    @cached
     def socle(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Canonical row basis of {a : m * a = 0}."""
-        if "socle" not in self._cache:
-            stacked = self.gen_L_stack().reshape(-1, self.dim)
-            self._cache["socle"] = gf.kernel_rows(stacked, self.p)
-        return self._cache["socle"]
+        return gf.kernel_rows(self.gen_L_stack().reshape(-1, self.dim), self.p)
 
     def radical_power_dims(self) -> list[int]:
         """Dimensions of m, m^2, ... down to zero, or dim + 1 of them when m
@@ -419,8 +429,6 @@ def build_monomial_quotient(spec: RingSpec) -> AlgebraRep:
                           for h in gens_exps)]
     monomial_ci = bool(variables) and all(sum(g) == max(g, default=0) for g in minimal) and \
         len({tuple(g) for g in minimal}) == len(variables)
-    if not variables:
-        monomial_ci = False
     return AlgebraRep(p, labels, table, gens, list(variables), grading=grading,
                       declared_ci=spec.ci, spec=spec, monomial_ci=monomial_ci)
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import AlgebraRep
+from .algebra import AlgebraRep, cached
 from .modules import (
+    HomModule,
     LambdaMatrix,
     LinearFormBudgetError,
     ModuleError,
@@ -38,11 +39,10 @@ from .modules import (
 )
 
 
+@cached
 def ring_module(algebra: AlgebraRep) -> ModuleRep:
     """The ring as a module over itself (cached; Ext(-, ring) keys off it)."""
-    if "ring_module" not in algebra._cache:
-        algebra._cache["ring_module"] = free_module(algebra, 1)
-    return algebra._cache["ring_module"]
+    return free_module(algebra, 1)
 
 
 class _Complex:
@@ -99,14 +99,13 @@ class FreeComplex(_Complex):
                 raise ModuleError(f"differential at {i} has shape "
                                   f"{d.rows}x{d.cols}, expected "
                                   f"{self.ranks[i-1]}x{self.ranks[i]}")
-        self._terms: dict[int, ModuleRep] = {}
+        self._cache: dict = {}
         if check:
             self.check_composition()
 
+    @cached
     def term(self, i: int) -> ModuleRep:
-        if i not in self._terms:
-            self._terms[i] = free_module(self.algebra, self.ranks[i])
-        return self._terms[i]
+        return free_module(self.algebra, self.ranks[i])
 
     def linear(self, i: int) -> np.ndarray | None:
         return self.diffs[i].to_linear() if i in self.diffs else None
@@ -145,7 +144,7 @@ class ModuleComplex(_Complex):
             if f.source.dim != self.modules[i].dim or \
                f.target.dim != self.modules[i - 1].dim:
                 raise ModuleError(f"map at position {i} does not fit its terms")
-        self._ranks: dict[int, int] = {}
+        self._cache: dict = {}
         if check:
             self.check_composition()
 
@@ -159,12 +158,9 @@ class ModuleComplex(_Complex):
     def linear(self, i: int) -> np.ndarray | None:
         return self.maps[i].mat if i in self.maps else None
 
+    @cached
     def rank(self, i: int) -> int:
-        if i not in self.maps:
-            return 0
-        if i not in self._ranks:
-            self._ranks[i] = self.maps[i].rank()
-        return self._ranks[i]
+        return self.maps[i].rank() if i in self.maps else 0
 
     def dual(self) -> "ModuleComplex":
         """Term-wise Hom(-, Lambda) on reversed positions (see apply_dual)."""
@@ -206,7 +202,7 @@ class MinimalResolution:
         self.module: ModuleRep | None = None
         self.betti: list[int] = []
         self.diffs: list[LambdaMatrix] = []      # diffs[i] = d_{i+1}
-        self._syzygies: dict[int, ModuleRep] = {}
+        self._cache: dict = {}
 
     @classmethod
     def from_presentation(cls, algebra: AlgebraRep, d1: LambdaMatrix) -> "MinimalResolution":
@@ -257,21 +253,21 @@ class MinimalResolution:
         self.extend(upto)
         return self.betti[:upto + 1]
 
+    @cached
     def syzygy_module(self, n: int) -> ModuleRep:
-        """The n-th syzygy as an abstract module (n >= 1; n = 0 is the module)."""
+        """The n-th syzygy as an abstract module (n >= 1; n = 0 is the module).
+
+        The first syzygy is the kernel of the module's cached cover.
+        """
         if n < 0:
             raise ModuleError(f"syzygy index must be nonnegative, got {n}")
-        if n == 0:
+        if n <= 1:
             if self.module is None:
-                raise ModuleError("seeded resolution has no 0-th syzygy module")
-            return self.module
-        if n not in self._syzygies:
-            if n == 1:
-                raise ModuleError("seeded resolution has no first syzygy module")
-            rows, piv = self._kernel(n - 1)
-            ambient = free_module(self.algebra, self.betti[n - 1])
-            self._syzygies[n] = submodule_from_rows(ambient, rows, piv)[0]
-        return self._syzygies[n]
+                raise ModuleError(f"seeded resolution has no {('0-th', 'first')[n]} syzygy module")
+            return projective_cover_and_syzygy(self.module).syzygy if n else self.module
+        rows, piv = self._kernel(n - 1)
+        ambient = free_module(self.algebra, self.betti[n - 1])
+        return submodule_from_rows(ambient, rows, piv)[0]
 
     def free_complex(self, upto: int) -> FreeComplex:
         self.extend(upto)
@@ -299,19 +295,16 @@ class MinimalResolution:
         return dim
 
 
+@cached
 def resolution_of(mod: ModuleRep) -> MinimalResolution:
     """The module's cached resolution, seeded by its minimal presentation.
 
     d_1 is the presentation's relation matrix and the first syzygy is
     the kernel of the projective cover, so neither is computed twice.
     """
-    if "resolution" not in mod._cache:
-        res = MinimalResolution.from_presentation(mod.algebra,
-                                                  minimal_presentation(mod).relations)
-        res.module = mod
-        res._syzygies[1] = projective_cover_and_syzygy(mod).syzygy
-        mod._cache["resolution"] = res
-    return mod._cache["resolution"]
+    res = MinimalResolution.from_presentation(mod.algebra, minimal_presentation(mod).relations)
+    res.module = mod
+    return res
 
 
 def minimal_free_resolution(mod: ModuleRep, steps: int):
@@ -371,6 +364,12 @@ def bass_numbers(target: ModuleRep, bound: int) -> list[int]:
     return list(ext_dims(k, target, bound).dims)
 
 
+@cached
+def _dual_hom(mod: ModuleRep) -> HomModule:
+    """Hom(M, Lambda) as a module, cached on M."""
+    return hom_module(mod, ring_module(mod.algebra))
+
+
 def apply_dual(complex_: ModuleComplex) -> ModuleComplex:
     """Term-wise Hom(-, Lambda) with induced maps, positions reversed.
 
@@ -378,12 +377,7 @@ def apply_dual(complex_: ModuleComplex) -> ModuleComplex:
     space of the commuting system, independent of the entry-transpose
     shortcut used for free complexes.
     """
-    A = complex_.algebra
-    duals = {}
-    for i, mod in complex_.modules.items():
-        if "dual_hom" not in mod._cache:
-            mod._cache["dual_hom"] = hom_module(mod, ring_module(A))
-        duals[i] = mod._cache["dual_hom"]
+    duals = {i: _dual_hom(mod) for i, mod in complex_.modules.items()}
     modules = {-i: h.module for i, h in duals.items()}
     maps = {}
     for i, f in complex_.maps.items():

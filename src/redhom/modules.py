@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .algebra import AlgebraRep
+from .algebra import AlgebraRep, cached
 
 
 class ModuleError(ValueError):
@@ -77,18 +77,17 @@ class ModuleRep:
     # -- actions ----------------------------------------------------------
 
     def action_arr(self, j: int) -> np.ndarray:
-        if self._actions is not None:
-            return self._actions[j]
-        key = ("free_action", j)
-        if key not in self._cache:
-            r, D = self.free_rank, self.algebra.dim
-            L = self.algebra.gen_L(j)
-            big = np.zeros((r * D, r * D), dtype=np.int64)
-            for t in range(r):
-                big[t * D:(t + 1) * D, t * D:(t + 1) * D] = L
-            big.flags.writeable = False
-            self._cache[key] = big
-        return self._cache[key]
+        return self._free_action(j) if self._actions is None else self._actions[j]
+
+    @cached
+    def _free_action(self, j: int) -> np.ndarray:
+        r, D = self.free_rank, self.algebra.dim
+        L = self.algebra.gen_L(j)
+        big = np.zeros((r * D, r * D), dtype=np.int64)
+        for t in range(r):
+            big[t * D:(t + 1) * D, t * D:(t + 1) * D] = L
+        big.flags.writeable = False
+        return big
 
     def act(self, j: int, vecs: np.ndarray) -> np.ndarray:
         """Apply generator j to column vectors; block fast path for frees."""
@@ -104,57 +103,46 @@ class ModuleRep:
             return out.reshape(D, r, s).transpose(1, 0, 2).reshape(r * D, s)
         return gf.mat_mul(self.action_arr(j), vecs, p)
 
-    def _word_ops(self) -> np.ndarray:
-        if "word_ops" not in self._cache:
-            d, A = self.dim, self.algebra
-            ops = np.zeros((A.dim, d, d), dtype=np.int64)
-            ops[0] = np.eye(d, dtype=np.int64)
-            for w, (parent, j) in enumerate(A.words):
-                if w == 0:
-                    continue
-                ops[w] = gf.mat_mul(ops[parent], self.action_arr(j), A.p)
-            ops.flags.writeable = False
-            self._cache["word_ops"] = ops
-        return self._cache["word_ops"]
-
+    @cached
     def rho(self) -> np.ndarray:
         """Stack of matrices rho[i] realizing the action of basis element e_i.
 
         Every basis element of the algebra is a linear combination of
         products of the distinguished generators, so the generator
-        actions determine the action of the whole ring.
+        actions determine the action of the whole ring: ops[w] is the
+        action of the w-th generator word.
         """
-        if "rho" not in self._cache:
-            A = self.algebra
-            ops = self._word_ops()
-            flat = ops.reshape(A.dim, -1)
-            rho = gf.mat_mul(A.word_coords.T, flat, A.p).reshape(A.dim, self.dim, self.dim)
-            rho.flags.writeable = False
-            self._cache["rho"] = rho
-        return self._cache["rho"]
+        d, A = self.dim, self.algebra
+        ops = np.zeros((A.dim, d, d), dtype=np.int64)
+        ops[0] = np.eye(d, dtype=np.int64)
+        for w, (parent, j) in enumerate(A.words):
+            if w:
+                ops[w] = gf.mat_mul(ops[parent], self.action_arr(j), A.p)
+        rho = gf.mat_mul(A.word_coords.T, ops.reshape(A.dim, -1), A.p).reshape(A.dim, d, d)
+        rho.flags.writeable = False
+        return rho
 
+    @cached
     def radical_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Canonical row basis of m*M = sum of generator images."""
-        if "radical" not in self._cache:
-            A = self.algebra
-            if self.free_rank is not None:
-                # m * Lambda^r is spanned by the non-unit coordinates
-                r, D = self.free_rank, A.dim
-                piv = tuple(t * D + i for t in range(r) for i in range(1, D))
-                rows = np.zeros((len(piv), r * D), dtype=np.int64)
-                for s, c in enumerate(piv):
-                    rows[s, c] = 1
-                self._cache["radical"] = (rows, piv)
-            else:
-                if A.num_gens == 0 or self.dim == 0:
-                    self._cache["radical"] = (np.zeros((0, self.dim), dtype=np.int64), ())
-                else:
-                    stacked = np.vstack([self.action_arr(j).T for j in range(A.num_gens)])
-                    self._cache["radical"] = gf.row_basis(stacked, A.p)
-        return self._cache["radical"]
+        A = self.algebra
+        if self.free_rank is not None:
+            # m * Lambda^r is spanned by the non-unit coordinates
+            r, D = self.free_rank, A.dim
+            piv = tuple(t * D + i for t in range(r) for i in range(1, D))
+            rows = np.zeros((len(piv), r * D), dtype=np.int64)
+            for s, c in enumerate(piv):
+                rows[s, c] = 1
+            return rows, piv
+        if A.num_gens == 0 or self.dim == 0:
+            return np.zeros((0, self.dim), dtype=np.int64), ()
+        stacked = np.vstack([self.action_arr(j).T for j in range(A.num_gens)])
+        return gf.row_basis(stacked, A.p)
 
-    def radical_series_dims(self) -> list[int]:
-        """[dim M, dim mM, dim m^2 M, ...] down to zero."""
+    @cached
+    def radical_series_dims(self) -> tuple[int, ...]:
+        """(dim M, dim mM, dim m^2 M, ...) while nonzero, or (dim M, 0) when
+        M != 0 = mM and the algebra has generators: k gives (1, 0), R1 (3, 2)."""
         dims = [self.dim]
         rows = np.eye(self.dim, dtype=np.int64)
         while rows.shape[0]:
@@ -166,7 +154,7 @@ class ModuleRep:
                 dims.append(rows.shape[0])
         if len(dims) == 1 and self.dim and self.algebra.num_gens:
             dims.append(0)
-        return dims
+        return tuple(dims)
 
     def validate(self) -> None:
         """Check the action matrices define a module over this algebra."""
@@ -259,12 +247,10 @@ def zero_module(algebra: AlgebraRep) -> ModuleRep:
                      dim=0)
 
 
+@cached
 def simple_module(algebra: AlgebraRep) -> ModuleRep:
     """The residue field k as a module (cached so resolutions are shared)."""
-    if "simple" not in algebra._cache:
-        algebra._cache["simple"] = ModuleRep(
-            algebra, [np.zeros((1, 1), dtype=np.int64)] * algebra.num_gens, dim=1)
-    return algebra._cache["simple"]
+    return ModuleRep(algebra, [np.zeros((1, 1), dtype=np.int64)] * algebra.num_gens, dim=1)
 
 
 def direct_sum(mods: list[ModuleRep], algebra: AlgebraRep | None = None) -> ModuleRep:
@@ -365,6 +351,7 @@ class CoverData:
     free: ModuleRep
 
 
+@cached
 def minimal_generator_coords(mod: ModuleRep) -> tuple[int, ...]:
     pivots = set(mod.radical_rows()[1])
     return tuple(c for c in range(mod.dim) if c not in pivots)
@@ -377,11 +364,10 @@ def check_minimal_kernel(rows: np.ndarray, ring_dim: int) -> None:
         raise AssertionError("kernel leaves the radical: map is not minimal")
 
 
+@cached
 def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     """Minimal cover and its kernel with the inclusion, all deterministic."""
     A = mod.algebra
-    if "cover" in mod._cache:
-        return mod._cache["cover"]
     gens = minimal_generator_coords(mod)
     # column t * dim Lambda + i is e_i times the t-th minimal generator
     phi = mod.rho()[:, :, list(gens)].transpose(1, 2, 0).reshape(mod.dim, len(gens) * A.dim)
@@ -391,9 +377,7 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     rows, piv = gf.kernel_rows(phi, A.p)
     check_minimal_kernel(rows, A.dim)
     syz, incl = submodule_from_rows(free, rows, piv)
-    data = CoverData(ModuleMap(free, mod, phi), syz, incl, piv, free)
-    mod._cache["cover"] = data
-    return data
+    return CoverData(ModuleMap(free, mod, phi), syz, incl, piv, free)
 
 
 class LambdaMatrix:
@@ -424,31 +408,32 @@ class LambdaMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
+    @cached
     def to_linear(self) -> np.ndarray:
         """The underlying GF(p)-matrix in summand-major coordinates."""
-        if "linear" not in self._cache:
-            A = self.algebra
-            r, c, D = self.entries.shape
-            size = 8 * r * D * c * D
-            if size > LINEAR_FORM_BUDGET_BYTES:
-                raise LinearFormBudgetError(
-                    f"the linear form of a {r} x {c} matrix over the algebra "
-                    f"would take {size / 2**20:.0f} MiB, over the "
-                    f"{LINEAR_FORM_BUDGET_BYTES // 2**20} MiB budget")
-            dual = self._cache.get("transpose")
-            if dual is not None and "linear" in dual._cache:
-                # block (s, t) of the linear form is L(entry (s, t)), so the
-                # transpose's form is the partner's with its blocks swapped
-                lin = dual._cache["linear"].reshape(c, D, r, D).transpose(2, 1, 0, 3)
-            else:
-                flat = gf.mat_mul(self.entries.reshape(r * c, D),
-                                  A.left_mult.reshape(D, D * D), A.p)
-                lin = flat.reshape(r, c, D, D).transpose(0, 2, 1, 3)
-            lin = np.ascontiguousarray(lin.reshape(r * D, c * D))
-            lin.flags.writeable = False
-            self._cache["linear"] = lin
-        return self._cache["linear"]
+        A = self.algebra
+        r, c, D = self.entries.shape
+        size = 8 * r * D * c * D
+        if size > LINEAR_FORM_BUDGET_BYTES:
+            raise LinearFormBudgetError(
+                f"the linear form of a {r} x {c} matrix over the algebra "
+                f"would take {size / 2**20:.0f} MiB, over the "
+                f"{LINEAR_FORM_BUDGET_BYTES // 2**20} MiB budget")
+        dual = self._cache.get(LambdaMatrix.transpose.__qualname__)
+        partner = None if dual is None else dual._cache.get(LambdaMatrix.to_linear.__qualname__)
+        if partner is not None:
+            # block (s, t) of the linear form is L(entry (s, t)), so the
+            # transpose's form is the partner's with its blocks swapped
+            lin = partner.reshape(c, D, r, D).transpose(2, 1, 0, 3)
+        else:
+            flat = gf.mat_mul(self.entries.reshape(r * c, D),
+                              A.left_mult.reshape(D, D * D), A.p)
+            lin = flat.reshape(r, c, D, D).transpose(0, 2, 1, 3)
+        lin = np.ascontiguousarray(lin.reshape(r * D, c * D))
+        lin.flags.writeable = False
+        return lin
 
+    @cached
     def transpose(self) -> "LambdaMatrix":
         """The entry-wise transpose, i.e. the dual map; built once per matrix.
 
@@ -456,22 +441,18 @@ class LambdaMatrix:
         differential keeps one linear form and one rank however often
         it is dualized.
         """
-        if "transpose" not in self._cache:
-            dual = LambdaMatrix(self.algebra, self.entries.transpose(1, 0, 2))
-            dual._cache["transpose"] = self
-            self._cache["transpose"] = dual
-        return self._cache["transpose"]
+        dual = LambdaMatrix(self.algebra, self.entries.transpose(1, 0, 2))
+        dual._cache[LambdaMatrix.transpose.__qualname__] = self
+        return dual
 
+    @cached
     def kernel_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Canonical row basis of the linear form's kernel, with pivots; cached."""
-        if "kernel_rows" not in self._cache:
-            self._cache["kernel_rows"] = gf.kernel_rows(self.to_linear(), self.algebra.p)
-        return self._cache["kernel_rows"]
+        """Canonical row basis of the linear form's kernel, with pivots."""
+        return gf.kernel_rows(self.to_linear(), self.algebra.p)
 
+    @cached
     def linear_rank(self) -> int:
-        if "rank" not in self._cache:
-            self._cache["rank"] = gf.rank(self.to_linear(), self.algebra.p)
-        return self._cache["rank"]
+        return gf.rank(self.to_linear(), self.algebra.p)
 
     def in_radical(self) -> bool:
         """True when every entry lies in the maximal ideal."""
@@ -549,16 +530,13 @@ class Presentation:
     relations: LambdaMatrix   # map P1 -> P0 with image the syzygy
 
 
+@cached
 def minimal_presentation(mod: ModuleRep) -> Presentation:
     """Minimal free presentation P1 -> P0 -> M -> 0."""
-    if "presentation" in mod._cache:
-        return mod._cache["presentation"]
     data = projective_cover_and_syzygy(mod)
     lam = minimal_generators(mod.algebra, data.free.free_rank,
                              data.inclusion.mat.T, data.pivots)
-    pres = Presentation(data.cover, lam)
-    mod._cache["presentation"] = pres
-    return pres
+    return Presentation(data.cover, lam)
 
 
 def cokernel_of_lambda_matrix(lam: LambdaMatrix):
@@ -570,6 +548,7 @@ def cokernel_of_lambda_matrix(lam: LambdaMatrix):
     return quot, proj
 
 
+@cached
 def transpose_module(mod: ModuleRep) -> ModuleRep:
     """Auslander transpose from the minimal presentation.
 
@@ -577,10 +556,7 @@ def transpose_module(mod: ModuleRep) -> ModuleRep:
     entry-wise transposed matrix, so tr M = coker of the transposed
     minimal presentation.  Free modules have transpose zero.
     """
-    if "transpose" not in mod._cache:
-        pres = minimal_presentation(mod)
-        mod._cache["transpose"] = cokernel_of_lambda_matrix(pres.relations.transpose())[0]
-    return mod._cache["transpose"]
+    return cokernel_of_lambda_matrix(minimal_presentation(mod).relations.transpose())[0]
 
 
 # -- hom spaces -------------------------------------------------------------
@@ -700,6 +676,7 @@ def has_free_summand(mod: ModuleRep) -> bool:
     return bool(rows[:, ::mod.algebra.dim].any())
 
 
+@cached
 def split_free_summands(mod: ModuleRep) -> SplitResult:
     """Write M as core (+) Lambda^r with the core free-summand-free.
 
@@ -708,8 +685,6 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
     most dim/D rounds.  `has_free_summand` decides the first round
     without a Hom space, so a free-summand-free M costs no hom_space.
     """
-    if "split" in mod._cache:
-        return mod._cache["split"]
     A = mod.algebra
     p = A.p
     current = mod
@@ -743,9 +718,7 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
     iso = ModuleMap(mod, target, phi)
     if iso.rank() != mod.dim:
         raise AssertionError("free-summand splitting must be invertible")
-    result = SplitResult(current, rank, iso, target)
-    mod._cache["split"] = result
-    return result
+    return SplitResult(current, rank, iso, target)
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -766,11 +739,10 @@ class IsoVerdict:
 _ISO_CHUNK_ENTRIES = 1 << 15
 
 
+@cached
 def _end_dim(mod: ModuleRep) -> int:
     """dim End(M), cached on the module."""
-    if "end_dim" not in mod._cache:
-        mod._cache["end_dim"] = hom_space(mod, mod).dim
-    return mod._cache["end_dim"]
+    return hom_space(mod, mod).dim
 
 
 def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
@@ -791,7 +763,7 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
         return IsoVerdict("yes", witness=ModuleMap(m, n, zero), method="trivial")
     rm, rn = m.radical_series_dims(), n.radical_series_dims()
     if rm != rn:
-        return IsoVerdict("no", certificate=f"radical series {rm} != {rn}")
+        return IsoVerdict("no", certificate=f"radical series {list(rm)} != {list(rn)}")
     em, en = _end_dim(m), _end_dim(n)
     if em != en:
         return IsoVerdict("no", certificate=f"dim End {em} != {en}")

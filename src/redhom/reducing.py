@@ -315,7 +315,7 @@ def _fingerprint(mod: ModuleRep) -> tuple:
     A finer key would skip no more: a module is skipped only on a "yes"
     of is_isomorphic, and isomorphic modules share every invariant.
     """
-    return mod.dim, tuple(mod.radical_series_dims())
+    return mod.dim, mod.radical_series_dims()
 
 
 def _candidate_triples(mode: str, limits: SearchLimits):

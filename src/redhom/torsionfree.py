@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
+from .algebra import cached
 from .complexes import (
     FreeComplex,
     MinimalResolution,
@@ -103,11 +104,13 @@ def transpose_resolution(mod: ModuleRep) -> MinimalResolution:
     test (`has_free_summand`) is the kernel of d_1^T, which is also this
     resolution's first kernel and is computed once.
     """
-    core = split_free_summands(mod).core
-    if "transpose_resolution" not in core._cache:
-        core._cache["transpose_resolution"] = MinimalResolution.from_presentation(
-            core.algebra, minimal_presentation(core).relations.transpose())
-    return core._cache["transpose_resolution"]
+    return _core_transpose_resolution(split_free_summands(mod).core)
+
+
+@cached
+def _core_transpose_resolution(core: ModuleRep) -> MinimalResolution:
+    return MinimalResolution.from_presentation(
+        core.algebra, minimal_presentation(core).relations.transpose())
 
 
 def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
@@ -158,6 +161,7 @@ class PushforwardResult:
         return out
 
 
+@cached
 def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
     """coker(d_1) of M's minimal presentation and the canonical iso M -> coker(d_1).
 
@@ -166,17 +170,15 @@ def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray, np.ndar
     cover composed with the section is invertible; anything else is an
     invariant failure.  Computed on first use and cached on the module.
     """
-    if "cokernel_comparison" not in mod._cache:
-        A = mod.algebra
-        pres = minimal_presentation(mod)
-        rows, piv = gf.row_basis(pres.relations.to_linear().T, A.p)
-        quot, _, embed = quotient_module(free_module(A, pres.relations.rows), rows, piv)
-        q_to_m = gf.mat_mul(pres.cover.mat, embed, A.p)
-        m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
-        if m_to_q is None or quot.dim != mod.dim:
-            raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
-        mod._cache["cokernel_comparison"] = (quot, embed, m_to_q)
-    return mod._cache["cokernel_comparison"]
+    A = mod.algebra
+    pres = minimal_presentation(mod)
+    rows, piv = gf.row_basis(pres.relations.to_linear().T, A.p)
+    quot, _, embed = quotient_module(free_module(A, pres.relations.rows), rows, piv)
+    q_to_m = gf.mat_mul(pres.cover.mat, embed, A.p)
+    m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
+    if m_to_q is None or quot.dim != mod.dim:
+        raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
+    return quot, embed, m_to_q
 
 
 def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> PushforwardResult:

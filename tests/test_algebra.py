@@ -9,6 +9,7 @@ from redhom.algebra import (
     build_from_structure_constants,
     build_monomial_quotient,
     build_ring,
+    cached,
     socle_and_classify,
 )
 
@@ -198,3 +199,50 @@ def test_declared_ci_is_reported_not_inferred():
     alg = build_from_structure_constants(spec)
     assert alg.declared_ci is False
     assert alg.is_monomial_ci is False
+
+
+class _Owner:
+    """An object with derived data: counts how often each value is computed."""
+
+    def __init__(self, label):
+        self._cache = {}
+        self.label = label
+        self.computed = []
+
+    @cached
+    def value(self, *args):
+        self.computed.append(args)
+        if args == ("fail",):
+            raise ValueError("not stored")
+        return (self.label,) + args
+
+
+@cached
+def _doubled(owner):
+    owner.computed.append("doubled")
+    return owner.label * 2
+
+
+def test_cached_computes_once_per_object_and_arguments():
+    owner = _Owner("a")
+    assert owner.value() == ("a",) and owner.value() == ("a",)
+    assert owner.value(1) == ("a", 1) and owner.value(1) == ("a", 1)
+    assert owner.value(2) == ("a", 2)
+    assert _doubled(owner) == "aa" and _doubled(owner) == "aa"
+    assert owner.computed == [(), (1,), (2,), "doubled"]
+    assert owner.value.__name__ == "value" and _doubled.__name__ == "_doubled"
+
+
+def test_cached_values_are_not_shared_between_objects():
+    one, two = _Owner("a"), _Owner("b")
+    assert (one.value(), two.value()) == (("a",), ("b",))
+    assert (_doubled(one), _doubled(two)) == ("aa", "bb")
+    assert one.computed == [(), "doubled"] and two.computed == [(), "doubled"]
+
+
+def test_cached_does_not_store_an_exception():
+    owner = _Owner("a")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not stored"):
+            owner.value("fail")
+    assert owner.computed == [("fail",), ("fail",)]

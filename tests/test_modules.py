@@ -281,6 +281,39 @@ def test_is_isomorphic_caches_end_dimensions(monkeypatch, R2):
     assert np.array_equal(again.witness.mat, first.witness.mat)
 
 
+def test_is_isomorphic_repeated_on_a_pair_eliminates_nothing(monkeypatch):
+    # the radical series, dim End and Hom(M, N) of a compared pair are kept
+    # on the modules, so the second test repeats no row reduction
+    A = catalog_ring("R3q2")
+    m = projective_cover_and_syzygy(simple_module(A)).syzygy
+    n = transpose_module(transpose_module(m))
+    first = is_isomorphic(m, n)
+    calls = []
+    row_basis = gf.row_basis
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return row_basis(*args, **kwargs)
+
+    monkeypatch.setattr(gf, "row_basis", recorded)
+    again = is_isomorphic(m, n)
+    assert not calls
+    assert (again.kind, again.method, again.certificate) == \
+        (first.kind, first.method, first.certificate)
+
+
+def test_linear_form_over_budget_is_not_cached(monkeypatch, R1):
+    # a refused form is refused again, and built once the budget allows it
+    lam = LambdaMatrix(R1, np.arange(12).reshape(2, 2, 3))
+    monkeypatch.setattr(modules, "LINEAR_FORM_BUDGET_BYTES", 8)
+    for _ in range(2):
+        with pytest.raises(modules.LinearFormBudgetError):
+            lam.to_linear()
+    monkeypatch.undo()
+    assert lam.to_linear().shape == (6, 6)
+    assert lam.to_linear() is lam.to_linear()
+
+
 def test_maps_between_algebras_refused():
     # arrays carry no modulus: ModuleMap is what keeps fields from mixing
     k2, k5 = simple_module(catalog_ring("R1", 2)), simple_module(catalog_ring("R1", 5))

@@ -20,6 +20,45 @@ def test_no_assert_statements_in_package():
     assert not found, f"plain assert statements: {found}"
 
 
+def _cache_uses(tree):
+    """(enclosing qualname, lineno, kind) of each membership test against an
+    object's `_cache` and of each item written into one."""
+    found = []
+
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Compare):
+            found.extend((".".join(scope), node.lineno, "membership")
+                         for op, right in zip(node.ops, node.comparators)
+                         if isinstance(op, (ast.In, ast.NotIn)) and is_cache(right))
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        found.extend((".".join(scope), node.lineno, "write") for target in targets
+                     if isinstance(target, ast.Subscript) and is_cache(target.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_derived_data_is_cached_only_through_the_helper():
+    # algebra.cached is the one memo: no hand-written `key in obj._cache`
+    # block, and items go into a `_cache` only there and where a transpose
+    # hands itself to its partner
+    allowed = {("algebra.py", "cached.wrapper"), ("modules.py", "LambdaMatrix.transpose")}
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        uses = _cache_uses(ast.parse(path.read_text(), filename=str(path)))
+        bad += [f"{path.name}:{line} {kind} in {scope}" for scope, line, kind in uses
+                if kind == "membership" or (path.name, scope) not in allowed]
+    assert not bad, f"hand-written caches: {bad}"
+
+
 def test_only_gf_names_matrix():
     # maps and Hom bases are plain arrays; gf.Matrix must not spread back
     word = re.compile(r"\bMatrix\b")
