@@ -29,6 +29,24 @@ therefore in reduced echelon form with leading columns f, and since the
 rref of a row space is unique they are its canonical basis, entry for
 entry.
 
+`component_kernel_rows` and `component_rank` take a matrix as its
+nonzero cells and never form it densely.  They split its support, the
+bipartite graph of rows and columns joined by the cells, into connected
+components, and eliminate the components' blocks batched by shape.
+`LambdaMatrix` uses them for linear forms of more than BLOCK_CELLS
+cells; every other caller, and every test reference, has the dense
+`kernel_rows` and `rank`.  Why that is exact: components have disjoint
+rows and disjoint columns, so the kernel is the direct sum of the
+components' kernels and of one unit vector per column without a cell,
+and the rank is the sum of the components' ranks.  The rref basis of a
+component's kernel, placed in its columns, is zero on every other
+column; so the union of these bases and unit vectors, sorted by leading
+column, has distinct leading 1s with zeros above and below each of
+them.  That is a reduced echelon form of the kernel, and the rref is
+unique, so the rows and pivots are kernel_rows', entry for entry.
+Within a component the rows are read off batch_rref of the reversed
+block as kernel_rows reads them off rref.
+
 `echelon_pivots` (and `rank`, its length) runs forward elimination
 only, yet returns exactly the pivot columns of the rref.  Why: let V be
 the row space and V_c the vectors of V that vanish on every column
@@ -119,6 +137,12 @@ def power_at_most(p: int, e: int, cap: int) -> int | None:
 ROUNDS_MIN_CELLS = 1000
 # Rounds and kernel_rows handle a block of rows of about this many
 # cells at a time, which bounds their temporaries (and so peak memory).
+# A LambdaMatrix's linear form of more cells is not built for its kernel
+# and rank, which are eliminated by support components instead.  Timed
+# on every such call of the benchmark's search and tables passes (2-vCPU
+# VM, numpy 2.4), the components were slower up to 28,875 cells (a rank
+# took 0.99 ms against 0.56 ms dense) and faster from 73,728 (0.58 ms
+# against 0.99 ms); at 1.2M cells a rank took 5.6 ms against 18.8 ms.
 BLOCK_CELLS = 2**16
 
 
@@ -427,6 +451,145 @@ def kernel_rows(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         neg = red[:, free[i:i + step]].T
         rows[i:i + step, at] = np.where(neg, p - neg, 0)
     return rows, tuple(lead)
+
+
+def batch_rref(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix of a 3-d stack, one Python step per column.
+
+    Returns the reduced stack (int64, nonzero rows first, as rref's
+    output) and a boolean (batch, cols) mask of each matrix's pivot
+    columns.  At column c each matrix whose unused rows are not all zero
+    there swaps the first such row into place, scales it to a leading 1
+    and clears column c in its other rows.  The unused rows vanish left
+    of c, so only columns from c on change.  Each result is a reduced
+    echelon form of its matrix's row space, so it equals rref(matrix, p).
+    """
+    a = _reduced(stack, p)
+    if a.ndim != 3:
+        raise ShapeMismatchError(f"batch_rref needs a 3-d stack, got shape {a.shape}")
+    batch, rows, cols = a.shape
+    pivots = np.zeros((batch, cols), dtype=bool)
+    done = np.zeros(batch, dtype=np.intp)          # pivot rows so far
+    unused = np.arange(rows)[None, :] >= done[:, None]
+    for c in range(cols):
+        cand = (a[:, :, c] != 0) & unused
+        has = np.flatnonzero(cand.any(axis=1))
+        if not has.size:
+            continue
+        at = done[has]
+        pick = cand[has].argmax(axis=1)
+        top = a[has, pick, c:]
+        a[has, pick, c:] = a[has, at, c:]
+        top = (top * _inverses(top[:, 0], p)[:, None] % p).astype(a.dtype)
+        a[has, at, c:] = top
+        factor = a[has, :, c]
+        factor[np.arange(has.size), at] = 0
+        g, i = np.nonzero(factor)
+        if g.size:
+            a[has[g], i, c:] = (a[has[g], i, c:] - factor[g, i, None] * top[g]) % p
+        pivots[has, c] = True
+        unused[has, at] = False
+        done[has] += 1
+    return a.astype(np.int64), pivots
+
+
+def _component_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """The connected components of a support, as dense blocks stacked by shape.
+
+    (rows[k], cols[k]) holds vals[k] and every other cell is zero.  Yields
+    (stack, block_cols) per shape: stack[g] is a component's block, its
+    rows and columns in ascending order, and block_cols[g] its columns.
+    Components are found by union-find in array steps on the bipartite
+    graph of rows and columns: every round hooks the larger root of each
+    edge whose ends differ onto the smaller (so no cycle forms, and every
+    component with such an edge hooks or is hooked: their number at
+    least halves), then jumps pointers until each node holds its root.
+    """
+    if not rows.size:
+        return
+    used_rows, u = np.unique(rows, return_inverse=True)
+    used_cols, v = np.unique(cols, return_inverse=True)
+    height = used_rows.size
+    parent = np.arange(height + used_cols.size)     # rows, then columns
+    while True:
+        pu, pv = parent[u], parent[v + height]
+        differ = pu != pv
+        if not differ.any():
+            break
+        np.minimum.at(parent, np.maximum(pu, pv)[differ], np.minimum(pu, pv)[differ])
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+    _, comp = np.unique(parent, return_inverse=True)
+
+    def places(label, count):
+        """Each item's place among the items of its label (stable), and the label sizes."""
+        sizes = np.bincount(label, minlength=count)
+        order = np.argsort(label, kind="stable")
+        at = np.empty(label.size, dtype=np.intp)
+        at[order] = np.arange(label.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return at, sizes
+
+    count = int(comp.max()) + 1
+    row_at, heights = places(comp[:height], count)
+    col_at, widths = places(comp[height:], count)
+    base = int(widths.max()) + 1
+    shapes, group = np.unique(heights * base + widths, return_inverse=True)
+    slot, members = places(group, shapes.size)
+    cell_comp, col_comp = comp[u], comp[height:]
+    for g, shape in enumerate(shapes.tolist()):
+        h, w = divmod(shape, base)
+        cells = np.flatnonzero(group[cell_comp] == g)
+        stack = np.zeros((members[g], h, w), dtype=np.int64)
+        stack[slot[cell_comp[cells]], row_at[u[cells]], col_at[v[cells]]] = vals[cells]
+        mine = np.flatnonzero(group[col_comp] == g)
+        block_cols = np.zeros((members[g], w), dtype=np.intp)
+        block_cols[slot[col_comp[mine]], col_at[mine]] = used_cols[mine]
+        yield stack, block_cols
+
+
+def component_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
+    """rank of the matrix with these nonzero cells: the sum of its components' ranks.
+
+    Each shape's blocks are ranked by one batch_rank.
+    """
+    return sum(int(batch_rank(stack, p).sum())
+               for stack, _ in _component_blocks(rows, cols, vals))
+
+
+def component_kernel_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                          width: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """kernel_rows of the matrix of `width` columns with these nonzero cells.
+
+    Equal to kernel_rows of the dense matrix, bit for bit (see the module
+    docstring).  Each shape's blocks are eliminated by one batch_rref of
+    the column-reversed blocks; a column with no cell gives a unit row.
+    The rows are assembled by one scatter.
+    """
+    celled = np.zeros(width, dtype=bool)
+    celled[cols] = True
+    leads = [np.flatnonzero(~celled)]
+    at, to, val = [], [], []
+    for stack, block_cols in _component_blocks(rows, cols, vals):
+        red, pivots = batch_rref(stack[:, :, ::-1], p)
+        rev_cols = block_cols[:, ::-1]
+        # kernel row of free column f: 1 at f, -red[i, f] at the pivot of row i
+        g, f = np.nonzero(~pivots)
+        leads.append(rev_cols[g, f])
+        pivot = (red != 0).argmax(axis=2)
+        g, i, f = np.nonzero(red * ~pivots[:, None, :])
+        at.append(rev_cols[g, f])
+        to.append(rev_cols[g, pivot[g, i]])
+        val.append(p - red[g, i, f])
+    lead = np.sort(np.concatenate(leads))
+    at = np.concatenate([lead] + at)
+    to = np.concatenate([lead] + to)
+    val = np.concatenate([np.ones(lead.size, dtype=np.int64)] + val)
+    out = np.zeros((lead.size, width), dtype=np.int64)
+    out[np.searchsorted(lead, at), to] = val
+    return out, tuple(lead.tolist())
 
 
 def solve(arr: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -386,6 +386,13 @@ class LambdaMatrix:
     Shape (rows, cols) encodes a module map Lambda^cols -> Lambda^rows;
     entry (s, t) is the coefficient vector of the element multiplying
     the t-th source summand into the s-th target summand.
+
+    The kernel rows and rank of a linear form of more than
+    gf.BLOCK_CELLS cells are eliminated by the connected components of
+    its support, read off the entries, and equal the dense path's bit
+    for bit (see gf); such a form is built only for a caller that needs
+    it densely.  Either way a form over LINEAR_FORM_BUDGET_BYTES is
+    refused.
     """
 
     __slots__ = ("algebra", "entries", "_cache")
@@ -408,10 +415,9 @@ class LambdaMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    @cached
-    def to_linear(self) -> np.ndarray:
-        """The underlying GF(p)-matrix in summand-major coordinates."""
-        A = self.algebra
+    def _linear_cells(self) -> int:
+        """r*D x c*D, the number of cells of the linear form; refuses a form
+        over LINEAR_FORM_BUDGET_BYTES, whether or not it is built."""
         r, c, D = self.entries.shape
         size = 8 * r * D * c * D
         if size > LINEAR_FORM_BUDGET_BYTES:
@@ -419,6 +425,14 @@ class LambdaMatrix:
                 f"the linear form of a {r} x {c} matrix over the algebra "
                 f"would take {size / 2**20:.0f} MiB, over the "
                 f"{LINEAR_FORM_BUDGET_BYTES // 2**20} MiB budget")
+        return size // 8
+
+    @cached
+    def to_linear(self) -> np.ndarray:
+        """The underlying GF(p)-matrix in summand-major coordinates."""
+        A = self.algebra
+        r, c, D = self.entries.shape
+        self._linear_cells()
         dual = self._cache.get(LambdaMatrix.transpose.__qualname__)
         partner = None if dual is None else dual._cache.get(LambdaMatrix.to_linear.__qualname__)
         if partner is not None:
@@ -445,14 +459,34 @@ class LambdaMatrix:
         dual._cache[LambdaMatrix.transpose.__qualname__] = self
         return dual
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The linear form's nonzero cells (rows, cols, values), from the entries.
+
+        Block (s, t) of the form is L(entry (s, t)), which is zero only for
+        a zero entry: one mat_mul of the nonzero entries by left_mult.
+        """
+        A = self.algebra
+        D = A.dim
+        s, t = np.nonzero(self.entries.any(axis=2))
+        blocks = gf.mat_mul(self.entries[s, t], A.left_mult.reshape(D, D * D),
+                            A.p).reshape(-1, D, D)
+        k, a, b = np.nonzero(blocks)
+        return s[k] * D + a, t[k] * D + b, blocks[k, a, b]
+
     @cached
     def kernel_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Canonical row basis of the linear form's kernel, with pivots."""
-        return gf.kernel_rows(self.to_linear(), self.algebra.p)
+        p = self.algebra.p
+        if self._linear_cells() > gf.BLOCK_CELLS:
+            return gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
+        return gf.kernel_rows(self.to_linear(), p)
 
     @cached
     def linear_rank(self) -> int:
-        return gf.rank(self.to_linear(), self.algebra.p)
+        p = self.algebra.p
+        if self._linear_cells() > gf.BLOCK_CELLS:
+            return gf.component_rank(*self.cells(), p)
+        return gf.rank(self.to_linear(), p)
 
     def in_radical(self) -> bool:
         """True when every entry lies in the maximal ideal."""
@@ -771,29 +805,29 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
     h = space.dim
     if h == 0:
         return IsoVerdict("no", certificate="Hom(M, N) = 0")
+    flat = space.basis.reshape(h, -1)
+    chunk = max(1, _ISO_CHUNK_ENTRIES // flat.shape[1])
     size = gf.power_at_most(p, h, exhaust_cap)
     if size is not None:
         # Candidates in itertools.product order: index k's coefficient
         # tuple is the base-p digits of k, most significant first.
         place = np.array([p ** e for e in range(h - 1, -1, -1)], dtype=np.int64)
-        flat = space.basis.reshape(h, -1)
-        chunk = max(1, _ISO_CHUNK_ENTRIES // flat.shape[1])
-        for lo in range(0, size, chunk):
-            index = np.arange(lo, min(size, lo + chunk), dtype=np.int64)
-            coeffs = (index[:, None] // place) % p
-            cands = gf.mat_mul(coeffs, flat, p).reshape(-1, m.dim, m.dim)
-            full = np.flatnonzero(gf.batch_rank(cands, p) == m.dim)
-            if full.size:
-                return IsoVerdict("yes", witness=ModuleMap(m, n, cands[full[0]]),
-                                  method="exhaustive")
+        chunks = ((np.arange(lo, min(size, lo + chunk), dtype=np.int64)[:, None] // place) % p
+                  for lo in range(0, size, chunk))
+        method = "exhaustive"
+    else:
+        # one draw of every sample equals the samples drawn one at a time
+        drawn = np.random.default_rng(seed).integers(0, p, size=(samples, h), dtype=np.int64)
+        chunks = (drawn[lo:lo + chunk] for lo in range(0, samples, chunk))
+        method = "random"
+    for coeffs in chunks:
+        cands = gf.mat_mul(coeffs, flat, p).reshape(-1, m.dim, m.dim)
+        full = np.flatnonzero(gf.batch_rank(cands, p) == m.dim)
+        if full.size:
+            return IsoVerdict("yes", witness=ModuleMap(m, n, cands[full[0]]), method=method)
+    if size is not None:
         return IsoVerdict("no", certificate=f"no invertible among all {size} homs",
                           method="exhaustive")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        coeffs = rng.integers(0, p, size=h, dtype=np.int64)
-        cand = gf.lincomb(coeffs, space.basis, p)
-        if gf.rank(cand, p) == m.dim:
-            return IsoVerdict("yes", witness=ModuleMap(m, n, cand), method="random")
     return IsoVerdict("unknown",
                       certificate=f"hom space of dim {h} too large to enumerate; "
                                   f"{samples} random samples found no isomorphism",

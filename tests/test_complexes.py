@@ -1,10 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhom import gf, modules
-from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
-from redhom.catalog import catalog_ring, sample_modules
+from redhom.algebra import (
+    RingSpec,
+    build_from_structure_constants,
+    build_monomial_quotient,
+    build_ring,
+)
+from redhom.catalog import catalog_ring, catalog_spec, sample_modules
 from redhom.complexes import (
     FreeComplex,
     ModuleComplex,
@@ -306,3 +313,49 @@ def test_free_and_module_complexes_have_equal_defects(comp):
             if i in comp.diffs else space
         image = gf.rank(comp.diffs[i + 1].to_linear(), p) if i + 1 in comp.diffs else 0
         assert defects[i] == kerdim - image
+
+
+@pytest.mark.parametrize("rid,bound", [("R1", 8), ("R2", 8), ("R3", 8), ("R4", 6), ("R5", 8)])
+def test_components_equal_dense_path_on_every_resolution_step(rid, bound):
+    # with the cutover at 0, every kernel and rank of every resolution step
+    # and every dualized step goes through the support's components; each
+    # equals the dense path's, bit for bit.  Fresh rings keep results other
+    # tests cached out of it.  R4 stops at 6: the form of d_8 of k is over
+    # the budget, and the dense reference for d_7 alone takes seconds
+    for q in (2, 5):
+        alg = build_ring(catalog_spec(rid, q))
+        mods = [simple_module(alg)] + [m for name, m in sample_modules(
+            alg, count=4, max_dim=5, seed=808) if name != "k"]
+        diffs = []
+        with mock.patch.object(gf, "BLOCK_CELLS", 0):
+            for mod in mods:
+                res = resolution_of(mod)
+                for i in range(1, bound + 1):
+                    res.dual_rank(i)
+                    diffs += [(lam, lam.kernel_rows(), lam.linear_rank())
+                              for lam in (res.diff(i), res.diff(i).transpose())]
+        assert len(diffs) == 2 * bound * len(mods)
+        for lam, (rows, lead), got_rank in diffs:
+            lin = lam.to_linear()
+            want_rows, want_lead = gf.kernel_rows(lin, q)
+            assert lead == want_lead
+            assert rows.dtype == np.int64 and rows.shape == want_rows.shape
+            assert (rows == want_rows).all()
+            assert got_rank == gf.rank(lin, q)
+
+
+def test_deep_resolution_builds_no_large_linear_form():
+    # k over R1q5 to step 10 and its dual ranks: no differential or
+    # transpose above the cutover holds a linear form
+    alg = build_ring(catalog_spec("R1", 5))
+    res = resolution_of(simple_module(alg))
+    assert res.betti_numbers(10)[-1] == 1024
+    for i in range(1, 10):
+        res.dual_rank(i)
+    checked = 0
+    for d in res.diffs:
+        for lam in (d, d.transpose()):
+            if lam.rows * lam.cols * alg.dim ** 2 > gf.BLOCK_CELLS:
+                assert LambdaMatrix.to_linear.__qualname__ not in lam._cache
+                checked += 1
+    assert checked == 8

@@ -12,7 +12,10 @@ from redhom.modules import simple_module
 from redhom.gf import (
     ShapeMismatchError,
     batch_rank,
+    batch_rref,
     check_modulus,
+    component_kernel_rows,
+    component_rank,
     echelon_pivots,
     is_prime,
     kernel,
@@ -262,8 +265,7 @@ def test_kernel_rows_edge_shapes(p):
     assert kernel_rows(np.eye(4, dtype=np.int64), p)[0].shape == (0, 4)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 2147483647])
-def test_batch_rank_matches_rank(p):
+def _sample_stacks(p: int) -> list[np.ndarray]:
     rng = np.random.default_rng(p % 1000)
     stacks = [rng.integers(0, p, size=shape, dtype=np.int64)
               for shape in [(40, 4, 4), (30, 3, 7), (30, 7, 3), (12, 9, 9)]]
@@ -277,15 +279,62 @@ def test_batch_rank_matches_rank(p):
     stacks.append(np.concatenate([base, base, np.zeros_like(base)], axis=1))
     stacks += [np.zeros(shape, dtype=np.int64)
                for shape in [(5, 0, 4), (5, 4, 0), (0, 3, 3), (0, 0, 0)]]
-    for stack in stacks:
+    return stacks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2147483647])
+def test_batch_rank_matches_rank(p):
+    for stack in _sample_stacks(p):
         got = batch_rank(stack, p)
         assert got.shape == (stack.shape[0],)
         assert got.tolist() == [rank(x, p) for x in stack]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 46349, 2147483647])
+def test_batch_rref_matches_rref(p):
+    # matrix by matrix, and on unreduced entries (a negative copy of each stack)
+    for stack in _sample_stacks(p):
+        for given in (stack, stack - p * (stack % 3)):
+            red, pivots = batch_rref(given, p)
+            assert red.dtype == np.int64 and red.shape == stack.shape
+            assert pivots.shape == (stack.shape[0], stack.shape[2])
+            for x, got, mask in zip(stack, red, pivots):
+                want, want_pivots = rref(x, p)
+                assert (got == want).all()
+                assert tuple(np.flatnonzero(mask).tolist()) == want_pivots
+
+
 def test_batch_rank_rejects_non_stack():
     with pytest.raises(ShapeMismatchError):
         batch_rank(np.eye(3, dtype=np.int64), 5)
+    with pytest.raises(ShapeMismatchError):
+        batch_rref(np.eye(3, dtype=np.int64), 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(0, 2**32))
+def test_components_match_dense_on_permuted_blocks(p, seed):
+    # a block-diagonal matrix with its rows and columns permuted, zero rows
+    # and columns among them, as nonzero cells: kernel rows, pivots and rank
+    # equal the dense path's, bit for bit
+    rng = np.random.default_rng(seed)
+    blocks = [rng.integers(0, p, tuple(rng.integers(1, 5, 2))) * (rng.random() < 0.8)
+              for _ in range(rng.integers(0, 12))]
+    height = sum(b.shape[0] for b in blocks) + int(rng.integers(0, 3))
+    width = sum(b.shape[1] for b in blocks) + int(rng.integers(0, 3))
+    a = np.zeros((height, width), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        a[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    a = a[rng.permutation(height)][:, rng.permutation(width)]
+    rows, cols = np.nonzero(a)
+    got_rows, got_lead = component_kernel_rows(rows, cols, a[rows, cols], width, p)
+    want_rows, want_lead = kernel_rows(a, p)
+    assert got_lead == want_lead
+    assert got_rows.dtype == np.int64 and got_rows.shape == want_rows.shape
+    assert (got_rows == want_rows).all()
+    assert component_rank(rows, cols, a[rows, cols], p) == rank(a, p)
 
 
 def eliminations(a: np.ndarray, p: int) -> list:

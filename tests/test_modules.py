@@ -1,7 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redhom import gf, modules
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
@@ -595,3 +597,94 @@ def test_transpose_linear_form_by_blocks_equals_product_form(R1, R4, monkeypatch
             assert not got.flags.writeable and got.dtype == np.int64
             assert (lam.to_linear() == want).all()
             assert (lam.transpose().to_linear() == want_t).all()
+
+
+def _cancelling_ring(q):
+    # x*x = x*y = y*y = w, so L(x - y) is zero on the columns of x and y:
+    # the products inside an entry's block cancel
+    return build_from_structure_constants(RingSpec(
+        "structure_constants", q, labels=["1", "x", "y", "w"],
+        products={"x,x": "w", "x,y": "w", "y,y": "w"}, gens=["x", "y"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("cancel", 2), ("cancel", 5), ("R4", 5)]), st.integers(0, 2**32))
+def test_lambda_matrix_components_match_dense_path(ring, seed):
+    # a permuted block-diagonal matrix over the algebra with zero rows and
+    # columns; entries are random, x - y (cancelling products) or zero.  The
+    # component path (cutover 0) gives the dense path's kernel rows, pivots
+    # and rank, bit for bit, for the matrix and for its transpose
+    rid, q = ring
+    alg = _cancelling_ring(q) if rid == "cancel" else catalog_ring(rid, q)
+    D = alg.dim
+    rng = np.random.default_rng(seed)
+    x_minus_y = np.zeros(D, dtype=np.int64)
+    x_minus_y[1:3] = 1, q - 1
+    shapes = [tuple(rng.integers(1, 4, 2)) for _ in range(rng.integers(0, 6))]
+    height = sum(s[0] for s in shapes) + int(rng.integers(0, 3))
+    width = sum(s[1] for s in shapes) + int(rng.integers(0, 3))
+    entries = np.zeros((height, width, D), dtype=np.int64)
+    r = c = 0
+    for h, w in shapes:
+        block = rng.integers(0, q, (h, w, D))
+        kind = rng.integers(0, 3, (h, w))
+        block[kind == 1] = x_minus_y
+        block[kind == 2] = 0
+        entries[r:r + h, c:c + w] = block
+        r, c = r + h, c + w
+    entries = entries[rng.permutation(height)][:, rng.permutation(width)]
+    for lam in (LambdaMatrix(alg, entries), LambdaMatrix(alg, entries.transpose(1, 0, 2))):
+        lin = lam.to_linear()
+        with mock.patch.object(gf, "BLOCK_CELLS", 0):
+            rows, lead = lam.kernel_rows()
+            got_rank = lam.linear_rank()
+        want_rows, want_lead = gf.kernel_rows(lin, q)
+        assert lead == want_lead
+        assert rows.dtype == np.int64 and rows.shape == want_rows.shape
+        assert (rows == want_rows).all()
+        assert got_rank == gf.rank(lin, q)
+
+
+@pytest.mark.parametrize("p,h,samples", [(2, 5, 32), (5, 7, 128), (5, 1, 9),
+                                         (3, 32, 4), (46337, 9, 7)])
+def test_one_draw_of_all_samples_equals_sequential_draws(p, h, samples):
+    # is_isomorphic draws its random candidates at once; the coefficients
+    # are the ones drawn one sample at a time from the same seed
+    rng = np.random.default_rng(0)
+    sequential = [rng.integers(0, p, size=h, dtype=np.int64) for _ in range(samples)]
+    batched = np.random.default_rng(0).integers(0, p, size=(samples, h), dtype=np.int64)
+    assert (batched == np.array(sequential).reshape(samples, h)).all()
+
+
+def _sequential_random_scan(m, n, samples, seed):
+    """Reference for the random branch: one draw, lincomb and rank per sample."""
+    p = m.algebra.p
+    basis = hom_space(m, n).basis
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        cand = gf.lincomb(rng.integers(0, p, size=basis.shape[0], dtype=np.int64), basis, p)
+        if gf.rank(cand, p) == m.dim:
+            return "yes", cand
+    return "unknown", None
+
+
+@pytest.mark.parametrize("chunk_entries", [None, 16])
+def test_is_isomorphic_random_equals_sequential_scan(monkeypatch, chunk_entries):
+    if chunk_entries is not None:
+        # one 4 x 4 candidate per chunk, so witnesses sit past chunk boundaries
+        monkeypatch.setattr(modules, "_ISO_CHUNK_ENTRIES", chunk_entries)
+    k = simple_module(catalog_ring("R1", 2))
+    pairs = [(direct_sum([k] * 4), direct_sum([k] * 4)), _non_isomorphic_cyclic_pair()]
+    kinds = set()
+    for m, n in pairs:
+        for seed in range(4):
+            verdict = is_isomorphic(m, n, exhaust_cap=1, samples=24, seed=seed)
+            kind, witness = _sequential_random_scan(m, n, 24, seed)
+            assert (verdict.kind, verdict.method) == (kind, "random")
+            if witness is None:
+                assert verdict.witness is None
+                assert verdict.certificate.endswith("24 random samples found no isomorphism")
+            else:
+                assert (verdict.witness.mat == witness).all()
+            kinds.add(kind)
+    assert kinds == {"yes", "unknown"}

@@ -20,6 +20,24 @@ def test_no_assert_statements_in_package():
     assert not found, f"plain assert statements: {found}"
 
 
+def test_package_imports_only_numpy_and_the_standard_library():
+    # scipy may be installed beside numpy, but it is not a dependency
+    import sys
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert not found, f"imports outside numpy and the standard library: {found}"
+
+
 def _cache_uses(tree):
     """(enclosing qualname, lineno, kind) of each membership test against an
     object's `_cache` and of each item written into one."""

@@ -113,10 +113,11 @@ def test_pushforward_flags_non_torsionfree(R1):
 
 
 def _count_kernels(monkeypatch):
-    # every kernel elimination: column bases (gf.kernel) and row bases
-    # (gf.kernel_rows)
+    # every kernel elimination: column bases (gf.kernel), row bases
+    # (gf.kernel_rows) and, above the cutover, row bases by support
+    # components (gf.component_kernel_rows)
     calls = []
-    for name in ("kernel", "kernel_rows"):
+    for name in ("kernel", "kernel_rows", "component_kernel_rows"):
         def counted(*args, _original=getattr(gf, name)):
             calls.append(args)
             return _original(*args)
