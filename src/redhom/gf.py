@@ -47,6 +47,19 @@ unique, so the rows and pivots are kernel_rows', entry for entry.
 Within a component the rows are read off batch_rref of the reversed
 block as kernel_rows reads them off rref.
 
+`component_pivots` (and `component_rank`, its length) returns the
+union of the components' pivot columns, each block's read off one
+batched forward elimination (`batch_pivots`); `modules` uses it for the
+radical's leading columns in large resolution steps.  Why that equals
+echelon_pivots of the dense matrix: with V_c as in the next paragraph,
+the components' row spaces V_i lie in disjoint sets of columns and V
+is their direct sum, so a vector of V vanishes before c exactly when
+each of its parts does, and V_c = (+) (V_i)_c.  (V_i)_c drops at c only
+when c is a column of component i, because V_i is zero on every other
+column.  So dim V_c drops at c exactly when it drops in c's component,
+i.e. when c leads in the block of that component, whose rows and
+columns keep their order.
+
 `echelon_pivots` (and `rank`, its length) runs forward elimination
 only, yet returns exactly the pivot columns of the rref.  Why: let V be
 the row space and V_c the vectors of V that vanish on every column
@@ -372,21 +385,25 @@ def rank(arr: np.ndarray, p: int) -> int:
     return len(echelon_pivots(arr, p))
 
 
-def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a 3-d stack of matrices, one forward elimination for all.
+def batch_pivots(stack: np.ndarray, p: int) -> np.ndarray:
+    """Pivot columns of every matrix of a 3-d stack, one forward elimination for all.
 
-    One Python step per column.  Each matrix picks its own pivot: the
-    first unused row with a nonzero entry in the column.  The other
-    unused rows are cleared by the fraction-free update
-    row <- pivot * row - entry * pivot_row, an invertible row operation,
-    so no inverses are needed.  Entries stay below p < 2^31, so each
-    product stays below 2^62 and int64 is exact.
+    Returns a boolean (batch, cols) mask; row g marks
+    echelon_pivots(stack[g], p).  One Python step per column.  Each
+    matrix picks its own pivot: the first unused row with a nonzero
+    entry in the column.  The other unused rows are cleared by the
+    fraction-free update row <- pivot * row - entry * pivot_row, an
+    invertible row operation, so no inverses are needed, and the used
+    rows form an echelon form leading at the marked columns.  Entries
+    stay below p < 2^31, so each product stays below 2^62 and int64 is
+    exact.
     """
     a = np.array(stack, dtype=np.int64) % p
     if a.ndim != 3:
-        raise ShapeMismatchError(f"batch_rank needs a 3-d stack, got shape {a.shape}")
+        raise ShapeMismatchError(f"batch_pivots needs a 3-d stack, got shape {a.shape}")
     batch, rows, cols = a.shape
     used = np.zeros((batch, rows), dtype=bool)
+    pivots = np.zeros((batch, cols), dtype=bool)
     every = np.arange(batch)
     for c in range(cols):
         col = a[:, :, c]
@@ -402,7 +419,13 @@ def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
             a[bi, ri, c:] = (pivot_rows[bi, :1] * a[bi, ri, c:]
                              - col[bi, ri, None] * pivot_rows[bi]) % p
         used[every[has], pick[has]] = True
-    return used.sum(axis=1)
+        pivots[:, c] = has
+    return pivots
+
+
+def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a 3-d stack of matrices: the row sums of batch_pivots."""
+    return batch_pivots(stack, p).sum(axis=1)
 
 
 def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -550,13 +573,21 @@ def _component_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         yield stack, block_cols
 
 
-def component_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
-    """rank of the matrix with these nonzero cells: the sum of its components' ranks.
+def component_pivots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                     p: int) -> tuple[int, ...]:
+    """echelon_pivots of the matrix with these nonzero cells.
 
-    Each shape's blocks are ranked by one batch_rank.
+    The union of its components' pivot columns (see the module
+    docstring); each shape's blocks go through one batch_pivots.
     """
-    return sum(int(batch_rank(stack, p).sum())
-               for stack, _ in _component_blocks(rows, cols, vals))
+    found = [block_cols[batch_pivots(stack, p)]
+             for stack, block_cols in _component_blocks(rows, cols, vals)]
+    return tuple(np.sort(np.concatenate(found)).tolist()) if found else ()
+
+
+def component_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int) -> int:
+    """rank of the matrix with these nonzero cells: len(component_pivots)."""
+    return len(component_pivots(rows, cols, vals, p))
 
 
 def component_kernel_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

@@ -393,13 +393,27 @@ class LambdaMatrix:
     for bit (see gf); such a form is built only for a caller that needs
     it densely.  Either way a form over LINEAR_FORM_BUDGET_BYTES is
     refused.
+
+    `entries` is read-only.  It is the caller's array itself, not a
+    copy, when that array is int64, the array that owns its memory is
+    read-only and every entry lies in [0, p) (one min and max check);
+    this is how a differential shares the cached kernel rows it was cut
+    from, and a transpose its matrix's entries.  Such memory must never
+    be written through another reference.  Any other input is reduced
+    mod p into a copy.
     """
 
     __slots__ = ("algebra", "entries", "_cache")
 
     def __init__(self, algebra: AlgebraRep, entries):
         self.algebra = algebra
-        e = np.asarray(entries, dtype=np.int64) % algebra.p
+        e = np.asarray(entries, dtype=np.int64)
+        owner = e
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if (owner.base is not None or owner.flags.writeable or not e.size
+                or e.min() < 0 or e.max() >= algebra.p):
+            e = e % algebra.p
         if e.ndim != 3 or e.shape[2] != algebra.dim:
             raise ModuleError(f"lambda matrix entries must be (rows, cols, {algebra.dim})"
                               f", got {e.shape}")
@@ -478,8 +492,11 @@ class LambdaMatrix:
         """Canonical row basis of the linear form's kernel, with pivots."""
         p = self.algebra.p
         if self._linear_cells() > gf.BLOCK_CELLS:
-            return gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
-        return gf.kernel_rows(self.to_linear(), p)
+            rows, lead = gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
+        else:
+            rows, lead = gf.kernel_rows(self.to_linear(), p)
+        rows.flags.writeable = False    # the next differential may share it
+        return rows, lead
 
     @cached
     def linear_rank(self) -> int:
@@ -514,6 +531,52 @@ def lambda_from_linear(algebra: AlgebraRep, mat: np.ndarray,
     return lam
 
 
+def _radical_pivots(algebra: AlgebraRep, rows: np.ndarray,
+                    pivots: tuple[int, ...]) -> tuple[int, ...]:
+    """The leading columns of the span of every x_j * row, in the rows' coordinates.
+
+    Pivot column t*D + d of x_j * row is sum_e gen_L(j)[d, e] * row[t*D + e]:
+    gather entry e of block t for every nonzero weight and sum each
+    (j, pivot)'s gathered columns (most have one: a monomial basis), a
+    block of rows at a time.  Row r*n + j of the image matrix is x_j * row r
+    at the pivots (the order of the rows does not change their span's
+    pivots).  At most gf.BLOCK_CELLS cells it is filled densely and
+    eliminated by gf.echelon_pivots; above, only its nonzero cells are
+    kept and gf.component_pivots eliminates its support's components.
+    """
+    s, n, D, p = rows.shape[0], algebra.num_gens, algebra.dim, algebra.p
+    if not (s and n):
+        return ()
+    block, entry = np.divmod(np.asarray(pivots), D)
+    weights = algebra.gen_L_stack()[:, entry]
+    gen, at, e = np.nonzero(weights)
+    if not gen.size:
+        return ()
+    key = gen * s + at      # ascending, shared by the terms of one sum
+    first = np.flatnonzero(np.concatenate(([1], np.diff(key))))
+    sums = key[first]       # column j*s + pivot of row r of the images
+    cols, w = block[at] * D + e, weights[gen, at, e]
+    dense = s * n * s <= gf.BLOCK_CELLS
+    if dense:
+        imgs = np.zeros((s, n * s), dtype=np.int64)
+    cells = [np.zeros((3, 0), dtype=np.int64)]     # (row, column, value)
+    step = max(1, gf.BLOCK_CELLS // gen.size)
+    for lo in range(0, s, step):
+        terms = rows[lo:lo + step, cols] * w
+        terms %= p
+        if first.size < key.size:
+            terms = np.add.reduceat(terms, first, axis=1) % p
+        if dense:
+            imgs[lo:lo + step, sums] = terms
+        else:
+            i, k = np.nonzero(terms)
+            j, c = np.divmod(sums[k], s)
+            cells.append(np.stack([(lo + i) * n + j, c, terms[i, k]]))
+    if dense:
+        return gf.echelon_pivots(imgs.reshape(s * n, s), p)
+    return gf.component_pivots(*np.concatenate(cells, axis=1), p)
+
+
 def minimal_generators(algebra: AlgebraRep, rank: int, rows: np.ndarray,
                        pivots: tuple[int, ...]) -> LambdaMatrix:
     """Map onto the submodule of Lambda^rank spanned by the rows, minimally.
@@ -522,37 +585,20 @@ def minimal_generators(algebra: AlgebraRep, rank: int, rows: np.ndarray,
     except those whose pivot coordinate leads a row of the radical: the
     images x_j * row lie in the row space, so their pivot coordinates
     are their coordinates in the rows, and the radical's leading columns
-    come from forward elimination on those coordinates alone.  This is
+    come from forward elimination on those coordinates alone.  Above
+    gf.BLOCK_CELLS image cells (s * n * s for s rows and n generators)
+    that elimination runs on the support components of the images and
+    no dense image array is built.  When no row is radical the rows
+    themselves become the entries, so read-only kernel rows are shared
+    with the new differential, not copied (see LambdaMatrix).  This is
     the next differential of a resolution, and the relations of a
     minimal presentation.
     """
-    s, n, D, p = rows.shape[0], algebra.num_gens, algebra.dim, algebra.p
-    keep = list(range(s))
-    if s and n:
-        # pivot column t*D + d of x_j * row is sum_e gen_L(j)[d, e] * row[t*D + e]:
-        # gather entry e of block t for every nonzero weight and sum each
-        # (j, pivot)'s gathered columns (most have one: a monomial basis), a
-        # block of rows at a time.  Row r*n + j of imgs is x_j * row r at the
-        # pivots (the order of the rows does not change their span's pivots)
-        block, entry = np.divmod(np.asarray(pivots), D)
-        weights = algebra.gen_L_stack()[:, entry]
-        gen, at, e = np.nonzero(weights)
-        imgs = np.zeros((s, n * s), dtype=np.int64)
-        if gen.size:
-            key = gen * s + at      # ascending, shared by the terms of one sum
-            first = np.flatnonzero(np.concatenate(([1], np.diff(key))))
-            cols, w = block[at] * D + e, weights[gen, at, e]
-            step = max(1, gf.BLOCK_CELLS // gen.size)
-            for lo in range(0, s, step):
-                terms = rows[lo:lo + step, cols] * w
-                terms %= p
-                if first.size < key.size:
-                    terms = np.add.reduceat(terms, first, axis=1) % p
-                imgs[lo:lo + step, key[first]] = terms
-        rad_set = set(gf.echelon_pivots(imgs.reshape(s * n, s), p))
-        keep = [c for c in range(s) if c not in rad_set]
+    s, D = rows.shape[0], algebra.dim
+    rad = set(_radical_pivots(algebra, rows, pivots))
+    kept = rows[[c for c in range(s) if c not in rad]] if rad else rows
     # entry (r, t) of the map is block r of the t-th kept row
-    lam = LambdaMatrix(algebra, rows[keep].reshape(len(keep), rank, D).transpose(1, 0, 2))
+    lam = LambdaMatrix(algebra, kept.reshape(kept.shape[0], rank, D).transpose(1, 0, 2))
     if not lam.in_radical():
         raise AssertionError("differential entries must lie in the radical")
     return lam

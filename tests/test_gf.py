@@ -11,10 +11,12 @@ from redhom.complexes import resolution_of
 from redhom.modules import simple_module
 from redhom.gf import (
     ShapeMismatchError,
+    batch_pivots,
     batch_rank,
     batch_rref,
     check_modulus,
     component_kernel_rows,
+    component_pivots,
     component_rank,
     echelon_pivots,
     is_prime,
@@ -304,20 +306,29 @@ def test_batch_rref_matches_rref(p):
                 assert tuple(np.flatnonzero(mask).tolist()) == want_pivots
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2147483647])
+def test_batch_pivots_match_echelon_pivots(p):
+    # matrix by matrix, and on unreduced entries (a negative copy of each stack)
+    for stack in _sample_stacks(p):
+        for given in (stack, stack - p * (stack % 3)):
+            mask = batch_pivots(given, p)
+            assert mask.dtype == bool and mask.shape == (stack.shape[0], stack.shape[2])
+            for x, row in zip(stack, mask):
+                assert tuple(np.flatnonzero(row).tolist()) == echelon_pivots(x, p)
+
+
 def test_batch_rank_rejects_non_stack():
     with pytest.raises(ShapeMismatchError):
         batch_rank(np.eye(3, dtype=np.int64), 5)
     with pytest.raises(ShapeMismatchError):
+        batch_pivots(np.eye(3, dtype=np.int64), 5)
+    with pytest.raises(ShapeMismatchError):
         batch_rref(np.eye(3, dtype=np.int64), 5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(0, 2**32))
-def test_components_match_dense_on_permuted_blocks(p, seed):
-    # a block-diagonal matrix with its rows and columns permuted, zero rows
-    # and columns among them, as nonzero cells: kernel rows, pivots and rank
-    # equal the dense path's, bit for bit
-    rng = np.random.default_rng(seed)
+def _permuted_blocks(rng, p: int) -> np.ndarray:
+    """A block-diagonal matrix with its rows and columns permuted; some
+    blocks are zero and a few zero rows and columns are added."""
     blocks = [rng.integers(0, p, tuple(rng.integers(1, 5, 2))) * (rng.random() < 0.8)
               for _ in range(rng.integers(0, 12))]
     height = sum(b.shape[0] for b in blocks) + int(rng.integers(0, 3))
@@ -327,7 +338,16 @@ def test_components_match_dense_on_permuted_blocks(p, seed):
     for b in blocks:
         a[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
-    a = a[rng.permutation(height)][:, rng.permutation(width)]
+    return a[rng.permutation(height)][:, rng.permutation(width)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(0, 2**32))
+def test_components_match_dense_on_permuted_blocks(p, seed):
+    # the matrix as nonzero cells: kernel rows, pivots and rank equal the
+    # dense path's, bit for bit
+    a = _permuted_blocks(np.random.default_rng(seed), p)
+    width = a.shape[1]
     rows, cols = np.nonzero(a)
     got_rows, got_lead = component_kernel_rows(rows, cols, a[rows, cols], width, p)
     want_rows, want_lead = kernel_rows(a, p)
@@ -335,6 +355,18 @@ def test_components_match_dense_on_permuted_blocks(p, seed):
     assert got_rows.dtype == np.int64 and got_rows.shape == want_rows.shape
     assert (got_rows == want_rows).all()
     assert component_rank(rows, cols, a[rows, cols], p) == rank(a, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 5]), st.integers(0, 2**32))
+def test_component_pivots_equal_echelon_pivots(p, seed):
+    # the union of the components' pivot columns is the dense matrix's
+    # echelon_pivots, also with zero rows and columns or no cell at all
+    a = _permuted_blocks(np.random.default_rng(seed), p)
+    rows, cols = np.nonzero(a)
+    assert component_pivots(rows, cols, a[rows, cols], p) == echelon_pivots(a, p)
+    none = np.zeros(0, dtype=np.int64)
+    assert component_pivots(none, none, none, p) == ()
 
 
 def eliminations(a: np.ndarray, p: int) -> list:

@@ -404,6 +404,31 @@ def test_transpose_is_cached_and_involutive(R1):
     assert (dual.entries == lam.entries.transpose(1, 0, 2) % R1.p).all()
 
 
+def test_lambda_matrix_shares_only_read_only_reduced_input(R1):
+    want = np.arange(12).reshape(2, 2, 3) % R1.p
+    # a writable input is copied: writing to it later leaves the entries
+    given = np.arange(12).reshape(2, 2, 3)
+    lam = LambdaMatrix(R1, given)
+    given[:] = 0
+    assert (lam.entries == want).all() and not np.shares_memory(lam.entries, given)
+    # a read-only input with entries out of [0, p) is reduced into a copy
+    loud = np.arange(-6, 6).reshape(2, 2, 3)
+    loud.flags.writeable = False
+    lam = LambdaMatrix(R1, loud)
+    assert (lam.entries == loud % R1.p).all() and not np.shares_memory(lam.entries, loud)
+    # a read-only view of a writable array is copied too
+    owner = want.copy()
+    view = owner[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(LambdaMatrix(R1, view).entries, owner)
+    # read-only and reduced: kept as it is, and the transpose is a view of it
+    fixed = want.copy()
+    fixed.flags.writeable = False
+    lam = LambdaMatrix(R1, fixed)
+    assert lam.entries is fixed and np.shares_memory(lam.transpose().entries, fixed)
+    assert (lam.transpose().entries == want.transpose(1, 0, 2)).all()
+
+
 def test_hom_functoriality_random(R3):
     k = simple_module(R3)
     F = free_module(R3, 1)
