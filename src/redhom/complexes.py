@@ -222,8 +222,8 @@ class MinimalResolution:
             raise LinearFormBudgetError(
                 f"resolution step {i}: {err}; Betti numbers so far {self.betti}") from None
 
-    def _kernel(self, i: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Row basis of ker d_i (i >= 1); the (i+1)-st syzygy."""
+    def _kernel(self, i: int) -> tuple[gf.Cells, tuple[int, ...]]:
+        """Row basis of ker d_i (i >= 1) as its cells; the (i+1)-st syzygy."""
         self.extend(i)
         rows, piv = self._at_step(i, self.diffs[i - 1].kernel_rows)
         check_minimal_kernel(rows, self.algebra.dim)
@@ -267,7 +267,7 @@ class MinimalResolution:
             return projective_cover_and_syzygy(self.module).syzygy if n else self.module
         rows, piv = self._kernel(n - 1)
         ambient = free_module(self.algebra, self.betti[n - 1])
-        return submodule_from_rows(ambient, rows, piv)[0]
+        return submodule_from_rows(ambient, np.asarray(rows), piv)[0]
 
     def free_complex(self, upto: int) -> FreeComplex:
         self.extend(upto)
@@ -331,11 +331,11 @@ def _delta_rank_general(res: MinimalResolution, i: int, target: ModuleRep) -> in
     dn = target.dim
     if d.rows == 0 or d.cols == 0 or dn == 0:
         return 0
-    rho = target.rho()
-    flat = gf.mat_mul(d.entries.reshape(-1, A.dim), rho.reshape(A.dim, dn * dn), A.p)
-    blocks = flat.reshape(d.rows, d.cols, dn, dn)
-    delta = blocks.transpose(1, 2, 0, 3).reshape(d.cols * dn, d.rows * dn)
-    return gf.rank(delta, A.p)
+    # block (t, s) of the induced map is rho(entry (s, t)), zero for a zero entry
+    blocks = gf.mat_mul(d.nonzero.vals, target.rho().reshape(A.dim, dn * dn), A.p)
+    delta = np.zeros((d.cols, dn, d.rows, dn), dtype=np.int64)
+    delta[d.nonzero.cols, :, d.nonzero.rows, :] = blocks.reshape(-1, dn, dn)
+    return gf.rank(delta.reshape(d.cols * dn, d.rows * dn), A.p)
 
 
 def ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> ExtTable:

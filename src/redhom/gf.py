@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p), dense and by nonzero cells.
 
 Every higher layer (algebras, modules, resolutions, searches) reduces to
 the primitives here: modular matrix products, reduced row echelon forms,
@@ -12,10 +12,11 @@ Conventions fixed once and used everywhere:
 * echelon pivoting takes the first nonzero row, free variables are
   enumerated in increasing column order and set to zero in particular
   solutions;
-* matrices are plain int64 arrays with entries in [0, p); the modulus
-  comes from the algebra and is passed to each function here, and
-  `check_modulus` validates it where a ring is built.  There is no
-  matrix class (`Matrix` is an empty placeholder, see its docstring).
+* matrices are plain int64 arrays with entries in [0, p), or their
+  nonzero cells (`Cells`); the modulus comes from the algebra and is
+  passed to each function here, and `check_modulus` validates it where
+  a ring is built.  There is no matrix class (`Matrix` is an empty
+  placeholder, see its docstring).
 
 `kernel_rows` returns the canonical rref row basis of the kernel from a
 single elimination of the column-reversed matrix; `kernel` is read off
@@ -29,16 +30,19 @@ therefore in reduced echelon form with leading columns f, and since the
 rref of a row space is unique they are its canonical basis, entry for
 entry.
 
-`component_kernel_rows` and `component_rank` take a matrix as its
-nonzero cells and never form it densely.  They split its support, the
-bipartite graph of rows and columns joined by the cells, into connected
-components, and eliminate the components' blocks batched by shape.
-`LambdaMatrix` uses them for linear forms of more than BLOCK_CELLS
-cells; every other caller, and every test reference, has the dense
-`kernel_rows` and `rank`.  Why that is exact: components have disjoint
-rows and disjoint columns, so the kernel is the direct sum of the
-components' kernels and of one unit vector per column without a cell,
-and the rank is the sum of the components' ranks.  The rref basis of a
+`Cells` holds a matrix as its nonzero cells in row-major order:
+`modules.LambdaMatrix` keeps its entries so, and the kernel rows of its
+linear forms are handed on so.  `component_kernel_rows` and
+`component_rank` take a matrix as its nonzero cells and never form it
+densely, and the kernel rows come back as a `Cells`.  They split its
+support, the bipartite graph of rows and columns joined by the cells,
+into connected components, and eliminate the components' blocks
+batched by shape.  `LambdaMatrix` uses them for linear forms of more
+than BLOCK_CELLS cells; every other caller, and every test reference,
+has the dense `kernel_rows` and `rank`.  Why that is exact: components
+have disjoint rows and disjoint columns, so the kernel is the direct sum
+of the components' kernels and of one unit vector per column without a
+cell, and the rank is the sum of the components' ranks.  The rref basis of a
 component's kernel, placed in its columns, is zero on every other
 column; so the union of these bases and unit vectors, sorted by leading
 column, has distinct leading 1s with zeros above and below each of
@@ -516,6 +520,39 @@ def batch_rref(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return a.astype(np.int64), pivots
 
 
+class Cells:
+    """A matrix held as its nonzero cells in row-major order, read-only.
+
+    vals[k] sits at (rows[k], cols[k]) and every other cell is zero.  Of a
+    3-d matrix of the given shape only the nonzero vectors along the last
+    axis are kept, so vals is then (nnz, shape[2]).  np.asarray(cells)
+    builds the dense int64 matrix, a fresh array each time.
+    """
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape):
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.shape = tuple(shape)
+
+    @classmethod
+    def of(cls, arr: np.ndarray) -> "Cells":
+        """The nonzero cells of a dense 2-d or 3-d int64 array, copied."""
+        rows, cols = np.nonzero(arr.any(axis=2) if arr.ndim == 3 else arr)
+        return cls(rows, cols, arr[rows, cols], arr.shape)
+
+    @property
+    def dtype(self):
+        return self.vals.dtype
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
+        return out if dtype is None else out.astype(dtype)
+
+
 def _component_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     """The connected components of a support, as dense blocks stacked by shape.
 
@@ -591,13 +628,13 @@ def component_rank(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: int)
 
 
 def component_kernel_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                          width: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+                          width: int, p: int) -> tuple[Cells, tuple[int, ...]]:
     """kernel_rows of the matrix of `width` columns with these nonzero cells.
 
-    Equal to kernel_rows of the dense matrix, bit for bit (see the module
-    docstring).  Each shape's blocks are eliminated by one batch_rref of
-    the column-reversed blocks; a column with no cell gives a unit row.
-    The rows are assembled by one scatter.
+    Equal to kernel_rows of the dense matrix, bit for bit once densified
+    (see the module docstring), and returned as its cells.  Each shape's
+    blocks are eliminated by one batch_rref of the column-reversed
+    blocks; a column with no cell gives a unit row.
     """
     celled = np.zeros(width, dtype=bool)
     celled[cols] = True
@@ -615,12 +652,11 @@ def component_kernel_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         to.append(rev_cols[g, pivot[g, i]])
         val.append(p - red[g, i, f])
     lead = np.sort(np.concatenate(leads))
-    at = np.concatenate([lead] + at)
+    row = np.searchsorted(lead, np.concatenate([lead] + at))
     to = np.concatenate([lead] + to)
     val = np.concatenate([np.ones(lead.size, dtype=np.int64)] + val)
-    out = np.zeros((lead.size, width), dtype=np.int64)
-    out[np.searchsorted(lead, at), to] = val
-    return out, tuple(lead.tolist())
+    order = np.lexsort((to, row))
+    return Cells(row[order], to[order], val[order], (lead.size, width)), tuple(lead.tolist())
 
 
 def solve(arr: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -357,10 +357,10 @@ def minimal_generator_coords(mod: ModuleRep) -> tuple[int, ...]:
     return tuple(c for c in range(mod.dim) if c not in pivots)
 
 
-def check_minimal_kernel(rows: np.ndarray, ring_dim: int) -> None:
+def check_minimal_kernel(rows: gf.Cells, ring_dim: int) -> None:
     """Refuse kernel rows of a minimal cover or differential out of Lambda^g
-    that leave m * Lambda^g, i.e. are nonzero at a unit coordinate t * dim Lambda."""
-    if rows[:, ::ring_dim].any():
+    that leave m * Lambda^g, i.e. have a cell at a unit coordinate t * dim Lambda."""
+    if (rows.cols % ring_dim == 0).any():
         raise AssertionError("kernel leaves the radical: map is not minimal")
 
 
@@ -375,7 +375,7 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     if gf.rank(phi, A.p) != mod.dim:
         raise AssertionError("projective cover must be surjective")
     rows, piv = gf.kernel_rows(phi, A.p)
-    check_minimal_kernel(rows, A.dim)
+    check_minimal_kernel(gf.Cells.of(rows), A.dim)
     syz, incl = submodule_from_rows(free, rows, piv)
     return CoverData(ModuleMap(free, mod, phi), syz, incl, piv, free)
 
@@ -387,52 +387,53 @@ class LambdaMatrix:
     entry (s, t) is the coefficient vector of the element multiplying
     the t-th source summand into the s-th target summand.
 
-    The kernel rows and rank of a linear form of more than
-    gf.BLOCK_CELLS cells are eliminated by the connected components of
-    its support, read off the entries, and equal the dense path's bit
+    The matrix is held only as its nonzero entries, `nonzero`: a gf.Cells
+    of shape (rows, cols, dim Lambda) whose positions (s, t) run in
+    row-major order and whose values lie in [0, p), all read-only.  A
+    dense input is reduced mod p and its nonzero entries copied, so the
+    caller's array is never shared; a gf.Cells input must already be
+    so and is kept as it is.  The linear form, its cells, the transpose
+    and the JSON are read off the cells; `entries`, the dense array, is
+    built on each read, for callers outside the package.
+
+    Kernel rows come back as cells.  The kernel rows and rank of a
+    linear form of more than gf.BLOCK_CELLS cells are eliminated by the
+    connected components of its support and equal the dense path's bit
     for bit (see gf); such a form is built only for a caller that needs
     it densely.  Either way a form over LINEAR_FORM_BUDGET_BYTES is
     refused.
-
-    `entries` is read-only.  It is the caller's array itself, not a
-    copy, when that array is int64, the array that owns its memory is
-    read-only and every entry lies in [0, p) (one min and max check);
-    this is how a differential shares the cached kernel rows it was cut
-    from, and a transpose its matrix's entries.  Such memory must never
-    be written through another reference.  Any other input is reduced
-    mod p into a copy.
     """
 
-    __slots__ = ("algebra", "entries", "_cache")
+    __slots__ = ("algebra", "nonzero", "_cache")
 
     def __init__(self, algebra: AlgebraRep, entries):
         self.algebra = algebra
-        e = np.asarray(entries, dtype=np.int64)
-        owner = e
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        if (owner.base is not None or owner.flags.writeable or not e.size
-                or e.min() < 0 or e.max() >= algebra.p):
-            e = e % algebra.p
-        if e.ndim != 3 or e.shape[2] != algebra.dim:
+        given = isinstance(entries, gf.Cells)
+        if not given:
+            entries = np.asarray(entries, dtype=np.int64)
+        if len(entries.shape) != 3 or entries.shape[2] != algebra.dim:
             raise ModuleError(f"lambda matrix entries must be (rows, cols, {algebra.dim})"
-                              f", got {e.shape}")
-        e.flags.writeable = False
-        self.entries = e
+                              f", got {entries.shape}")
+        self.nonzero = entries if given else gf.Cells.of(entries % algebra.p)
         self._cache = {}
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
+        return self.nonzero.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.entries.shape[1]
+        return self.nonzero.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense (rows, cols, dim Lambda) entries, built on each read."""
+        return np.asarray(self.nonzero)
 
     def _linear_cells(self) -> int:
         """r*D x c*D, the number of cells of the linear form; refuses a form
         over LINEAR_FORM_BUDGET_BYTES, whether or not it is built."""
-        r, c, D = self.entries.shape
+        r, c, D = self.nonzero.shape
         size = 8 * r * D * c * D
         if size > LINEAR_FORM_BUDGET_BYTES:
             raise LinearFormBudgetError(
@@ -441,11 +442,17 @@ class LambdaMatrix:
                 f"{LINEAR_FORM_BUDGET_BYTES // 2**20} MiB budget")
         return size // 8
 
+    def _blocks(self) -> np.ndarray:
+        """L(entry) for each nonzero entry, (nnz, D, D): block (s, t) of the form."""
+        A = self.algebra
+        D = A.dim
+        return gf.mat_mul(self.nonzero.vals, A.left_mult.reshape(D, D * D),
+                          A.p).reshape(-1, D, D)
+
     @cached
     def to_linear(self) -> np.ndarray:
         """The underlying GF(p)-matrix in summand-major coordinates."""
-        A = self.algebra
-        r, c, D = self.entries.shape
+        r, c, D = self.nonzero.shape
         self._linear_cells()
         dual = self._cache.get(LambdaMatrix.transpose.__qualname__)
         partner = None if dual is None else dual._cache.get(LambdaMatrix.to_linear.__qualname__)
@@ -454,9 +461,8 @@ class LambdaMatrix:
             # transpose's form is the partner's with its blocks swapped
             lin = partner.reshape(c, D, r, D).transpose(2, 1, 0, 3)
         else:
-            flat = gf.mat_mul(self.entries.reshape(r * c, D),
-                              A.left_mult.reshape(D, D * D), A.p)
-            lin = flat.reshape(r, c, D, D).transpose(0, 2, 1, 3)
+            lin = np.zeros((r, D, c, D), dtype=np.int64)
+            lin[self.nonzero.rows, :, self.nonzero.cols, :] = self._blocks()
         lin = np.ascontiguousarray(lin.reshape(r * D, c * D))
         lin.flags.writeable = False
         return lin
@@ -469,7 +475,10 @@ class LambdaMatrix:
         differential keeps one linear form and one rank however often
         it is dualized.
         """
-        dual = LambdaMatrix(self.algebra, self.entries.transpose(1, 0, 2))
+        nz = self.nonzero
+        order = np.lexsort((nz.rows, nz.cols))
+        dual = LambdaMatrix(self.algebra, gf.Cells(
+            nz.cols[order], nz.rows[order], nz.vals[order], (self.cols, self.rows, nz.shape[2])))
         dual._cache[LambdaMatrix.transpose.__qualname__] = self
         return dual
 
@@ -479,24 +488,19 @@ class LambdaMatrix:
         Block (s, t) of the form is L(entry (s, t)), which is zero only for
         a zero entry: one mat_mul of the nonzero entries by left_mult.
         """
-        A = self.algebra
-        D = A.dim
-        s, t = np.nonzero(self.entries.any(axis=2))
-        blocks = gf.mat_mul(self.entries[s, t], A.left_mult.reshape(D, D * D),
-                            A.p).reshape(-1, D, D)
+        D = self.algebra.dim
+        blocks = self._blocks()
         k, a, b = np.nonzero(blocks)
-        return s[k] * D + a, t[k] * D + b, blocks[k, a, b]
+        return self.nonzero.rows[k] * D + a, self.nonzero.cols[k] * D + b, blocks[k, a, b]
 
     @cached
-    def kernel_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Canonical row basis of the linear form's kernel, with pivots."""
+    def kernel_rows(self) -> tuple[gf.Cells, tuple[int, ...]]:
+        """Canonical row basis of the linear form's kernel as its cells, with pivots."""
         p = self.algebra.p
         if self._linear_cells() > gf.BLOCK_CELLS:
-            rows, lead = gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
-        else:
-            rows, lead = gf.kernel_rows(self.to_linear(), p)
-        rows.flags.writeable = False    # the next differential may share it
-        return rows, lead
+            return gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
+        rows, lead = gf.kernel_rows(self.to_linear(), p)
+        return gf.Cells.of(rows), lead
 
     @cached
     def linear_rank(self) -> int:
@@ -507,10 +511,16 @@ class LambdaMatrix:
 
     def in_radical(self) -> bool:
         """True when every entry lies in the maximal ideal."""
-        return not self.entries[:, :, 0].any()
+        return not self.nonzero.vals[:, 0].any()
 
     def to_jsonable(self) -> list:
-        return self.entries.tolist()
+        """The dense entries as nested lists, filled from the nonzero ones."""
+        r, c, D = self.nonzero.shape
+        out = [[[0] * D for _ in range(c)] for _ in range(r)]
+        nz = self.nonzero
+        for s, t, v in zip(nz.rows.tolist(), nz.cols.tolist(), nz.vals.tolist()):
+            out[s][t] = v
+        return out
 
     def __repr__(self):
         return f"LambdaMatrix({self.rows}x{self.cols})"
@@ -531,74 +541,77 @@ def lambda_from_linear(algebra: AlgebraRep, mat: np.ndarray,
     return lam
 
 
-def _radical_pivots(algebra: AlgebraRep, rows: np.ndarray,
+def _radical_pivots(algebra: AlgebraRep, rows: gf.Cells,
                     pivots: tuple[int, ...]) -> tuple[int, ...]:
     """The leading columns of the span of every x_j * row, in the rows' coordinates.
 
-    Pivot column t*D + d of x_j * row is sum_e gen_L(j)[d, e] * row[t*D + e]:
-    gather entry e of block t for every nonzero weight and sum each
-    (j, pivot)'s gathered columns (most have one: a monomial basis), a
-    block of rows at a time.  Row r*n + j of the image matrix is x_j * row r
-    at the pivots (the order of the rows does not change their span's
-    pivots).  At most gf.BLOCK_CELLS cells it is filled densely and
-    eliminated by gf.echelon_pivots; above, only its nonzero cells are
-    kept and gf.component_pivots eliminates its support's components.
+    A cell v at column t*D + e of a row adds v * gen_L(j)[d, e] to column
+    t*D + d of x_j * row, and only the pivot columns are read.  Row
+    r*n + j of the image matrix is x_j * row r at the pivots (the order of
+    the rows does not change their span's pivots).  At most gf.BLOCK_CELLS
+    cells it is summed densely and eliminated by gf.echelon_pivots; above,
+    only its nonzero cells are kept and gf.component_pivots eliminates its
+    support's components.
     """
     s, n, D, p = rows.shape[0], algebra.num_gens, algebra.dim, algebra.p
-    if not (s and n):
+    if not (s and n and rows.vals.size):
         return ()
-    block, entry = np.divmod(np.asarray(pivots), D)
-    weights = algebra.gen_L_stack()[:, entry]
-    gen, at, e = np.nonzero(weights)
-    if not gen.size:
+    place = np.full(rows.shape[1], s)       # s marks a column that is no pivot
+    place[list(pivots)] = np.arange(s)
+    block, e = np.divmod(rows.cols, D)
+    # img[k, j, d]: cell k's part of x_j * row at column block*D + d
+    img = rows.vals[:, None, None] * algebra.gen_L_stack()[:, :, e].transpose(2, 0, 1) % p
+    at = place.reshape(-1, D)[block][:, None, :]
+    if s * n * s <= gf.BLOCK_CELLS:
+        imgs = np.zeros((s, n, s + 1), dtype=np.int64)
+        np.add.at(imgs, (rows.rows[:, None, None], np.arange(n)[:, None], at), img)
+        return gf.echelon_pivots(imgs[:, :, :s].reshape(s * n, s) % p, p)
+    k, j, d = np.nonzero(img * (at < s))
+    if not k.size:
         return ()
-    key = gen * s + at      # ascending, shared by the terms of one sum
-    first = np.flatnonzero(np.concatenate(([1], np.diff(key))))
-    sums = key[first]       # column j*s + pivot of row r of the images
-    cols, w = block[at] * D + e, weights[gen, at, e]
-    dense = s * n * s <= gf.BLOCK_CELLS
-    if dense:
-        imgs = np.zeros((s, n * s), dtype=np.int64)
-    cells = [np.zeros((3, 0), dtype=np.int64)]     # (row, column, value)
-    step = max(1, gf.BLOCK_CELLS // gen.size)
-    for lo in range(0, s, step):
-        terms = rows[lo:lo + step, cols] * w
-        terms %= p
-        if first.size < key.size:
-            terms = np.add.reduceat(terms, first, axis=1) % p
-        if dense:
-            imgs[lo:lo + step, sums] = terms
-        else:
-            i, k = np.nonzero(terms)
-            j, c = np.divmod(sums[k], s)
-            cells.append(np.stack([(lo + i) * n + j, c, terms[i, k]]))
-    if dense:
-        return gf.echelon_pivots(imgs.reshape(s * n, s), p)
-    return gf.component_pivots(*np.concatenate(cells, axis=1), p)
+    key = (rows.rows[k] * n + j) * s + at[k, 0, d]
+    order = np.argsort(key, kind="stable")
+    key, img = key[order], img[k, j, d][order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sums = np.add.reduceat(img, first) % p
+    nonzero = sums != 0
+    img_row, img_col = np.divmod(key[first[nonzero]], s)
+    return gf.component_pivots(img_row, img_col, sums[nonzero], p)
 
 
-def minimal_generators(algebra: AlgebraRep, rank: int, rows: np.ndarray,
+def minimal_generators(algebra: AlgebraRep, rank: int, rows: gf.Cells,
                        pivots: tuple[int, ...]) -> LambdaMatrix:
     """Map onto the submodule of Lambda^rank spanned by the rows, minimally.
 
-    The columns of the result are the rows (rref, with these pivots)
-    except those whose pivot coordinate leads a row of the radical: the
-    images x_j * row lie in the row space, so their pivot coordinates
-    are their coordinates in the rows, and the radical's leading columns
-    come from forward elimination on those coordinates alone.  Above
-    gf.BLOCK_CELLS image cells (s * n * s for s rows and n generators)
-    that elimination runs on the support components of the images and
-    no dense image array is built.  When no row is radical the rows
-    themselves become the entries, so read-only kernel rows are shared
-    with the new differential, not copied (see LambdaMatrix).  This is
+    The rows are the cells of an rref basis with these pivots.  The
+    columns of the result are the rows except those whose pivot
+    coordinate leads a row of the radical: the images x_j * row lie in
+    the row space, so their pivot coordinates are their coordinates in
+    the rows, and the radical's leading columns come from forward
+    elimination on those coordinates alone.  Above gf.BLOCK_CELLS image
+    cells (s * n * s for s rows and n generators) that elimination runs
+    on the support components of the images.  A kept row's cells at
+    columns t*D + d are coordinates d of entry (t, row) of the map; the
+    entries are the distinct places t * width + row, sorted, so they come
+    in row-major order.  No dense row or image array is built.  This is
     the next differential of a resolution, and the relations of a
     minimal presentation.
     """
     s, D = rows.shape[0], algebra.dim
-    rad = set(_radical_pivots(algebra, rows, pivots))
-    kept = rows[[c for c in range(s) if c not in rad]] if rad else rows
-    # entry (r, t) of the map is block r of the t-th kept row
-    lam = LambdaMatrix(algebra, kept.reshape(kept.shape[0], rank, D).transpose(1, 0, 2))
+    rad = _radical_pivots(algebra, rows, pivots)
+    r, c, v = rows.rows, rows.cols, rows.vals
+    if rad:
+        keep = np.ones(s, dtype=bool)
+        keep[list(rad)] = False
+        mine = keep[r]
+        r, c, v = (np.cumsum(keep) - 1)[r[mine]], c[mine], v[mine]
+    width = s - len(rad)
+    place = c // D * width + r
+    entry = np.sort(place)      # not np.unique, whose first call imports numpy.ma
+    entry = np.concatenate((entry[:1], entry[1:][entry[1:] != entry[:-1]]))
+    vals = np.zeros((entry.size, D), dtype=np.int64)
+    vals[np.searchsorted(entry, place), c % D] = v
+    lam = LambdaMatrix(algebra, gf.Cells(*np.divmod(entry, width), vals, (rank, width, D)))
     if not lam.in_radical():
         raise AssertionError("differential entries must lie in the radical")
     return lam
@@ -615,7 +628,7 @@ def minimal_presentation(mod: ModuleRep) -> Presentation:
     """Minimal free presentation P1 -> P0 -> M -> 0."""
     data = projective_cover_and_syzygy(mod)
     lam = minimal_generators(mod.algebra, data.free.free_rank,
-                             data.inclusion.mat.T, data.pivots)
+                             gf.Cells.of(data.inclusion.mat.T), data.pivots)
     return Presentation(data.cover, lam)
 
 
@@ -753,7 +766,7 @@ def has_free_summand(mod: ModuleRep) -> bool:
         return False
     dual = minimal_presentation(mod).relations.transpose()
     rows, _ = dual.kernel_rows()
-    return bool(rows[:, ::mod.algebra.dim].any())
+    return bool((rows.cols % mod.algebra.dim == 0).any())
 
 
 @cached

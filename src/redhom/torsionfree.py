@@ -204,9 +204,10 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     # F_{-j} -> F_{-(j+1)} is d_{j+2}^T, zero on the split-off free part of F_{-1}
     tail = {-j: res_t.diff(j + 2).transpose() for j in range(1, n)}
     if r and n > 1:
-        d3 = tail[-1]
-        tail[-1] = LambdaMatrix(A, np.concatenate(
-            [d3.entries, np.zeros((d3.rows, r, A.dim), dtype=np.int64)], axis=1))
+        # r zero columns appended: the cells keep their row-major order
+        d3 = tail[-1].nonzero
+        tail[-1] = LambdaMatrix(A, gf.Cells(d3.rows, d3.cols, d3.vals,
+                                            (d3.shape[0], d3.shape[1] + r, A.dim)))
     ident = "canonical quotient comparison" if core.dim else "no core (free module)"
 
     modules = {0: mod}

@@ -380,34 +380,44 @@ def test_radical_pivots_by_components_equal_the_dense_images(rid):
             assert (got.entries == want.entries).all()
 
 
-def test_kernel_rows_are_read_only_and_shared_with_the_next_differential():
-    # over R1 m^2 = 0, so no kernel row is radical: each d_{i+1} and its
-    # transpose are views of the cached (read-only) kernel rows of d_i,
-    # on both sides of the cutover
+def test_each_differential_is_built_from_the_kernel_cells_of_the_last():
+    # over R1 m^2 = 0, so no kernel row is radical: on both sides of the
+    # cutover, entry (t, r) of d_{i+1} is block t of kernel row r of d_i,
+    # read off that kernel's cells; kernel cells and entry cells are read-only
     alg = build_ring(catalog_spec("R1", 5))
     res = resolution_of(simple_module(alg)).extend(10)
-    shared = 0
+    D = alg.dim
+    sides = set()
     for i in range(1, 10):
-        rows, _ = res.diff(i).kernel_rows()
-        assert not rows.flags.writeable
+        d = res.diff(i)
+        rows, lead = d.kernel_rows()
         following = res.diff(i + 1)
-        if following.cols == rows.shape[0]:
-            assert np.shares_memory(following.entries, rows)
-            assert np.shares_memory(following.transpose().entries, rows)
-            shared += 1
-    assert shared == 9
+        for a in (rows.rows, rows.cols, rows.vals, following.nonzero.rows,
+                  following.nonzero.cols, following.nonzero.vals):
+            assert not a.flags.writeable
+        assert rows.shape == (len(lead), d.cols * D) == (following.cols, following.rows * D)
+        want = np.asarray(rows).reshape(following.cols, following.rows, D).transpose(1, 0, 2)
+        assert (following.entries == want).all()
+        places = np.unique(np.divmod(rows.cols, D)[0] * following.cols + rows.rows)
+        assert (places == following.nonzero.rows * following.cols + following.nonzero.cols).all()
+        sides.add(d.rows * d.cols * D * D > gf.BLOCK_CELLS)
+    assert sides == {False, True}
 
 
 def test_deep_resolution_stays_under_a_memory_guard():
-    # resolving k over R1q5 to step 10 keeps no dense generator-image array
-    # and no second copy of a kernel: its traced peak read 18.0 MiB, and
-    # 60.9 MiB with them.  A fresh ring keeps cached results out of it
+    # resolving k over R1q5 to step 10 keeps no dense generator-image
+    # array, kernel row or entry array: its traced peak read 0.56 MiB, and
+    # the resolution it leaves behind 0.40 MiB (18.0 and 16.3 MiB with
+    # dense kernel rows and entries).  A fresh ring keeps cached results
+    # out of it
     alg = build_ring(catalog_spec("R1", 5))
     k = simple_module(alg)
     tracemalloc.start()
     try:
-        assert resolution_of(k).betti_numbers(10)[-1] == 1024
-        peak = tracemalloc.get_traced_memory()[1]
+        res = resolution_of(k)
+        assert res.betti_numbers(10)[-1] == 1024
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert retained < 2**19, f"retained {retained / 2**20:.2f} MiB"

@@ -357,6 +357,21 @@ def test_components_match_dense_on_permuted_blocks(p, seed):
     assert component_rank(rows, cols, a[rows, cols], p) == rank(a, p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(0, 2**32))
+def test_component_kernel_cells_densify_to_kernel_rows(p, seed):
+    # the kernel comes back as its nonzero cells, read-only and in
+    # row-major order, and densified they are kernel_rows' rows
+    a = _permuted_blocks(np.random.default_rng(seed), p)
+    rows, cols = np.nonzero(a)
+    got, lead = component_kernel_rows(rows, cols, a[rows, cols], a.shape[1], p)
+    want, want_lead = kernel_rows(a, p)
+    assert lead == want_lead and got.shape == want.shape
+    assert (np.asarray(got) == want).all()
+    assert (np.stack([got.rows, got.cols]) == np.stack(np.nonzero(want))).all()
+    assert not any(x.flags.writeable for x in (got.rows, got.cols, got.vals))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 5]), st.integers(0, 2**32))
 def test_component_pivots_equal_echelon_pivots(p, seed):

@@ -404,29 +404,32 @@ def test_transpose_is_cached_and_involutive(R1):
     assert (dual.entries == lam.entries.transpose(1, 0, 2) % R1.p).all()
 
 
-def test_lambda_matrix_shares_only_read_only_reduced_input(R1):
-    want = np.arange(12).reshape(2, 2, 3) % R1.p
-    # a writable input is copied: writing to it later leaves the entries
+def test_lambda_matrix_keeps_read_only_reduced_cells_of_its_input(R1):
+    p = R1.p
+    want = np.arange(12).reshape(2, 2, 3) % p
+    # later writes to the caller's array never reach the matrix
     given = np.arange(12).reshape(2, 2, 3)
     lam = LambdaMatrix(R1, given)
     given[:] = 0
-    assert (lam.entries == want).all() and not np.shares_memory(lam.entries, given)
-    # a read-only input with entries out of [0, p) is reduced into a copy
-    loud = np.arange(-6, 6).reshape(2, 2, 3)
-    loud.flags.writeable = False
+    assert (lam.entries == want).all()
+    # out-of-range input is reduced mod p; an entry that reduces to zero
+    # holds no cell
+    loud = want + p * np.array([-3, 0, 7])
+    loud[0, 1] = p * np.array([1, -2, 0])
     lam = LambdaMatrix(R1, loud)
-    assert (lam.entries == loud % R1.p).all() and not np.shares_memory(lam.entries, loud)
-    # a read-only view of a writable array is copied too
-    owner = want.copy()
-    view = owner[:]
-    view.flags.writeable = False
-    assert not np.shares_memory(LambdaMatrix(R1, view).entries, owner)
-    # read-only and reduced: kept as it is, and the transpose is a view of it
-    fixed = want.copy()
-    fixed.flags.writeable = False
-    lam = LambdaMatrix(R1, fixed)
-    assert lam.entries is fixed and np.shares_memory(lam.transpose().entries, fixed)
-    assert (lam.transpose().entries == want.transpose(1, 0, 2)).all()
+    want[0, 1] = 0
+    assert (lam.entries == want).all()
+    nz = lam.nonzero
+    assert (nz.rows.tolist(), nz.cols.tolist()) == ([0, 1, 1], [0, 0, 1])
+    # the cells are read-only, and entries is a fresh array on each read
+    for a in (nz.rows, nz.cols, nz.vals):
+        assert not a.flags.writeable
+    assert lam.entries is not lam.entries
+    assert not np.shares_memory(lam.entries, nz.vals)
+    # a transpose holds its own cells, in its row-major order
+    dual = lam.transpose().nonzero
+    assert (dual.rows.tolist(), dual.cols.tolist()) == ([0, 0, 1], [0, 1, 1])
+    assert (np.asarray(dual) == want.transpose(1, 0, 2)).all()
 
 
 def test_hom_functoriality_random(R3):
@@ -668,6 +671,51 @@ def test_lambda_matrix_components_match_dense_path(ring, seed):
         assert rows.dtype == np.int64 and rows.shape == want_rows.shape
         assert (rows == want_rows).all()
         assert got_rank == gf.rank(lin, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(rid, q) for rid in ("R1", "R2", "R3", "R4", "R5") for q in (2, 5)]),
+       st.integers(0, 5), st.integers(0, 5), st.sampled_from([0.0, 0.3, 1.0]),
+       st.integers(0, 2**32))
+def test_lambda_matrix_cells_match_the_dense_formulas(ring, height, width, density, seed):
+    # unreduced entries with a zero row, a zero column and empty shapes: the
+    # cells hold the reduced nonzero entries in row-major order, and every
+    # reading of them equals its dense formula, on both sides of the cutover
+    alg = catalog_ring(*ring)
+    D, p = alg.dim, alg.p
+    rng = np.random.default_rng(seed)
+    given = rng.integers(-3 * p, 3 * p, (height, width, D))
+    given *= rng.random((height, width, 1)) < density
+    if height and width:
+        given[rng.integers(height)] = 0
+        given[:, rng.integers(width)] = 0
+    want = given % p
+    lin = sum((np.kron(want[:, :, i], alg.left_mult[i]) for i in range(D)),
+              np.zeros((height * D, width * D), dtype=np.int64)) % p
+    lam = LambdaMatrix(alg, given)
+    nz = lam.nonzero
+    assert lam.entries.dtype == np.int64 and lam.entries.shape == want.shape
+    assert (lam.entries == want).all()
+    assert (np.diff(nz.rows * width + nz.cols) > 0).all() and nz.vals.any(axis=1).all()
+    assert not any(a.flags.writeable for a in (nz.rows, nz.cols, nz.vals))
+    assert (lam.to_linear() == lin).all()
+    rows, cols, vals = lam.cells()
+    order = np.lexsort((cols, rows))
+    assert (np.stack([rows[order], cols[order]]) == np.stack(np.nonzero(lin))).all()
+    assert (vals[order] == lin[np.nonzero(lin)]).all()
+    assert lam.transpose().transpose() is lam
+    assert (lam.transpose().entries == want.transpose(1, 0, 2)).all()
+    assert lam.in_radical() == (not want[:, :, 0].any())
+    assert lam.to_jsonable() == want.tolist()
+    want_rows, want_lead = gf.kernel_rows(lin, p)
+    for cutover in (gf.BLOCK_CELLS, 0):
+        with mock.patch.object(gf, "BLOCK_CELLS", cutover):
+            fresh = LambdaMatrix(alg, given)
+            kernel, lead = fresh.kernel_rows()
+            rank = fresh.linear_rank()
+        assert lead == want_lead and rank == gf.rank(lin, p)
+        assert (np.asarray(kernel) == want_rows).all() and kernel.shape == want_rows.shape
+        assert not any(a.flags.writeable for a in (kernel.rows, kernel.cols, kernel.vals))
 
 
 @pytest.mark.parametrize("p,h,samples", [(2, 5, 32), (5, 7, 128), (5, 1, 9),

@@ -38,29 +38,34 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert not found, f"imports outside numpy and the standard library: {found}"
 
 
-def _cache_uses(tree):
-    """(enclosing qualname, lineno, kind) of each membership test against an
-    object's `_cache` and of each item written into one."""
-    found = []
-
-    def is_cache(node):
-        return isinstance(node, ast.Attribute) and node.attr == "_cache"
-
+def _scoped_nodes(tree):
+    """(enclosing qualname, node) for every node of a module's tree."""
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + [node.name]
+        yield ".".join(scope), node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(tree, [])
+
+
+def _cache_uses(tree):
+    """(enclosing qualname, lineno, kind) of each membership test against an
+    object's `_cache` and of each item written into one."""
+    def is_cache(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+    found = []
+    for scope, node in _scoped_nodes(tree):
         if isinstance(node, ast.Compare):
-            found.extend((".".join(scope), node.lineno, "membership")
+            found.extend((scope, node.lineno, "membership")
                          for op, right in zip(node.ops, node.comparators)
                          if isinstance(op, (ast.In, ast.NotIn)) and is_cache(right))
         targets = (node.targets if isinstance(node, ast.Assign) else
                    [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
-        found.extend((".".join(scope), node.lineno, "write") for target in targets
+        found.extend((scope, node.lineno, "write") for target in targets
                      if isinstance(target, ast.Subscript) and is_cache(target.value))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, [])
     return found
 
 
@@ -75,6 +80,19 @@ def test_derived_data_is_cached_only_through_the_helper():
         bad += [f"{path.name}:{line} {kind} in {scope}" for scope, line, kind in uses
                 if kind == "membership" or (path.name, scope) not in allowed]
     assert not bad, f"hand-written caches: {bad}"
+
+
+def test_dense_entries_are_read_only_in_lambda_matrix_and_json():
+    # a LambdaMatrix holds only its nonzero entries; the dense `entries`
+    # array is built on each read, so the package reads the cells instead
+    # and `entries` stays for callers outside it
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        bad += [f"{path.name}:{node.lineno} in {scope or 'module'}"
+                for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Attribute) and node.attr == "entries"
+                and not (scope.startswith("LambdaMatrix") or scope.endswith("to_jsonable"))]
+    assert not bad, f"dense LambdaMatrix entries read in the package: {bad}"
 
 
 def test_only_gf_names_matrix():
