@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import __version__
+from . import __version__, gf
 from .algebra import AlgebraError, RingSpec, build_ring, socle_and_classify
 from .catalog import catalog_listing, load_ring, module_from_spec
 from .complexes import (
@@ -28,7 +28,6 @@ from .complexes import (
 )
 from .modules import (
     LambdaMatrix,
-    LinearFormBudgetError,
     ModuleError,
     ModuleMap,
     ModuleRep,
@@ -450,7 +449,7 @@ def cli_run(argv) -> int:
     }
     try:
         results, lines, alg = _HANDLERS[args.command](args)
-    except (InputError, LinearFormBudgetError) as err:
+    except (InputError, gf.LinearFormBudgetError) as err:
         report["error"] = str(err)
         print(json.dumps(report, indent=2, sort_keys=True))
         print(f"error: {err}", file=sys.stderr)

@@ -6,11 +6,12 @@ are a minimal generating set of the kernel of the previous one, so the
 ranks are exactly the Betti numbers and every differential has entries
 in the maximal ideal.
 
-Ext against the ring is read off the dualized resolution, realized by
-entry-wise transposition of the differentials (the ring is commutative).
-Ext against an arbitrary module uses the action matrices of the target
-to realize the induced maps.  A second, structurally independent path
-through hom_module/apply_dual exists for cross-checking.
+Ext^i(M, N) for any target N is the homology of Hom(P_., N), whose maps
+Hom(d_i, N) are the linear forms of the entry-wise transposes d_i^T over
+N (LambdaMatrix.linear_rank; the ring is commutative); against the ring
+these are the dualized differentials themselves.  A second, structurally
+independent path through hom_module/apply_dual exists for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .algebra import AlgebraRep, cached
 from .modules import (
     HomModule,
     LambdaMatrix,
-    LinearFormBudgetError,
     ModuleError,
     ModuleMap,
     ModuleRep,
@@ -218,8 +218,8 @@ class MinimalResolution:
         """compute(), naming step i and the Betti numbers if d_i is over budget."""
         try:
             return compute()
-        except LinearFormBudgetError as err:
-            raise LinearFormBudgetError(
+        except gf.LinearFormBudgetError as err:
+            raise gf.LinearFormBudgetError(
                 f"resolution step {i}: {err}; Betti numbers so far {self.betti}") from None
 
     def _kernel(self, i: int) -> tuple[gf.Cells, tuple[int, ...]]:
@@ -275,21 +275,25 @@ class MinimalResolution:
         diffs = {i: self.diffs[i - 1] for i in range(1, upto + 1)}
         return FreeComplex(self.algebra, ranks, diffs, check=False)
 
-    def dual_rank(self, i: int) -> int:
-        """Rank of the dualized differential d_i^T (0 for i out of range)."""
+    def dual_rank(self, i: int, target: ModuleRep | None = None) -> int:
+        """Rank of Hom(d_i, N), the form of d_i^T over N = target or the ring (0 for i < 1).
+
+        Lambda itself (free of rank 1) acts by left_mult: it shares the ring's cached rank."""
         if i < 1:
             return 0
-        return self._at_step(i, self.diff(i).transpose().linear_rank)
+        over = () if target is None or target.free_rank == 1 else (target,)
+        return self._at_step(i, lambda: self.diff(i).transpose().linear_rank(*over))
 
-    def ext_ring_dim(self, i: int) -> int:
-        """dim Ext^i(X, Lambda) for the resolved X, read off the dual complex.
+    def ext_dim(self, i: int, target: ModuleRep | None = None) -> int:
+        """dim Ext^i(X, N) for the resolved X and the target N (the ring if None).
 
-        The only place the count beta_i * dim Lambda - rank d_{i+1}^T -
-        rank d_i^T is written; the transposes are cached on the
+        The only place the count beta_i * dim N - rank Hom(d_{i+1}, N) -
+        rank Hom(d_i, N) is written; the transposes are cached on the
         differentials, so every caller shares their ranks.
         """
         self.extend(i + 1)
-        dim = self.betti[i] * self.algebra.dim - self.dual_rank(i + 1) - self.dual_rank(i)
+        dim_n = self.algebra.dim if target is None else target.dim
+        dim = self.betti[i] * dim_n - self.dual_rank(i + 1, target) - self.dual_rank(i, target)
         if dim < 0:
             raise AssertionError(f"negative Ext^{i} dimension {dim}")
         return dim
@@ -324,38 +328,14 @@ class ExtTable:
         return {"bound": self.bound, "dims": list(self.dims)}
 
 
-def _delta_rank_general(res: MinimalResolution, i: int, target: ModuleRep) -> int:
-    """Rank of Hom(P_{i-1}, N) -> Hom(P_i, N) induced by d_i (i >= 1)."""
-    d = res.diff(i)
-    A = res.algebra
-    dn = target.dim
-    if d.rows == 0 or d.cols == 0 or dn == 0:
-        return 0
-    # block (t, s) of the induced map is rho(entry (s, t)), zero for a zero entry
-    blocks = gf.mat_mul(d.nonzero.vals, target.rho().reshape(A.dim, dn * dn), A.p)
-    delta = np.zeros((d.cols, dn, d.rows, dn), dtype=np.int64)
-    delta[d.nonzero.cols, :, d.nonzero.rows, :] = blocks.reshape(-1, dn, dn)
-    return gf.rank(delta.reshape(d.cols * dn, d.rows * dn), A.p)
-
-
 def ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> ExtTable:
     """Ext^i(M, N) dimensions for 0 <= i <= bound via a minimal resolution of M."""
     if bound < 0:
         raise ModuleError("ext bound must be nonnegative")
+    if target.algebra is not source.algebra:
+        raise ModuleError("ext between modules over different algebras")
     res = resolution_of(source)
-    res.extend(bound + 1)
-    if target is ring_module(source.algebra):
-        dims = [res.ext_ring_dim(i) for i in range(bound + 1)]
-    else:
-        dims = []
-        prev = 0
-        for i in range(bound + 1):
-            nxt = _delta_rank_general(res, i + 1, target)
-            dims.append(res.betti[i] * target.dim - nxt - prev)
-            prev = nxt
-    if any(d < 0 for d in dims):
-        raise AssertionError(f"negative Ext dimension in {dims}")
-    return ExtTable(bound, tuple(dims))
+    return ExtTable(bound, tuple(res.ext_dim(i, target) for i in range(bound + 1)))
 
 
 def bass_numbers(target: ModuleRep, bound: int) -> list[int]:

@@ -37,13 +37,15 @@ linear forms are handed on so.  `component_kernel_rows` and
 densely, and the kernel rows come back as a `Cells`.  They split its
 support, the bipartite graph of rows and columns joined by the cells,
 into connected components, and eliminate the components' blocks
-batched by shape.  `LambdaMatrix` uses them for linear forms of more
-than BLOCK_CELLS cells; every other caller, and every test reference,
-has the dense `kernel_rows` and `rank`.  Why that is exact: components
+batched by shape.  `LambdaMatrix` uses them for its forms, over the
+ring or over a module, of more than BLOCK_CELLS cells; smaller forms and
+every test reference use the dense `kernel_rows` and `rank`.  Each path
+prices only what it builds (`check_budget`, before the allocation).  Why
+the component path is exact: components
 have disjoint rows and disjoint columns, so the kernel is the direct sum
 of the components' kernels and of one unit vector per column without a
-cell, and the rank is the sum of the components' ranks.  The rref basis of a
-component's kernel, placed in its columns, is zero on every other
+cell, and the rank is the sum of the components' ranks.  The rref basis
+of a component's kernel, placed in its columns, is zero on every other
 column; so the union of these bases and unit vectors, sorted by leading
 column, has distinct leading 1s with zeros above and below each of
 them.  That is a reduced echelon form of the kernel, and the rref is
@@ -161,6 +163,21 @@ ROUNDS_MIN_CELLS = 1000
 # took 0.99 ms against 0.56 ms dense) and faster from 73,728 (0.58 ms
 # against 0.99 ms); at 1.2M cells a rank took 5.6 ms against 18.8 ms.
 BLOCK_CELLS = 2**16
+# Largest int64 array of a linear form that is built (check_budget).  Under
+# a 1.5 GiB address-space limit the dense form of d_11 of k over R1
+# (144 MiB) resolves, and that of d_12 (576 MiB) fails with a MemoryError.
+LINEAR_FORM_BUDGET_BYTES = 160 * 2**20
+
+
+class LinearFormBudgetError(ValueError):
+    """An array of a linear form over LINEAR_FORM_BUDGET_BYTES: too large an input."""
+
+
+def check_budget(cells: int, what: str) -> None:
+    """Refuse an int64 array of this many cells over LINEAR_FORM_BUDGET_BYTES."""
+    if 8 * cells > LINEAR_FORM_BUDGET_BYTES:
+        raise LinearFormBudgetError(f"{what} would take {8 * cells / 2**20:.1f} MiB, over "
+                                    f"the {LINEAR_FORM_BUDGET_BYTES / 2**20:.1f} MiB budget")
 
 
 def _work_dtype(p: int):
@@ -564,6 +581,7 @@ def _component_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     edge whose ends differ onto the smaller (so no cycle forms, and every
     component with such an edge hooks or is hooked: their number at
     least halves), then jumps pointers until each node holds its root.
+    The largest stack is priced by check_budget before any is allocated.
     """
     if not rows.size:
         return
@@ -598,6 +616,9 @@ def _component_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     base = int(widths.max()) + 1
     shapes, group = np.unique(heights * base + widths, return_inverse=True)
     slot, members = places(group, shapes.size)
+    g = int((members * (shapes // base) * (shapes % base)).argmax())
+    h, w = divmod(int(shapes[g]), base)
+    check_budget(int(members[g]) * h * w, f"{members[g]} support components of shape {h} x {w}")
     cell_comp, col_comp = comp[u], comp[height:]
     for g, shape in enumerate(shapes.tolist()):
         h, w = divmod(shape, base)

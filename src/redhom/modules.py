@@ -28,17 +28,6 @@ class ModuleError(ValueError):
         self.witness = witness
 
 
-# Largest int64 linear form a LambdaMatrix may form (160 MiB).  Under a
-# 1.5 GiB address-space limit d_11 of k over R1 (144 MiB) resolves with
-# a peak RSS of 627 MB, and d_12 (576 MiB) fails with a MemoryError;
-# the suite needs at most 71 MiB (d_7 of k over R4), the benchmark 10 MiB.
-LINEAR_FORM_BUDGET_BYTES = 160 * 2**20
-
-
-class LinearFormBudgetError(ValueError):
-    """A linear form over LINEAR_FORM_BUDGET_BYTES: too large an input."""
-
-
 class ModuleRep:
     """A finitely generated module given by generator action matrices."""
 
@@ -396,12 +385,16 @@ class LambdaMatrix:
     and the JSON are read off the cells; `entries`, the dense array, is
     built on each read, for callers outside the package.
 
-    Kernel rows come back as cells.  The kernel rows and rank of a
-    linear form of more than gf.BLOCK_CELLS cells are eliminated by the
-    connected components of its support and equal the dense path's bit
-    for bit (see gf); such a form is built only for a caller that needs
-    it densely.  Either way a form over LINEAR_FORM_BUDGET_BYTES is
-    refused.
+    The form over a module N (the ring by default) has block (s, t)
+    rho_N(entry (s, t)); rho of the ring is left_mult, so that form is
+    the map itself.  Hom(d, N) is the form of d^T over N: phi . d sends
+    e_t to sum_s entry (s, t) * phi(e_s), so in Hom(Lambda^r, N) = N^r,
+    phi -> (phi(e_s))_s, its block (t, s) is rho_N(entry (s, t)).
+    Kernel rows and ranks of a form of more than gf.BLOCK_CELLS cells
+    are eliminated by the components of its support, equal to the
+    dense path's bit for bit (see gf), and the form is built only for a
+    caller that needs it densely.  Only what is built is priced
+    (gf.check_budget); kernel rows come back as cells.
     """
 
     __slots__ = ("algebra", "nonzero", "_cache")
@@ -430,40 +423,44 @@ class LambdaMatrix:
         """The dense (rows, cols, dim Lambda) entries, built on each read."""
         return np.asarray(self.nonzero)
 
-    def _linear_cells(self) -> int:
-        """r*D x c*D, the number of cells of the linear form; refuses a form
-        over LINEAR_FORM_BUDGET_BYTES, whether or not it is built."""
+    def _form_cells(self, module: ModuleRep | None = None) -> int:
+        """r*d x c*d, the number of cells of the form over the module of dim d."""
         r, c, D = self.nonzero.shape
-        size = 8 * r * D * c * D
-        if size > LINEAR_FORM_BUDGET_BYTES:
-            raise LinearFormBudgetError(
-                f"the linear form of a {r} x {c} matrix over the algebra "
-                f"would take {size / 2**20:.0f} MiB, over the "
-                f"{LINEAR_FORM_BUDGET_BYTES // 2**20} MiB budget")
-        return size // 8
+        d = D if module is None else module.dim
+        return r * d * c * d
 
-    def _blocks(self) -> np.ndarray:
-        """L(entry) for each nonzero entry, (nnz, D, D): block (s, t) of the form."""
+    def _check_budget(self, cells: int, what: str, module: ModuleRep | None) -> None:
+        over = "the algebra" if module is None else f"a module of dimension {module.dim}"
+        gf.check_budget(cells, f"{what} of a {self.rows} x {self.cols} matrix over {over}")
+
+    def _blocks(self, module: ModuleRep | None = None) -> np.ndarray:
+        """rho(entry) for each nonzero entry, (nnz, d, d): block (s, t) of the form."""
         A = self.algebra
-        D = A.dim
-        return gf.mat_mul(self.nonzero.vals, A.left_mult.reshape(D, D * D),
-                          A.p).reshape(-1, D, D)
+        rho = A.left_mult if module is None else module.rho()
+        nnz, d = self.nonzero.vals.shape[0], rho.shape[1]
+        self._check_budget(nnz * d * d, f"the {nnz} nonzero blocks", module)
+        return gf.mat_mul(self.nonzero.vals, rho.reshape(A.dim, d * d), A.p).reshape(nnz, d, d)
 
-    @cached
-    def to_linear(self) -> np.ndarray:
-        """The underlying GF(p)-matrix in summand-major coordinates."""
+    def _form(self, module: ModuleRep | None = None) -> np.ndarray:
+        """The dense form over the module, refused over the budget before it is built."""
         r, c, D = self.nonzero.shape
-        self._linear_cells()
-        dual = self._cache.get(LambdaMatrix.transpose.__qualname__)
+        d = D if module is None else module.dim
+        self._check_budget(r * d * c * d, "the linear form", module)
+        dual = self._cache.get(LambdaMatrix.transpose.__qualname__) if module is None else None
         partner = None if dual is None else dual._cache.get(LambdaMatrix.to_linear.__qualname__)
         if partner is not None:
             # block (s, t) of the linear form is L(entry (s, t)), so the
             # transpose's form is the partner's with its blocks swapped
-            lin = partner.reshape(c, D, r, D).transpose(2, 1, 0, 3)
+            lin = partner.reshape(c, d, r, d).transpose(2, 1, 0, 3)
         else:
-            lin = np.zeros((r, D, c, D), dtype=np.int64)
-            lin[self.nonzero.rows, :, self.nonzero.cols, :] = self._blocks()
-        lin = np.ascontiguousarray(lin.reshape(r * D, c * D))
+            lin = np.zeros((r, d, c, d), dtype=np.int64)
+            lin[self.nonzero.rows, :, self.nonzero.cols, :] = self._blocks(module)
+        return np.ascontiguousarray(lin.reshape(r * d, c * d))
+
+    @cached
+    def to_linear(self) -> np.ndarray:
+        """The underlying GF(p)-matrix in summand-major coordinates."""
+        lin = self._form()
         lin.flags.writeable = False
         return lin
 
@@ -482,32 +479,34 @@ class LambdaMatrix:
         dual._cache[LambdaMatrix.transpose.__qualname__] = self
         return dual
 
-    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The linear form's nonzero cells (rows, cols, values), from the entries.
+    def cells(self, module: ModuleRep | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero cells (rows, cols, values) of the form over the module.
 
-        Block (s, t) of the form is L(entry (s, t)), which is zero only for
-        a zero entry: one mat_mul of the nonzero entries by left_mult.
+        One mat_mul of the nonzero entries by rho gives the blocks; only
+        a zero entry's block is known to vanish, so the cells are read
+        off the blocks.
         """
-        D = self.algebra.dim
-        blocks = self._blocks()
+        blocks = self._blocks(module)
+        d = blocks.shape[1]
         k, a, b = np.nonzero(blocks)
-        return self.nonzero.rows[k] * D + a, self.nonzero.cols[k] * D + b, blocks[k, a, b]
+        return self.nonzero.rows[k] * d + a, self.nonzero.cols[k] * d + b, blocks[k, a, b]
 
     @cached
     def kernel_rows(self) -> tuple[gf.Cells, tuple[int, ...]]:
         """Canonical row basis of the linear form's kernel as its cells, with pivots."""
         p = self.algebra.p
-        if self._linear_cells() > gf.BLOCK_CELLS:
+        if self._form_cells() > gf.BLOCK_CELLS:
             return gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
         rows, lead = gf.kernel_rows(self.to_linear(), p)
         return gf.Cells.of(rows), lead
 
     @cached
-    def linear_rank(self) -> int:
+    def linear_rank(self, module: ModuleRep | None = None) -> int:
+        """Rank of the form over the module, the ring by default (cached per module)."""
         p = self.algebra.p
-        if self._linear_cells() > gf.BLOCK_CELLS:
-            return gf.component_rank(*self.cells(), p)
-        return gf.rank(self.to_linear(), p)
+        if self._form_cells(module) > gf.BLOCK_CELLS:
+            return gf.component_rank(*self.cells(module), p)
+        return gf.rank(self.to_linear() if module is None else self._form(module), p)
 
     def in_radical(self) -> bool:
         """True when every entry lies in the maximal ideal."""

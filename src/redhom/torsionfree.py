@@ -119,7 +119,7 @@ def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
         raise ModuleError("classification bound must be at least 1")
     ext_self = ext_dims(mod, ring_module(mod.algebra), bound).dims
     res_t = transpose_resolution(mod)
-    ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(bound + 1))
+    ext_tr = tuple(res_t.ext_dim(j) for j in range(bound + 1))
     m_max = _leading_zeros(ext_self)
     n_max = _leading_zeros(ext_tr)
     return TorsionfreeVerdict(m_max, n_max, bound,
@@ -129,10 +129,10 @@ def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
 
 def is_totally_reflexive_up_to(mod: ModuleRep, bound: int) -> bool:
     """Early-exit total reflexivity test (both Ext sides vanish to the bound)."""
-    if any(resolution_of(mod).ext_ring_dim(i) for i in range(1, bound + 1)):
+    if any(resolution_of(mod).ext_dim(i) for i in range(1, bound + 1)):
         return False
     res_t = transpose_resolution(mod)
-    return not any(res_t.ext_ring_dim(j) for j in range(1, bound + 1))
+    return not any(res_t.ext_dim(j) for j in range(1, bound + 1))
 
 
 # -- pushforward -------------------------------------------------------------
@@ -199,7 +199,7 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     core_part = split.iso.mat[:core.dim, :]
     free_part = split.iso.mat[core.dim:, :]
     res_t = transpose_resolution(mod)
-    ext_tr = tuple(res_t.ext_ring_dim(j) for j in range(1, n + 1))
+    ext_tr = tuple(res_t.ext_dim(j) for j in range(1, n + 1))
     g = res_t.betti[:n + 2]
     # F_{-j} -> F_{-(j+1)} is d_{j+2}^T, zero on the split-off free part of F_{-1}
     tail = {-j: res_t.diff(j + 2).transpose() for j in range(1, n)}
@@ -328,7 +328,7 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         # exactness of the dual at P_0* needs the augmentation by the image:
         # ker d_1^T = Ext^0(M, Lambda) must be Hom(image, Lambda)
         hom_dim = hom_space(image_module, ring_module(A)).dim
-        if res.ext_ring_dim(0) != hom_dim:
+        if res.ext_dim(0) != hom_dim:
             raise AssertionError("dual of augmented window must be exact at P_0*")
     if any(dual_defects.values()):
         raise AssertionError("dual of window must be exact")

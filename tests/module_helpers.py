@@ -3,6 +3,7 @@
 import numpy as np
 
 from redhom import gf
+from redhom.complexes import MinimalResolution, resolution_of
 from redhom.modules import HomModule, HomSpace, ModuleMap, ModuleRep, free_module, hom_module
 
 
@@ -28,3 +29,35 @@ def map_from_coords(space: HomSpace, coeffs) -> ModuleMap:
 def dual_module(mod: ModuleRep) -> HomModule:
     """Hom(M, Lambda) as a module."""
     return hom_module(mod, free_module(mod.algebra, 1))
+
+
+def ring_by_actions(algebra) -> ModuleRep:
+    """Lambda as a module given by its generator actions, not as a free module."""
+    return ModuleRep(algebra, [algebra.gen_L(j) for j in range(algebra.num_gens)],
+                     dim=algebra.dim)
+
+
+def dense_dual_rank(res: MinimalResolution, i: int, target: ModuleRep) -> int:
+    """Rank of Hom(P_{i-1}, N) -> Hom(P_i, N) induced by d_i, built densely.
+
+    Block (t, s) of the induced map is rho_N(entry (s, t)), zero for a zero
+    entry; the reference for MinimalResolution.dual_rank(i, N).
+    """
+    if i < 1:
+        return 0
+    d = res.diff(i)
+    A = res.algebra
+    dn = target.dim
+    if d.rows == 0 or d.cols == 0 or dn == 0:
+        return 0
+    blocks = gf.mat_mul(d.nonzero.vals, target.rho().reshape(A.dim, dn * dn), A.p)
+    delta = np.zeros((d.cols, dn, d.rows, dn), dtype=np.int64)
+    delta[d.nonzero.cols, :, d.nonzero.rows, :] = blocks.reshape(-1, dn, dn)
+    return gf.rank(delta.reshape(d.cols * dn, d.rows * dn), A.p)
+
+
+def dense_ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> tuple[int, ...]:
+    """Ext^i(M, N) for 0 <= i <= bound from the dense reference ranks."""
+    res = resolution_of(source)
+    ranks = [dense_dual_rank(res, i, target) for i in range(bound + 2)]
+    return tuple(res.betti[i] * target.dim - ranks[i + 1] - ranks[i] for i in range(bound + 1))

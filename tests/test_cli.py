@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 import redhom
-from redhom import catalog, cli, modules
-from redhom.catalog import catalog_spec
+from redhom import catalog, cli, gf
+from redhom.algebra import build_ring
+from redhom.catalog import catalog_spec, module_from_spec
 from redhom.cli import cli_run
+
+from module_helpers import dense_ext_dims
 
 
 def run_cli(capsys, argv, expect=0):
@@ -141,24 +144,54 @@ def test_seq_verify_refuses_bad_degrees(tmp_path, capsys, flags, edit, message):
     assert err.startswith("error: ") and message in err
 
 
-def test_cor20_over_budget_exits_2_with_betti_numbers():
-    # at the default bound 12 the resolution of k over R1 would reach d_13,
-    # whose linear form alone is about 2.4 GB; the budget refuses d_12
-    # (576 MiB) as an input error.  The address-space limit applies to the
-    # child alone and turns a regression into a MemoryError, not a killed VM
+def run_capped(argv):
+    """Run the CLI in a child under a 1.5 GiB address-space limit.
+
+    The limit applies to the child alone and turns a memory regression
+    into a MemoryError, not a killed machine."""
     limit = 1536 * 2**20
     src = os.path.dirname(os.path.dirname(redhom.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from redhom.cli import main; main()",
-         "check", "cor20", "--ring", "R1q5", "--module", "k"],
+    return subprocess.run(
+        [sys.executable, "-c", "from redhom.cli import main; main()", *argv],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    assert proc.returncode == 2, proc.stderr
-    report = json.loads(proc.stdout)
-    assert "results" not in report
-    assert "resolution step 12" in report["error"]
+
+
+def test_cor20_answers_at_bound_12_under_a_memory_cap():
+    # at the default bound 12 the resolution of k over R1 reaches d_13; the
+    # dense form of d_12 alone would take 576 MiB, but kernels and ranks
+    # above the cutover build only nonzero blocks and support components
+    proc = run_capped(["check", "cor20", "--ring", "R1q5", "--module", "k"])
+    assert proc.returncode == 0, proc.stderr
+    gdim = json.loads(proc.stdout)["results"]["report"]["gdim"]
+    assert gdim["bound"] == 12 and gdim["verdict"] == "infinite-up-to-bound"
+    assert gdim["ext_self"] == [2] + [3 * 2**(i - 1) for i in range(1, 13)]
+
+
+def test_ext_of_k_against_k_is_the_betti_numbers_under_a_memory_cap():
+    # the minimal differentials lie in the radical, which acts on k as
+    # zero, so every map of Hom(P, k) vanishes and Ext^i(k, k) = beta_i(k)
+    # exactly; over R1q5 that is 2^i, with d_13 of 4096 x 8192 entries
+    proc = run_capped(["ext", "--ring", "R1q5", "--module", "k", "--target", "k",
+                       "--bound", "12"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["ext"]["dims"] == [2**i for i in range(13)]
+
+
+def test_cor20_over_budget_exits_2_with_betti_numbers(capsys, monkeypatch):
+    # a budget under the nonzero blocks of d_12 (4096 of 3 x 3, 288 KiB),
+    # but over every dense form the run builds (at most 144 KiB, d_6's): the
+    # step above the cutover is refused as an input error that names it and
+    # the Betti numbers so far.  A fresh ring cache keeps other tests'
+    # cached ranks out of it
+    monkeypatch.setattr(catalog, "_cached_rings", {})
+    monkeypatch.setattr(gf, "LINEAR_FORM_BUDGET_BYTES", 200_000)
+    report, err = run_cli(capsys, ["check", "cor20", "--ring", "R1q5", "--module", "k"],
+                          expect=2)
+    assert "results" not in report and err.startswith("error: ")
+    assert "resolution step 12: the 4096 nonzero blocks" in report["error"]
     assert "Betti numbers so far [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, " \
         "4096]" in report["error"]
 
@@ -169,7 +202,7 @@ def test_resolve_refuses_linear_form_over_budget(capsys, monkeypatch):
     # 2^i and dim 3, so with lin(d_4) as the budget 4 steps pass and 5 do
     # not.  A fresh ring cache keeps other tests' cached forms out of it
     monkeypatch.setattr(catalog, "_cached_rings", {})
-    monkeypatch.setattr(modules, "LINEAR_FORM_BUDGET_BYTES", 8 * 8 * 3 * 16 * 3)
+    monkeypatch.setattr(gf, "LINEAR_FORM_BUDGET_BYTES", 8 * 8 * 3 * 16 * 3)
     report, _ = run_cli(capsys, ["resolve", "--ring", "R1q5", "--module", "k",
                                  "--steps", "4"])
     assert report["results"]["betti"] == [1, 2, 4, 8, 16]
@@ -281,12 +314,17 @@ def test_report_schema_keys(capsys):
 
 
 def test_ext_with_module_target(capsys):
-    # block path against an explicit free target agrees with the ring path
-    r1, _ = run_cli(capsys, ["ext", "--ring", "R3q5", "--module", "k",
-                             "--target", "free:1", "--bound", "4"])
-    r2, _ = run_cli(capsys, ["ext", "--ring", "R3q5", "--module", "k",
-                             "--bound", "4"])
-    assert r1["results"]["ext"]["dims"] == r2["results"]["ext"]["dims"]
+    # explicit targets, free or not, give the dense reference's Ext table
+    alg = build_ring(catalog_spec("R3", 5))
+    k = module_from_spec(alg, "k")
+    for target in ("free:1", "k", "syzygy:1:k", "transpose:k"):
+        report, _ = run_cli(capsys, ["ext", "--ring", "R3q5", "--module", "k",
+                                     "--target", target, "--bound", "4"])
+        want = dense_ext_dims(k, module_from_spec(alg, target), 4)
+        assert tuple(report["results"]["ext"]["dims"]) == want, target
+    report, _ = run_cli(capsys, ["ext", "--ring", "R3q5", "--module", "k", "--bound", "4"])
+    assert tuple(report["results"]["ext"]["dims"]) == \
+        dense_ext_dims(k, module_from_spec(alg, "ring"), 4)
 
 
 def test_suite_command_wiring(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redhom import gf, modules
+from redhom import gf
 from redhom.algebra import (
     RingSpec,
     build_from_structure_constants,
@@ -37,7 +37,10 @@ from redhom.modules import (
     projective_cover_and_syzygy,
     simple_module,
     span_submodule,
+    zero_module,
 )
+
+from module_helpers import dense_dual_rank, dense_ext_dims, ring_by_actions
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +138,12 @@ def test_resolution_refuses_linear_forms_over_budget(monkeypatch):
     # is refused before its kernel or its dual's rank is computed
     ring = build_monomial_quotient(RingSpec(
         "monomial_quotient", 5, variables=["x", "y"], ideal=["x^2", "xy", "y^2"]))
-    monkeypatch.setattr(modules, "LINEAR_FORM_BUDGET_BYTES", 8 * 12 * 24)
+    monkeypatch.setattr(gf, "LINEAR_FORM_BUDGET_BYTES", 8 * 12 * 24)
     res = resolution_of(simple_module(ring))
     assert res.betti_numbers(4) == [1, 2, 4, 8, 16]
     res.dual_rank(3)
     for step in (lambda: res.extend(5), lambda: res.dual_rank(4)):
-        with pytest.raises(modules.LinearFormBudgetError,
+        with pytest.raises(gf.LinearFormBudgetError,
                            match=r"step 4: .* Betti numbers so far \[1, 2, 4, 8, 16\]"):
             step()
 
@@ -174,7 +177,7 @@ def test_ext_k_over_R1_nonzero(R1):
     assert table.dims[0] == 2  # Hom(k, Lambda) = socle
     assert all(d >= 1 for d in table.dims[1:])
     res = resolution_of(simple_module(R1))
-    assert [res.ext_ring_dim(i) for i in range(5)] == list(table.dims)
+    assert [res.ext_dim(i) for i in range(5)] == list(table.dims)
 
 
 def test_dual_complex_shares_the_cached_transposes(R1):
@@ -186,12 +189,44 @@ def test_dual_complex_shares_the_cached_transposes(R1):
 
 
 def test_ext_general_target_matches_ring_path(R2, R3):
+    # Lambda as the cached ring module, as a fresh free module and as a
+    # module given by its actions (the form over a module, with rho =
+    # left_mult) gives the dense reference's Ext table
     for alg in (R2, R3):
         k = simple_module(alg)
-        fresh_free = free_module(alg, 1)  # not the cached ring module: block path
-        a = ext_dims(k, fresh_free, 4).dims
-        b = ext_dims(k, ring_module(alg), 4).dims
-        assert a == b
+        want = dense_ext_dims(k, free_module(alg, 1), 4)
+        for target in (ring_module(alg), free_module(alg, 1), ring_by_actions(alg)):
+            assert ext_dims(k, target, 4).dims == want
+
+
+def test_ext_refuses_a_target_over_another_algebra():
+    # Hom and Ext need both modules over one algebra, as hom_space checks
+    source, other = catalog_ring("R1", 2), build_ring(catalog_spec("R1", 5))
+    for target in (simple_module(other), ring_module(other)):
+        with pytest.raises(ModuleError, match="different algebras"):
+            ext_dims(simple_module(source), target, 3)
+
+
+@pytest.mark.parametrize("rid,bound", [("R1", 8), ("R2", 8), ("R3", 8), ("R4", 6), ("R5", 3)])
+def test_dual_rank_over_any_target_matches_the_dense_reference(rid, bound):
+    # Hom(d_i, N) is the form of d_i^T over N: on both sides of the cutover
+    # its rank is the dense reference's, for k, Lambda (a fresh free module,
+    # and a module given by its actions), the zero module and sample modules
+    # as targets, on the resolutions of k and of the samples.  Fresh rings
+    # keep ranks cached at one cutover out of the other
+    for q in (2, 5):
+        for cutover in (gf.BLOCK_CELLS, 0):
+            alg = build_ring(catalog_spec(rid, q))
+            samples = [m for name, m in sample_modules(alg, count=4, max_dim=5, seed=808)
+                       if name not in ("k", "ring")]
+            k = simple_module(alg)
+            targets = [k, free_module(alg, 1), ring_by_actions(alg), zero_module(alg)] + samples
+            for source in [k] + samples:
+                res = resolution_of(source)
+                with mock.patch.object(gf, "BLOCK_CELLS", cutover):
+                    got = [[res.dual_rank(i, t) for i in range(bound + 1)] for t in targets]
+                want = [[dense_dual_rank(res, i, t) for i in range(bound + 1)] for t in targets]
+                assert got == want
 
 
 def test_bass_numbers(R1, R2):
@@ -253,7 +288,6 @@ def test_dual_of_socle_sequence_is_exact(R2):
 
 
 def test_dual_of_zero_complex(R2):
-    from redhom.modules import zero_module
     z = zero_module(R2)
     comp = ModuleComplex({0: z}, {})
     dual = apply_dual(comp)
@@ -347,13 +381,25 @@ def test_components_equal_dense_path_on_every_resolution_step(rid, bound):
 
 
 def test_deep_resolution_builds_no_large_linear_form():
-    # k over R1q5 to step 10 and its dual ranks: no differential or
-    # transpose above the cutover holds a linear form
+    # k over R1q5 to step 10 and its dual ranks over the ring, over k and
+    # over modules of dimension 2 and 3: no dense form above the cutover is
+    # built, over the ring or over a module, and no differential or
+    # transpose above it holds a linear form
     alg = build_ring(catalog_spec("R1", 5))
     res = resolution_of(simple_module(alg))
-    assert res.betti_numbers(10)[-1] == 1024
-    for i in range(1, 10):
-        res.dual_rank(i)
+    built = []
+    form = LambdaMatrix._form
+
+    def recording(lam, module=None):
+        built.append(lam._form_cells(module))
+        return form(lam, module)
+
+    targets = [None, simple_module(alg), res.syzygy_module(1), ring_by_actions(alg)]
+    with mock.patch.object(LambdaMatrix, "_form", recording):
+        assert res.betti_numbers(10)[-1] == 1024
+        ranks = [res.dual_rank(i, t) for i in range(1, 10) for t in targets]
+    assert built and max(built) <= gf.BLOCK_CELLS
+    assert ranks[-3:] == [dense_dual_rank(res, 9, t) for t in targets[1:]]
     checked = 0
     for d in res.diffs:
         for lam in (d, d.transpose()):

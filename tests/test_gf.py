@@ -384,6 +384,25 @@ def test_component_pivots_equal_echelon_pivots(p, seed):
     assert component_pivots(none, none, none, p) == ()
 
 
+def test_component_stacks_are_priced_before_they_are_built(monkeypatch):
+    # three 2 x 3 components and one 4 x 4: the largest stack (3 blocks of
+    # 6 cells, 144 bytes) is refused at a budget one byte below it, before
+    # any stack is eliminated, and passes at exactly its size
+    a = np.zeros((10, 13), dtype=np.int64)
+    for g in range(3):
+        a[2 * g:2 * g + 2, 3 * g:3 * g + 3] = 1
+    a[6:, 9:] = np.eye(4, dtype=np.int64)
+    a[6:, 9] = 1
+    rows, cols = np.nonzero(a)
+    monkeypatch.setattr(gf, "LINEAR_FORM_BUDGET_BYTES", 8 * 18 - 1)
+    for run in (lambda: component_rank(rows, cols, a[rows, cols], 5),
+                lambda: component_kernel_rows(rows, cols, a[rows, cols], 13, 5)):
+        with pytest.raises(gf.LinearFormBudgetError, match="3 support components of shape 2 x 3"):
+            run()
+    monkeypatch.setattr(gf, "LINEAR_FORM_BUDGET_BYTES", 8 * 18)
+    assert component_rank(rows, cols, a[rows, cols], 5) == rank(a, 5) == 7
+
+
 def eliminations(a: np.ndarray, p: int) -> list:
     return [rref(a, p), echelon_pivots(a, p), rank(a, p), kernel(a, p), kernel_rows(a, p)]
 

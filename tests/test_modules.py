@@ -305,15 +305,20 @@ def test_is_isomorphic_repeated_on_a_pair_eliminates_nothing(monkeypatch):
 
 
 def test_linear_form_over_budget_is_not_cached(monkeypatch, R1):
-    # a refused form is refused again, and built once the budget allows it
+    # a refused form is refused again, and built once the budget allows it;
+    # so is a rank over a module, whose dense form is not kept
     lam = LambdaMatrix(R1, np.arange(12).reshape(2, 2, 3))
-    monkeypatch.setattr(modules, "LINEAR_FORM_BUDGET_BYTES", 8)
+    k = simple_module(R1)
+    monkeypatch.setattr(gf, "LINEAR_FORM_BUDGET_BYTES", 8)
     for _ in range(2):
-        with pytest.raises(modules.LinearFormBudgetError):
+        with pytest.raises(gf.LinearFormBudgetError, match="2 x 2 matrix over the algebra"):
             lam.to_linear()
+        with pytest.raises(gf.LinearFormBudgetError, match="over a module of dimension 1"):
+            lam.linear_rank(k)
     monkeypatch.undo()
     assert lam.to_linear().shape == (6, 6)
     assert lam.to_linear() is lam.to_linear()
+    assert lam.linear_rank(k) == gf.rank(np.arange(4).reshape(2, 2) * 3 % 5, 5)
 
 
 def test_maps_between_algebras_refused():

@@ -95,6 +95,19 @@ def test_dense_entries_are_read_only_in_lambda_matrix_and_json():
     assert not bad, f"dense LambdaMatrix entries read in the package: {bad}"
 
 
+def test_complexes_ranks_only_through_lambda_matrix():
+    # every Ext rank is LambdaMatrix.linear_rank of a transpose, over the
+    # ring or a module: a dense rank here would skip the component path
+    # and the budget, as the induced Hom maps once did
+    tree = ast.parse((SRC / "complexes.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "rank"
+                 and isinstance(node.value, ast.Name) and node.value.id == "gf")
+             or (isinstance(node, ast.ImportFrom) and node.module == "gf"
+                 and any(alias.name == "rank" for alias in node.names))]
+    assert not found, f"gf.rank called in complexes.py at lines {found}"
+
+
 def test_only_gf_names_matrix():
     # maps and Hom bases are plain arrays; gf.Matrix must not spread back
     word = re.compile(r"\bMatrix\b")
