@@ -26,7 +26,7 @@ from .modules import (
     LambdaMatrix,
     cokernel_of_lambda_matrix,
     free_module,
-    hom_space,
+    hom_dim,
     is_isomorphic,
     simple_module,
     split_free_summands,
@@ -186,8 +186,7 @@ def criterion_6_transpose_duality():
         for name, mod in sample_modules(alg, count=5, max_dim=8, seed=606):
             core = split_free_summands(mod).core
             ttcore = split_free_summands(transpose_module(transpose_module(mod))).core
-            hom_dim = hom_space(ttcore, core).dim
-            if 2**hom_dim > 2_000_000:
+            if 2**hom_dim(ttcore, core) > 2_000_000:
                 skipped += 1
                 continue
             verdict = is_isomorphic(ttcore, core, exhaust_cap=2_000_000)

@@ -9,9 +9,12 @@ in the maximal ideal.
 Ext^i(M, N) for any target N is the homology of Hom(P_., N), whose maps
 Hom(d_i, N) are the linear forms of the entry-wise transposes d_i^T over
 N (LambdaMatrix.linear_rank; the ring is commutative); against the ring
-these are the dualized differentials themselves.  A second, structurally
-independent path through hom_module/apply_dual exists for
-cross-checking.
+these are the dualized differentials themselves.  The Ext oracle
+(ext_dims_via_dual_complex) takes a second path: apply_dual composes
+explicit bases of Hom(P_i, Lambda) (hom_module) with the dense d_i and
+measures the exactness defects of the resulting module complex, while
+ext_dims ranks forms of the entry-wise transposes and never forms a Hom
+basis.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .modules import (
     ModuleMap,
     ModuleRep,
     check_minimal_kernel,
+    form_args,
     free_module,
     hom_module,
     minimal_generators,
@@ -281,7 +285,7 @@ class MinimalResolution:
         Lambda itself (free of rank 1) acts by left_mult: it shares the ring's cached rank."""
         if i < 1:
             return 0
-        over = () if target is None or target.free_rank == 1 else (target,)
+        over = () if target is None else form_args(target)
         return self._at_step(i, lambda: self.diff(i).transpose().linear_rank(*over))
 
     def ext_dim(self, i: int, target: ModuleRep | None = None) -> int:
@@ -353,9 +357,11 @@ def _dual_hom(mod: ModuleRep) -> HomModule:
 def apply_dual(complex_: ModuleComplex) -> ModuleComplex:
     """Term-wise Hom(-, Lambda) with induced maps, positions reversed.
 
-    This is the generic path: every dual is computed as a solution
-    space of the commuting system, independent of the entry-transpose
-    shortcut used for free complexes.
+    This is the generic path: each term's dual is an explicit basis of
+    Hom(C_i, Lambda) (hom_module), and each induced map is read off the
+    basis maps composed with the dense map f, in the coordinates of the
+    next basis.  Its ranks are those of these composed matrices, not of
+    the entry-wise transposes that FreeComplex.dual and ext_dims use.
     """
     duals = {i: _dual_hom(mod) for i, mod in complex_.modules.items()}
     modules = {-i: h.module for i, h in duals.items()}

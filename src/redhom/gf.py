@@ -463,7 +463,9 @@ def kernel(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     at the others.  Reversing rows and columns therefore gives kernel
     vectors of arr, ordered by ascending f, each 1 at f and 0 at every
     other free column; transposed, that is the unique kernel basis that
-    is the identity on the free rows, entry for entry.
+    is the identity on the free rows, entry for entry.  No module of the
+    package calls it: the tests use it as a reference, and the
+    benchmark's tracer wraps it.
     """
     rows, lead = kernel_rows(np.asarray(arr)[:, ::-1], p)
     cols = rows.shape[1]

@@ -361,9 +361,9 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     # column t * dim Lambda + i is e_i times the t-th minimal generator
     phi = mod.rho()[:, :, list(gens)].transpose(1, 2, 0).reshape(mod.dim, len(gens) * A.dim)
     free = free_module(A, len(gens))
-    if gf.rank(phi, A.p) != mod.dim:
-        raise AssertionError("projective cover must be surjective")
     rows, piv = gf.kernel_rows(phi, A.p)
+    if phi.shape[1] - rows.shape[0] != mod.dim:     # rank = columns - nullity
+        raise AssertionError("projective cover must be surjective")
     check_minimal_kernel(gf.Cells.of(rows), A.dim)
     syz, incl = submodule_from_rows(free, rows, piv)
     return CoverData(ModuleMap(free, mod, phi), syz, incl, piv, free)
@@ -492,12 +492,14 @@ class LambdaMatrix:
         return self.nonzero.rows[k] * d + a, self.nonzero.cols[k] * d + b, blocks[k, a, b]
 
     @cached
-    def kernel_rows(self) -> tuple[gf.Cells, tuple[int, ...]]:
-        """Canonical row basis of the linear form's kernel as its cells, with pivots."""
+    def kernel_rows(self, module: ModuleRep | None = None) -> tuple[gf.Cells, tuple[int, ...]]:
+        """Canonical row basis of the kernel of the form over the module, the
+        ring by default, as its cells, with pivots (cached per module)."""
         p = self.algebra.p
-        if self._form_cells() > gf.BLOCK_CELLS:
-            return gf.component_kernel_rows(*self.cells(), self.cols * self.algebra.dim, p)
-        rows, lead = gf.kernel_rows(self.to_linear(), p)
+        if self._form_cells(module) > gf.BLOCK_CELLS:
+            d = self.algebra.dim if module is None else module.dim
+            return gf.component_kernel_rows(*self.cells(module), self.cols * d, p)
+        rows, lead = gf.kernel_rows(self.to_linear() if module is None else self._form(module), p)
         return gf.Cells.of(rows), lead
 
     @cached
@@ -658,7 +660,7 @@ class HomSpace:
     source: ModuleRep
     target: ModuleRep
     basis: np.ndarray              # (dim, dn, dm); slice t is kernel column t
-    kernel: np.ndarray             # columns span the solution space
+    kernel: np.ndarray             # columns: the canonical basis of Hom(M, N)
     free_coords: tuple[int, ...]
 
     @property
@@ -681,24 +683,65 @@ class HomSpace:
         return onto.coords(comps.reshape(h, dn, g.shape[1]))
 
 
-def _commuting_system(source: ModuleRep, target: ModuleRep) -> np.ndarray:
-    """The blocks I_n (x) a_j^T - b_j (x) I_m of hom_space, stacked over j.
+def form_args(target: ModuleRep) -> tuple:
+    """The module argument of a form over the target: none for Lambda
+    itself, whose rho is left_mult, so it shares the ring's cached form."""
+    return () if target.free_rank == 1 else (target,)
 
-    Unknown t*m + i is entry (t, i) of an n x m hom matrix.  Only the
-    nonzero diagonals of the two Kronecker products are written.
+
+@cached
+def _cover_section(mod: ModuleRep) -> np.ndarray:
+    """A linear section s of the cover pi: Lambda^g -> M, pi . s = 1 (cached on M)."""
+    phi = projective_cover_and_syzygy(mod).cover.mat
+    return gf.solve(phi, np.eye(mod.dim, dtype=np.int64), mod.algebra.p)
+
+
+def _hom_maps(source: ModuleRep, target: ModuleRep) -> np.ndarray:
+    """A basis of Hom(M, N) as a (h, dim N, dim M) stack, not canonical.
+
+    Hom is left exact, so 0 -> Hom(M, N) -> N^g -> N^b is exact for the
+    minimal presentation Lambda^b -d_1-> Lambda^g -pi-> M: Hom(M, N) is
+    the kernel of Hom(d_1, N), the form of d_1^T over N.  A kernel vector
+    v gives F: Lambda^g -> N, e_i g_s -> rho_N(e_i) v_s, which kills
+    im d_1 = ker pi, so F = f . pi and f = F . s for a linear section s
+    of pi.  f determines v (v_s = f(pi(g_s))), so the maps are
+    independent.  For a free M the cover is the identity and d_1 has no
+    columns: the kernel is all of N^g and no cover or system is built.
     """
-    A = source.algebra
-    dm, dn = source.dim, target.dim
-    rows, cols = np.arange(dn), np.arange(dm)
-    blk = np.zeros((A.num_gens, dn, dm, dn, dm), dtype=np.int64)
-    for j in range(A.num_gens):
-        blk[j][rows, :, rows, :] = source.action_arr(j).T
-        blk[j][:, cols, :, cols] -= target.action_arr(j)
-    return blk.reshape(A.num_gens * dn * dm, dn * dm) % A.p
+    A, n = source.algebra, target.dim
+    D, p = A.dim, A.p
+    rho = target.rho()
+    if source.free_rank is not None:
+        # v = e_b in summand s: column s*D + i of f is rho_N(e_i)[:, b]
+        r = source.free_rank
+        maps = np.zeros((r, n, n, r, D), dtype=np.int64)
+        every = np.arange(r)
+        maps[every, :, :, every, :] = rho.transpose(2, 1, 0)
+        return maps.reshape(r * n, n, r * D)
+    dual = minimal_presentation(source).relations.transpose()
+    v = np.asarray(dual.kernel_rows(*form_args(target))[0])
+    h, g = v.shape[0], dual.cols
+    # F[k, s, i, a] = (rho_N(e_i) v_{k, s})[a]
+    F = gf.mat_mul(v.reshape(h * g, n), rho.transpose(2, 0, 1).reshape(n, D * n), p)
+    F = F.reshape(h, g, D, n).transpose(0, 3, 1, 2).reshape(h * n, g * D)
+    return gf.mat_mul(F, _cover_section(source), p).reshape(h, n, source.dim)
 
 
 def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
-    """Solution space of the commuting system f . a_j = b_j . f."""
+    """Hom(M, N) as the kernel of Hom(d_1, N), in canonical coordinates.
+
+    Coordinate t*m + i of a map is its entry (t, i), for m = dim M.  The
+    basis maps of _hom_maps span the subspace Hom(M, N) of GF(p)^(n*m);
+    `kernel` is its unique basis that is the identity on the free
+    coordinates, read backwards off one row_basis of the column-reversed
+    maps as gf.kernel reads kernel_rows.  Why that equals gf.kernel of
+    the commuting system f . a_j = b_j . f (the tests' reference), entry
+    for entry: the reversed maps span the reversal of Hom(M, N), which
+    is the kernel of that system with its columns reversed, and the rref
+    of a subspace is unique, so their row_basis is the system's reversed
+    kernel_rows, and `kernel`, `basis` and `free_coords` follow from it
+    by gf.kernel's own reading.
+    """
     A = source.algebra
     if target.algebra is not A:
         raise ModuleError("hom between modules over different algebras")
@@ -706,10 +749,24 @@ def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
     if dm == 0 or dn == 0:
         k, free = np.zeros((dn * dm, 0), dtype=np.int64), ()
     else:
-        k, free = gf.kernel(_commuting_system(source, target), A.p)
+        maps = _hom_maps(source, target)
+        rows, lead = gf.row_basis(maps.reshape(maps.shape[0], dn * dm)[:, ::-1], A.p)
+        k, free = rows[::-1, ::-1].T, tuple(dn * dm - 1 - c for c in reversed(lead))
     basis = k.T.reshape(k.shape[1], dn, dm)
     k.flags.writeable = basis.flags.writeable = False
     return HomSpace(source, target, basis, k, free)
+
+
+def hom_dim(source: ModuleRep, target: ModuleRep) -> int:
+    """dim Hom(M, N) = mu(M) * dim N - rank Hom(d_1, N), with no basis."""
+    if target.algebra is not source.algebra:
+        raise ModuleError("hom between modules over different algebras")
+    if source.dim == 0 or target.dim == 0:
+        return 0
+    if source.free_rank is not None:
+        return source.free_rank * target.dim
+    dual = minimal_presentation(source).relations.transpose()
+    return dual.cols * target.dim - dual.linear_rank(*form_args(target))
 
 
 @dataclass
@@ -834,7 +891,7 @@ _ISO_CHUNK_ENTRIES = 1 << 15
 @cached
 def _end_dim(mod: ModuleRep) -> int:
     """dim End(M), cached on the module."""
-    return hom_space(mod, mod).dim
+    return hom_dim(mod, mod)
 
 
 def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,

@@ -46,7 +46,7 @@ from .modules import (
     ModuleMap,
     ModuleRep,
     free_module,
-    hom_space,
+    hom_dim,
     lambda_from_linear,
     minimal_presentation,
     quotient_module,
@@ -327,8 +327,7 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     if n == 0:
         # exactness of the dual at P_0* needs the augmentation by the image:
         # ker d_1^T = Ext^0(M, Lambda) must be Hom(image, Lambda)
-        hom_dim = hom_space(image_module, ring_module(A)).dim
-        if res.ext_dim(0) != hom_dim:
+        if res.ext_dim(0) != hom_dim(image_module, ring_module(A)):
             raise AssertionError("dual of augmented window must be exact at P_0*")
     if any(dual_defects.values()):
         raise AssertionError("dual of window must be exact")
@@ -404,10 +403,10 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
     image = _image_of_middle(comp, n)
     if n == 0:
         # augmented dual exactness at P_0*: ker d_1^* must be Hom(image, Lambda)
-        hom_dim = hom_space(image, ring_module(comp.algebra)).dim
+        homs = hom_dim(image, ring_module(comp.algebra))
         ker_dual = dual.exactness_defects([0])[0]
-        if ker_dual != hom_dim:
-            dual_defects[0] = ker_dual - hom_dim
+        if ker_dual != homs:
+            dual_defects[0] = ker_dual - homs
 
     membership_failures = []
     if mode == "(3)":

@@ -26,6 +26,24 @@ def map_from_coords(space: HomSpace, coeffs) -> ModuleMap:
                      vec.reshape(space.target.dim, space.source.dim))
 
 
+def commuting_system(source: ModuleRep, target: ModuleRep) -> np.ndarray:
+    """The blocks I_n (x) a_j^T - b_j (x) I_m, stacked over the generators j.
+
+    Its kernel is Hom(M, N): unknown t*m + i is entry (t, i) of an n x m
+    matrix f, and the rows say f . a_j = b_j . f.  Only the nonzero
+    diagonals of the two Kronecker products are written; the reference
+    for modules.hom_space, gf.kernel(commuting_system(M, N), p).
+    """
+    A = source.algebra
+    dm, dn = source.dim, target.dim
+    rows, cols = np.arange(dn), np.arange(dm)
+    blk = np.zeros((A.num_gens, dn, dm, dn, dm), dtype=np.int64)
+    for j in range(A.num_gens):
+        blk[j][rows, :, rows, :] = source.action_arr(j).T
+        blk[j][:, cols, :, cols] -= target.action_arr(j)
+    return blk.reshape(A.num_gens * dn * dm, dn * dm) % A.p
+
+
 def dual_module(mod: ModuleRep) -> HomModule:
     """Hom(M, Lambda) as a module."""
     return hom_module(mod, free_module(mod.algebra, 1))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from redhom import gf, modules
 from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
 from redhom.catalog import catalog_ring, sample_modules
+from redhom.complexes import resolution_of
 from redhom.modules import (
     LambdaMatrix,
     ModuleError,
@@ -17,6 +18,7 @@ from redhom.modules import (
     direct_sum,
     free_module,
     has_free_summand,
+    hom_dim,
     hom_module,
     hom_space,
     is_isomorphic,
@@ -30,7 +32,7 @@ from redhom.modules import (
     zero_module,
 )
 
-from module_helpers import dual_module, is_module_map, map_from_coords
+from module_helpers import commuting_system, dual_module, is_module_map, map_from_coords
 
 
 @pytest.fixture(scope="module")
@@ -283,25 +285,29 @@ def test_is_isomorphic_caches_end_dimensions(monkeypatch, R2):
     assert np.array_equal(again.witness.mat, first.witness.mat)
 
 
-def test_is_isomorphic_repeated_on_a_pair_eliminates_nothing(monkeypatch):
-    # the radical series, dim End and Hom(M, N) of a compared pair are kept
-    # on the modules, so the second test repeats no row reduction
+def test_is_isomorphic_repeated_on_a_pair_recomputes_only_the_hom_basis(monkeypatch):
+    # the radical series, dim End and the presentation of M (with its
+    # kernel of Hom(d_1, N)) are kept on the modules, so of every
+    # elimination entry point a repeated test runs only the canonical
+    # basis of Hom(M, N) (one row_basis of its 3 maps of 3 x 3, through
+    # _rref_rows) and the rank scan of its 2^3 candidates (batch_pivots)
     A = catalog_ring("R3q2")
     m = projective_cover_and_syzygy(simple_module(A)).syzygy
     n = transpose_module(transpose_module(m))
     first = is_isomorphic(m, n)
     calls = []
-    row_basis = gf.row_basis
+    for name in ("_rref_rows", "echelon_pivots", "batch_pivots", "batch_rref",
+                 "component_kernel_rows", "component_rank", "component_pivots"):
+        def recorded(*args, _name=name, _fn=getattr(gf, name)):
+            calls.append((_name, np.shape(args[0])))
+            return _fn(*args)
 
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return row_basis(*args, **kwargs)
-
-    monkeypatch.setattr(gf, "row_basis", recorded)
+        monkeypatch.setattr(gf, name, recorded)
     again = is_isomorphic(m, n)
-    assert not calls
+    assert calls == [("_rref_rows", (3, 9)), ("batch_pivots", (8, 3, 3))]
     assert (again.kind, again.method, again.certificate) == \
         (first.kind, first.method, first.certificate)
+    assert np.array_equal(again.witness.mat, first.witness.mat)
 
 
 def test_linear_form_over_budget_is_not_cached(monkeypatch, R1):
@@ -505,21 +511,65 @@ def test_hom_module_actions_match_kronecker_formula(rid, q):
             assert (hm.module.action_arr(j) == moved[list(space.free_coords)]).all()
 
 
+def _hom_samples(alg):
+    """Fresh sources and targets for Hom: zero, free, k, syzygies, transposes, samples."""
+    k = ModuleRep(alg, [np.zeros((1, 1), dtype=np.int64)] * alg.num_gens, dim=1)
+    syz = projective_cover_and_syzygy(k).syzygy
+    mods = [zero_module(alg), free_module(alg, 1), free_module(alg, 2), k, syz,
+            projective_cover_and_syzygy(syz).syzygy, transpose_module(k),
+            transpose_module(syz)]
+    return mods + [mod for _, mod in sample_modules(alg, count=6, max_dim=6, seed=17)]
+
+
 @pytest.mark.parametrize("q", [2, 5])
-@pytest.mark.parametrize("rid", ["R1", "R3", "R4", "R5"])
+@pytest.mark.parametrize("rid", ["R1", "R2", "R3", "R4", "R5"])
 def test_hom_system_matches_kronecker_formula(rid, q):
-    # entry for entry, so hom_space kernels and bases are unchanged
+    # the reference system is the Kronecker formula, and hom_space, which
+    # reads Hom(M, N) off the presentation of M, has its kernel, basis and
+    # free coordinates: gf.kernel of that system, entry for entry, with the
+    # kernel of Hom(d_1, N) on both sides of the cutover (fresh modules for
+    # each, so no kernel is shared between them)
     alg = catalog_ring(rid, q)
-    mods = [mod for _, mod in sample_modules(alg, count=8, max_dim=6, seed=17)]
+    for cutover in (gf.BLOCK_CELLS, 0):
+        mods = _hom_samples(alg)
+        with mock.patch.object(gf, "BLOCK_CELLS", cutover):
+            for source, target in itertools.product(mods, repeat=2):
+                eye_m = np.eye(source.dim, dtype=np.int64)
+                eye_n = np.eye(target.dim, dtype=np.int64)
+                blocks = [(np.kron(eye_n, source.action_arr(j).T)
+                           - np.kron(target.action_arr(j), eye_m)) % q
+                          for j in range(alg.num_gens)]
+                system = commuting_system(source, target)
+                assert np.array_equal(system, np.vstack(blocks) if blocks else
+                                      np.zeros((0, target.dim * source.dim), dtype=np.int64))
+                want = np.zeros((target.dim * source.dim, 0), dtype=np.int64), ()
+                if source.dim and target.dim:
+                    want = gf.kernel(system, q)
+                space = hom_space(source, target)
+                assert space.kernel.dtype == np.int64 and space.kernel.shape == want[0].shape
+                assert (space.kernel == want[0]).all()
+                assert space.free_coords == want[1]
+                assert (space.basis == want[0].T.reshape(space.basis.shape)).all()
+                assert not (space.kernel.flags.writeable or space.basis.flags.writeable)
+
+
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("rid", ["R1", "R2", "R3", "R4", "R5"])
+def test_hom_dim_is_hom_space_dim_and_ext0(rid, q):
+    # mu(M) * dim N - rank Hom(d_1, N) is the dimension of the basis and of
+    # Ext^0 read off the resolution
+    alg = catalog_ring(rid, q)
+    mods = _hom_samples(alg)
     for source, target in itertools.product(mods, repeat=2):
-        eye_m = np.eye(source.dim, dtype=np.int64)
-        eye_n = np.eye(target.dim, dtype=np.int64)
-        blocks = [(np.kron(eye_n, source.action_arr(j).T)
-                   - np.kron(target.action_arr(j), eye_m)) % q
-                  for j in range(alg.num_gens)]
-        want = np.vstack(blocks) if blocks else \
-            np.zeros((0, target.dim * source.dim), dtype=np.int64)
-        assert np.array_equal(modules._commuting_system(source, target), want)
+        assert hom_dim(source, target) == hom_space(source, target).dim \
+            == resolution_of(source).ext_dim(0, target)
+
+
+def test_hom_refuses_modules_over_another_algebra():
+    k2, k5 = simple_module(catalog_ring("R1", 2)), simple_module(catalog_ring("R1", 5))
+    for fn in (hom_space, hom_dim):
+        with pytest.raises(ModuleError, match="different algebras"):
+            fn(k2, k5)
 
 
 def _sequential_iso_scan(m, n):

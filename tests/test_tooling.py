@@ -108,6 +108,15 @@ def test_complexes_ranks_only_through_lambda_matrix():
     assert not found, f"gf.rank called in complexes.py at lines {found}"
 
 
+def test_modules_builds_no_kronecker_commuting_system():
+    # Hom(M, N) is the kernel of Hom(d_1, N); the dense commuting system of
+    # Kronecker blocks lives on only as the tests' reference
+    # (module_helpers.commuting_system)
+    text = (SRC / "modules.py").read_text()
+    found = [name for name in ("np.kron", "_commuting_system") if name in text]
+    assert not found, f"modules.py names {found}"
+
+
 def test_only_gf_names_matrix():
     # maps and Hom bases are plain arrays; gf.Matrix must not spread back
     word = re.compile(r"\bMatrix\b")
