@@ -690,10 +690,18 @@ def form_args(target: ModuleRep) -> tuple:
 
 
 @cached
-def _cover_section(mod: ModuleRep) -> np.ndarray:
-    """A linear section s of the cover pi: Lambda^g -> M, pi . s = 1 (cached on M)."""
+def _cover_section(mod: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
+    """Columns J of the cover pi: Lambda^g -> M that form a basis of M, and
+    the inverse of pi[:, J] (cached on M).
+
+    The inverse at rows J and zeros elsewhere is a linear section s of
+    pi, pi . s = 1: it is the solution of pi . s = 1 with its free
+    variables zero, whose rows are nonzero exactly at the pivots.
+    """
     phi = projective_cover_and_syzygy(mod).cover.mat
-    return gf.solve(phi, np.eye(mod.dim, dtype=np.int64), mod.algebra.p)
+    section = gf.solve(phi, np.eye(mod.dim, dtype=np.int64), mod.algebra.p)
+    cols = np.flatnonzero(section.any(axis=1))
+    return cols, section[cols]
 
 
 def _hom_maps(source: ModuleRep, target: ModuleRep) -> np.ndarray:
@@ -721,10 +729,17 @@ def _hom_maps(source: ModuleRep, target: ModuleRep) -> np.ndarray:
     dual = minimal_presentation(source).relations.transpose()
     v = np.asarray(dual.kernel_rows(*form_args(target))[0])
     h, g = v.shape[0], dual.cols
-    # F[k, s, i, a] = (rho_N(e_i) v_{k, s})[a]
-    F = gf.mat_mul(v.reshape(h * g, n), rho.transpose(2, 0, 1).reshape(n, D * n), p)
-    F = F.reshape(h, g, D, n).transpose(0, 3, 1, 2).reshape(h * n, g * D)
-    return gf.mat_mul(F, _cover_section(source), p).reshape(h, n, source.dim)
+    cols, inverse = _cover_section(source)
+    gens, elems = np.divmod(cols, D)
+    # f = F . s needs F only at the section's columns J: column j of F is
+    # rho_N(e_i) v_t for j = t*D + i, built per basis element e_i; e_0 is
+    # the unit, so its columns are the v_t themselves
+    F = v.reshape(h, g, n)[:, gens, :]
+    for i in set(elems.tolist()) - {0}:     # not np.unique, whose first call imports numpy.ma
+        at = np.flatnonzero(elems == i)
+        F[:, at, :] = gf.mat_mul(F[:, at, :].reshape(-1, n), rho[i].T, p).reshape(h, at.size, n)
+    F = F.transpose(0, 2, 1)
+    return gf.mat_mul(F.reshape(h * n, cols.size), inverse, p).reshape(h, n, source.dim)
 
 
 def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
