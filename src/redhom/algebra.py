@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 
 import numpy as np
 
@@ -186,6 +187,8 @@ class AlgebraRep:
         self.declared_ci = declared_ci
         self.spec = spec
         self._cache: dict = {}
+        # the live modules over this algebra, one per content (see ModuleRep)
+        self.modules = weakref.WeakValueDictionary()
 
         # left multiplication matrices: L[i] @ v = coords of e_i * v
         self.left_mult = np.ascontiguousarray(table.transpose(0, 2, 1))

@@ -14,6 +14,7 @@ subspace, so quotients, syzygies and witnesses are reproducible.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +29,46 @@ class ModuleError(ValueError):
         self.witness = witness
 
 
-class ModuleRep:
-    """A finitely generated module given by generator action matrices."""
+def _digest(actions: tuple[np.ndarray, ...]) -> int:
+    """CRC-32 of the action matrices' bytes, the intern table's key.
 
-    def __init__(self, algebra: AlgebraRep, actions, *, dim: int | None = None,
-                 free_rank: int | None = None, validate: bool = False):
+    Deterministic and cheap (zlib is loaded with numpy, where hashlib
+    would add about 2 ms to every start); a hit is confirmed by comparing
+    the arrays, so a collision costs only a missed share.
+    """
+    return zlib.crc32(b"".join(a.tobytes() for a in actions))
+
+
+class ModuleRep:
+    """A finitely generated module given by generator action matrices.
+
+    One module per content: constructing a module equal to one that is
+    still alive returns that object, so equal modules share one `_cache`
+    and their covers, presentations, resolutions, transposes, Hom spaces
+    and End dimensions are computed once.  The table is
+    `algebra.modules`, a weak-valued dict, so a module no one holds (a
+    search's middles) is freed as before.  A free module is keyed by
+    ("free", rank); a module given by actions, even one equal to
+    Lambda^r, by its dimension and a digest of its action bytes, and a
+    digest hit counts only when the arrays are equal, so equality is
+    exact (on a digest collision the new module is simply not interned).
+    `validate=True` checks the input before the lookup.
+
+    Sharing the cache is sound because a module is immutable: its
+    actions are read-only copies, nothing writes to a module after
+    construction, and everything derived from it is a function of its
+    algebra and actions alone (free modules of the same rank are equal).
+    """
+
+    def __new__(cls, algebra: AlgebraRep, actions, *, dim: int | None = None,
+                free_rank: int | None = None, validate: bool = False):
         """Actions give the dimension; `dim` is needed only without generators."""
+        self = super().__new__(cls)
         self.algebra = algebra
         if free_rank is not None:
             self.dim = free_rank * algebra.dim
             self._actions = None
+            key = ("free", free_rank)
         else:
             mats = [np.asarray(a, dtype=np.int64) % algebra.p for a in actions]
             if len(mats) != algebra.num_gens:
@@ -58,10 +89,18 @@ class ModuleRep:
             for m in mats:
                 m.flags.writeable = False
             self._actions = tuple(mats)
+            key = (self.dim, _digest(self._actions))
         self.free_rank = free_rank
         self._cache: dict = {}
         if validate:
             self.validate()
+        twin = algebra.modules.get(key)
+        if twin is None:
+            algebra.modules[key] = self
+            return self
+        if free_rank is not None or all(map(np.array_equal, twin._actions, self._actions)):
+            return twin
+        return self
 
     # -- actions ----------------------------------------------------------
 
@@ -191,7 +230,9 @@ class ModuleMap:
 
     `mat` is a read-only int64 array reduced mod p, copied from the
     caller's entries.  Maps between modules over different algebras are
-    refused here, which is what keeps moduli from mixing.
+    refused here, which is what keeps moduli from mixing.  f @ g needs
+    g's target to be f's source; modules are interned, so that object is
+    the one module of that content.
     """
 
     __slots__ = ("source", "target", "mat")
@@ -211,7 +252,7 @@ class ModuleMap:
         self.mat = mat
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        if other.target is not self.source and other.target.dim != self.source.dim:
+        if other.target is not self.source:
             raise ModuleError("composition mismatch")
         return ModuleMap(other.source, self.target,
                          gf.mat_mul(self.mat, other.mat, self.source.algebra.p))
@@ -238,7 +279,8 @@ def zero_module(algebra: AlgebraRep) -> ModuleRep:
 
 @cached
 def simple_module(algebra: AlgebraRep) -> ModuleRep:
-    """The residue field k as a module (cached so resolutions are shared)."""
+    """The residue field k as a module (cached, so k and its resolution
+    live as long as the algebra)."""
     return ModuleRep(algebra, [np.zeros((1, 1), dtype=np.int64)] * algebra.num_gens, dim=1)
 
 

@@ -363,19 +363,15 @@ class WindowVerdict:
 def _image_of_middle(comp: ModuleComplex | FreeComplex, n: int):
     """Image of the middle map (or for n = 0 the cokernel convention).
 
-    A module is determined by its algebra and action matrices, so equal
-    images are one module: the first one built is kept in the algebra's
-    `window_images`, keyed by its dimension and action bytes, and later
-    equal images return it with its resolutions already computed.
+    Modules are interned by content (see ModuleRep), so an image equal
+    to one built for another window is that module, with its
+    resolutions already computed.
     """
     A = comp.algebra
     rows, piv = gf.row_basis(comp.linear(1 if n == 0 else 0).T, A.p)
     if n == 0:
-        image = quotient_module(comp.term(0), rows, piv)[0]
-    else:
-        image = submodule_from_rows(comp.term(-1), rows, piv)[0]
-    key = (image.dim,) + tuple(image.action_arr(j).tobytes() for j in range(A.num_gens))
-    return A._cache.setdefault("window_images", {}).setdefault(key, image)
+        return quotient_module(comp.term(0), rows, piv)[0]
+    return submodule_from_rows(comp.term(-1), rows, piv)[0]
 
 
 def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,

@@ -189,9 +189,10 @@ def test_dual_complex_shares_the_cached_transposes(R1):
 
 
 def test_ext_general_target_matches_ring_path(R2, R3):
-    # Lambda as the cached ring module, as a fresh free module and as a
-    # module given by its actions (the form over a module, with rho =
-    # left_mult) gives the dense reference's Ext table
+    # Lambda as the cached ring module, as free_module (the same object,
+    # since modules are interned) and as a module given by its actions (the
+    # form over a module, with rho = left_mult) gives the dense reference's
+    # Ext table
     for alg in (R2, R3):
         k = simple_module(alg)
         want = dense_ext_dims(k, free_module(alg, 1), 4)
@@ -210,8 +211,8 @@ def test_ext_refuses_a_target_over_another_algebra():
 @pytest.mark.parametrize("rid,bound", [("R1", 8), ("R2", 8), ("R3", 8), ("R4", 6), ("R5", 3)])
 def test_dual_rank_over_any_target_matches_the_dense_reference(rid, bound):
     # Hom(d_i, N) is the form of d_i^T over N: on both sides of the cutover
-    # its rank is the dense reference's, for k, Lambda (a fresh free module,
-    # and a module given by its actions), the zero module and sample modules
+    # its rank is the dense reference's, for k, Lambda (the free module, and
+    # a module given by its actions), the zero module and sample modules
     # as targets, on the resolutions of k and of the samples.  Fresh rings
     # keep ranks cached at one cutover out of the other
     for q in (2, 5):

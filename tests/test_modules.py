@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -6,9 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redhom import gf, modules
-from redhom.algebra import RingSpec, build_from_structure_constants, build_monomial_quotient
-from redhom.catalog import catalog_ring, sample_modules
-from redhom.complexes import resolution_of
+from redhom.algebra import (
+    RingSpec,
+    build_from_structure_constants,
+    build_monomial_quotient,
+    build_ring,
+)
+from redhom.catalog import catalog_ring, catalog_spec, module_from_spec, sample_modules
+from redhom.complexes import ext_dims, resolution_of, ring_module
+from redhom.reducing import SearchLimits, search_reducing
+from redhom.torsionfree import torsionfree_classify
 from redhom.modules import (
     LambdaMatrix,
     ModuleError,
@@ -25,14 +34,22 @@ from redhom.modules import (
     lambda_from_linear,
     minimal_presentation,
     projective_cover_and_syzygy,
+    quotient_module,
     simple_module,
     span_submodule,
     split_free_summands,
+    submodule_from_rows,
     transpose_module,
     zero_module,
 )
 
-from module_helpers import commuting_system, dual_module, is_module_map, map_from_coords
+from module_helpers import (
+    commuting_system,
+    dual_module,
+    is_module_map,
+    map_from_coords,
+    ring_by_actions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +413,140 @@ def test_noncommuting_actions_rejected(R1):
         ModuleRep(R1, [a, b], validate=True)
 
 
+def test_equal_modules_are_one_object():
+    # every construction returns the live module of equal content: k over
+    # R1 = k[x, y]/(x, y)^2 as the socle line x*Lambda, as Lambda/m (a
+    # quotient and a cokernel) and as a document; k + k by a sum and as a
+    # document; the second syzygy of k as a span of its own rows
+    alg = build_ring(catalog_spec("R1", 5))
+    k, F = simple_module(alg), free_module(alg, 1)
+    x = np.array([[0], [1], [0]], dtype=np.int64)
+    assert span_submodule(F, x)[0] is k
+    rad_rows, rad_piv = F.radical_rows()
+    assert quotient_module(F, rad_rows, rad_piv)[0] is k
+    entries = np.zeros((1, 2, 3), dtype=np.int64)
+    entries[0, 0, 1] = entries[0, 1, 2] = 1
+    assert cokernel_of_lambda_matrix(LambdaMatrix(alg, entries))[0] is k
+    assert module_from_spec(alg, {"presentation": entries.tolist()}) is k
+    assert module_from_spec(alg, {"actions": [[[0]], [[0]]]}) is k
+    kk = direct_sum([k, k])
+    assert direct_sum([k, k]) is kk
+    assert module_from_spec(alg, {"actions": [np.zeros((2, 2), int).tolist()] * 2}) is kk
+    res = resolution_of(k)
+    syz2 = module_from_spec(alg, "syzygy:2:k")
+    cover = projective_cover_and_syzygy(res.syzygy_module(1))
+    rows = np.asarray(cover.inclusion.mat.T)
+    assert submodule_from_rows(cover.free, rows, cover.pivots)[0] is syz2
+    assert free_module(alg, 2) is direct_sum([F, F]) is module_from_spec(alg, "free:2")
+
+
+def test_unequal_modules_stay_distinct():
+    # other actions, another algebra, or Lambda^r given by actions
+    alg = build_ring(catalog_spec("R1", 2))
+    twin_ring = build_ring(catalog_spec("R1", 2))
+    zeros = ModuleRep(alg, [np.zeros((2, 2), dtype=np.int64)] * 2)
+    shifted = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    other = ModuleRep(alg, [shifted, np.zeros((2, 2), dtype=np.int64)])
+    assert zeros is not other and zeros.dim == other.dim
+    assert simple_module(alg) is not simple_module(twin_ring)
+    assert simple_module(alg).algebra is alg
+    assert ModuleRep(twin_ring, [np.zeros((1, 1), dtype=np.int64)] * 2) is simple_module(twin_ring)
+    lam = ring_by_actions(alg)
+    assert lam is not free_module(alg, 1) and lam.free_rank is None
+    assert lam is ring_by_actions(alg)
+    assert direct_sum([lam, lam]) is not free_module(alg, 2)
+
+
+def test_interned_module_is_freed_with_its_last_reference():
+    # the table holds modules weakly: a module no one holds (with the
+    # reference cycles its cover makes) is freed, and its entry goes too
+    alg = build_ring(catalog_spec("R3", 5))
+    mod = ModuleRep(alg, [np.array([[0, 0], [1, 0]], dtype=np.int64),
+                          np.array([[0, 0], [2, 0]], dtype=np.int64)], validate=True)
+    projective_cover_and_syzygy(mod)
+    key = (mod.dim, modules._digest(mod._actions))
+    assert alg.modules[key] is mod
+    ref, count = weakref.ref(mod), len(alg.modules)
+    del mod
+    gc.collect()
+    assert ref() is None
+    assert key not in alg.modules and len(alg.modules) < count
+
+
+def test_validation_runs_even_when_an_unvalidated_twin_is_alive():
+    # x cannot act as the identity because x^2 = 0 in R2; neither can x and
+    # y act by matrices that do not commute
+    alg = build_ring(catalog_spec("R2", 5))
+    bad = ModuleRep(alg, [np.eye(1, dtype=np.int64)])
+    with pytest.raises(ModuleError):
+        ModuleRep(alg, [np.eye(1, dtype=np.int64)], validate=True)
+    assert ModuleRep(alg, [np.eye(1, dtype=np.int64)]) is bad
+    R1 = build_ring(catalog_spec("R1", 5))
+    a = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    b = np.array([[0, 0], [1, 0]], dtype=np.int64)
+    ModuleRep(R1, [a, b])
+    with pytest.raises(ModuleError, match="do not commute"):
+        ModuleRep(R1, [a, b], validate=True)
+
+
+def test_digest_collisions_keep_unequal_modules_apart(monkeypatch):
+    # with every digest equal, a hit is accepted only for equal arrays
+    monkeypatch.setattr(modules, "_digest", lambda actions: b"")
+    alg = build_ring(catalog_spec("R1", 5))
+    shapes = [np.array([[0, 0], [c, 0]], dtype=np.int64) for c in range(3)]
+    mods = [ModuleRep(alg, [s, s]) for s in shapes]
+    assert len(set(map(id, mods))) == 3
+    for s, mod in zip(shapes, mods):
+        assert np.array_equal(mod.action_arr(0), s) and np.array_equal(mod.action_arr(1), s)
+    assert ModuleRep(alg, [shapes[0], shapes[0]]) is mods[0]
+
+
+def test_composing_through_an_unequal_module_of_the_same_dim_raises(R2):
+    # Lambda and k + k both have dimension 2 over R2, but are not one module
+    k = simple_module(R2)
+    F, kk = free_module(R2, 1), direct_sum([k, k])
+    eye = np.eye(2, dtype=np.int64)
+    f, g = ModuleMap(F, F, eye), ModuleMap(kk, kk, eye)
+    with pytest.raises(ModuleError, match="composition mismatch"):
+        f @ g
+    with pytest.raises(ModuleError, match="composition mismatch"):
+        g @ f
+    assert np.array_equal((ModuleMap(kk, direct_sum([k, k]), eye) @ g).mat, eye)
+
+
+def _oracle(alg):
+    """Betti numbers, Ext, classes, Hom bases, isomorphism verdicts and
+    1-step searches of alg's sample modules, as plain data."""
+    mods = [m for _, m in sample_modules(alg, count=6, max_dim=6, seed=29)]
+    out = []
+    for m in mods:
+        res = resolution_of(m).extend(6)
+        out.append((list(res.betti[:7]), list(ext_dims(m, ring_module(alg), 6).dims),
+                    torsionfree_classify(m, 2).to_jsonable()))
+    for a, b in itertools.product(mods, repeat=2):
+        space, iso = hom_space(a, b), is_isomorphic(a, b)
+        out.append((space.kernel.tolist(), space.basis.tolist(), iso.kind, iso.certificate,
+                    None if iso.witness is None else iso.witness.mat.tolist()))
+    for m, (mode, limits) in itertools.product(mods, [
+            ("red", SearchLimits(max_steps=1)), ("ured", SearchLimits(max_steps=1, n_max=2, ab_max=2))]):
+        result = search_reducing(m, mode, "pd", limits)
+        out.append((result.found, result.tested, result.pruned,
+                    result.witness.to_jsonable() if result.witness else None))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("rid", ["R1", "R2", "R3", "R4", "R5"])
+def test_interned_results_equal_a_ring_that_shares_nothing(rid, q, monkeypatch):
+    # the catalog ring's modules are shared with every earlier computation
+    # on it; the reference ring is fresh and gives every module its own
+    # digest, so no two modules built from actions are ever one object
+    got = _oracle(catalog_ring(rid, q))
+    fresh = itertools.count()
+    monkeypatch.setattr(modules, "_digest", lambda actions: next(fresh))
+    assert got == _oracle(build_ring(catalog_spec(rid, q)))
+
+
 def test_lambda_matrix_roundtrip(R1):
     entries = np.zeros((2, 1, 3), dtype=np.int64)
     entries[0, 0, 1] = 1
@@ -527,10 +678,10 @@ def test_hom_system_matches_kronecker_formula(rid, q):
     # the reference system is the Kronecker formula, and hom_space, which
     # reads Hom(M, N) off the presentation of M, has its kernel, basis and
     # free coordinates: gf.kernel of that system, entry for entry, with the
-    # kernel of Hom(d_1, N) on both sides of the cutover (fresh modules for
-    # each, so no kernel is shared between them)
-    alg = catalog_ring(rid, q)
+    # kernel of Hom(d_1, N) on both sides of the cutover (a fresh ring for
+    # each, so no module and no kernel is shared between them)
     for cutover in (gf.BLOCK_CELLS, 0):
+        alg = build_ring(catalog_spec(rid, q))
         mods = _hom_samples(alg)
         with mock.patch.object(gf, "BLOCK_CELLS", cutover):
             for source, target in itertools.product(mods, repeat=2):

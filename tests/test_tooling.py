@@ -82,6 +82,23 @@ def test_derived_data_is_cached_only_through_the_helper():
     assert not bad, f"hand-written caches: {bad}"
 
 
+def test_content_is_keyed_only_by_the_module_intern_table():
+    # equal modules are one object (ModuleRep.__new__), so a side table
+    # keyed by a module's content, as window images once had, must not
+    # come back: array bytes, digests and hashes are read only there
+    words = {"tobytes", "_digest", "hash", "hashlib", "digest", "hexdigest",
+             "zlib", "crc32", "adler32"}
+    allowed = {("modules.py", "_digest"), ("modules.py", "ModuleRep.__new__")}
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else None)
+            if name in words and (path.name, scope) not in allowed:
+                bad.append(f"{path.name}:{node.lineno} {name} in {scope or 'module'}")
+    assert not bad, f"content read as a key outside the intern table: {bad}"
+
+
 def test_dense_entries_are_read_only_in_lambda_matrix_and_json():
     # a LambdaMatrix holds only its nonzero entries; the dense `entries`
     # array is built on each read, so the package reads the cells instead

@@ -313,7 +313,7 @@ def test_roundtrip_classify_build_verify(R1, R2, R4):
 
 
 def _fresh_image(comp, n):
-    """The middle image built directly, never looked up among earlier images."""
+    """The middle image built directly, not through torsionfree._image_of_middle."""
     from redhom.modules import quotient_module, submodule_from_rows
     rows, piv = gf.row_basis(comp.linear(1 if n == 0 else 0).T, comp.algebra.p)
     if n == 0:
@@ -321,28 +321,32 @@ def _fresh_image(comp, n):
     return submodule_from_rows(comp.term(-1), rows, piv)[0]
 
 
-def test_verifier_keeps_one_module_per_distinct_window_image(monkeypatch):
-    # a fresh ring, so no other test has looked up images on it; over
-    # R3q5 the second syzygy of k has two distinct images in 9 windows
-    from redhom import torsionfree
-    alg = build_ring(catalog_spec("R3", 5))
+def _window_verdicts(alg):
+    """The 9 windows (m, n <= 2) of syz^2 k over alg and their mode (4) verdicts."""
     mod = resolution_of(simple_module(alg)).syzygy_module(2)
     windows = [(m, n, build_window_sequence(mod, m, n).complex)
                for m in range(3) for n in range(3)]
-    cached = [verify_window_sequence(comp, m, n, "(4)").to_jsonable()
-              for m, n, comp in windows]
-    images = alg._cache["window_images"]
-    keys = set()
+    return windows, [verify_window_sequence(comp, m, n, "(4)").to_jsonable()
+                     for m, n, comp in windows]
+
+
+def test_verifier_keeps_one_module_per_distinct_window_image():
+    # over R3q5 the second syzygy of k has two distinct images in 9
+    # windows: one interned module each, which _image_of_middle returns.
+    # The verdicts equal those on a second ring, which shares no module
+    # and no cache with the first
+    from redhom import modules, torsionfree
+    alg = build_ring(catalog_spec("R3", 5))
+    windows, got = _window_verdicts(alg)
+    images, contents = {}, set()
     for m, n, comp in windows:
         image = _fresh_image(comp, n)
-        key = (image.dim,) + tuple(image.action_arr(j).tobytes()
-                                   for j in range(alg.num_gens))
-        keys.add(key)
-        assert images[key] is not image
-        assert torsionfree._image_of_middle(comp, n) is images[key]
-    assert len(images) == len(keys) == 2
-    monkeypatch.setattr(torsionfree, "_image_of_middle", _fresh_image)
-    fresh = [verify_window_sequence(comp, m, n, "(4)").to_jsonable()
-             for m, n, comp in windows]
-    assert cached == fresh
-    assert all(v["ok"] for v in cached)
+        key = (image.dim, modules._digest(image._actions))
+        assert alg.modules[key] is image
+        assert torsionfree._image_of_middle(comp, n) is image
+        images[id(image)] = image
+        contents.add((image.dim,) + tuple(image.action_arr(j).tobytes()
+                                          for j in range(alg.num_gens)))
+    assert len(images) == len(contents) == 2
+    assert got == _window_verdicts(build_ring(catalog_spec("R3", 5)))[1]
+    assert all(v["ok"] for v in got)
