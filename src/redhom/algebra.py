@@ -48,6 +48,19 @@ class AlgebraError(ValueError):
         self.witness = witness
 
 
+def json_ints(value, what: str):
+    """A JSON number or nested lists of them, returned as given if every
+    one is an int within int64; a float, bool or string (which would be
+    truncated or read as 0 or 1) or a larger int raises ValueError."""
+    leaves = [value]
+    for x in leaves:
+        if isinstance(x, list):
+            leaves.extend(x)
+        elif type(x) is not int or not -2**63 <= x < 2**63:
+            raise ValueError(f"{what}: only integers within int64 are exact, got {x!r}")
+    return value
+
+
 class RingSpec:
     """Input document describing a ring, mirroring the JSON schema."""
 
@@ -76,7 +89,7 @@ class RingSpec:
             raise AlgebraError(f"unknown ring spec fields {sorted(unknown)}")
         if "mode" not in d or "p" not in d:
             raise AlgebraError("ring spec requires 'mode' and 'p'")
-        return cls(d["mode"], d["p"], variables=d.get("variables"),
+        return cls(d["mode"], json_ints(d["p"], "p"), variables=d.get("variables"),
                    ideal=d.get("ideal"), labels=d.get("labels"),
                    products=d.get("products"), table=d.get("table"),
                    gens=d.get("gens"), ci=d.get("ci"), name=d.get("name"))
@@ -454,7 +467,7 @@ def build_from_structure_constants(spec: RingSpec) -> AlgebraRep:
     d = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     if spec.table is not None:
-        table = np.asarray(spec.table, dtype=np.int64)
+        table = np.asarray(json_ints(spec.table, "table entries"), dtype=np.int64)
         if table.shape != (d, d, d):
             raise AlgebraError(f"table shape {table.shape} does not match {d} labels")
         table = table % p
@@ -475,7 +488,7 @@ def build_from_structure_constants(spec: RingSpec) -> AlgebraRep:
                     if lab not in index:
                         raise AlgebraError(f"unknown label {lab!r} in product {key!r}",
                                            witness=key)
-                    vec[index[lab]] = int(coeff) % p
+                    vec[index[lab]] = json_ints(coeff, "product coefficients") % p
             elif value in (0, None):
                 pass
             else:

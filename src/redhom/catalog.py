@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .algebra import AlgebraError, AlgebraRep, RingSpec, build_ring
+from .algebra import AlgebraError, AlgebraRep, RingSpec, build_ring, json_ints
 from .complexes import resolution_of
 from .modules import (
     LambdaMatrix,
@@ -123,11 +123,11 @@ def module_from_spec(algebra: AlgebraRep, spec) -> ModuleRep:
         raise ModuleError(f"unknown module shorthand {spec!r}")
     if isinstance(spec, dict):
         if "actions" in spec:
-            return ModuleRep(algebra, spec["actions"], dim=spec.get("dim"),
-                             validate=True)
+            return ModuleRep(algebra, json_ints(spec["actions"], "module actions"),
+                             dim=spec.get("dim"), validate=True)
         if "presentation" in spec:
-            lam = LambdaMatrix(algebra, np.asarray(spec["presentation"],
-                                                   dtype=np.int64))
+            lam = LambdaMatrix(algebra, json_ints(spec["presentation"],
+                                                  "presentation entries"))
             return cokernel_of_lambda_matrix(lam)[0]
         raise ModuleError("module document needs 'actions' or 'presentation'")
     raise ModuleError(f"cannot interpret module spec {spec!r}")

@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__, gf
-from .algebra import AlgebraError, RingSpec, build_ring, socle_and_classify
+from .algebra import AlgebraError, RingSpec, build_ring, json_ints, socle_and_classify
 from .catalog import catalog_listing, load_ring, module_from_spec
 from .complexes import (
     FreeComplex,
@@ -102,7 +102,7 @@ def _check_at_least(args, flag: str, minimum: int) -> None:
 def _load_ring(args):
     try:
         return load_ring(args.ring, getattr(args, "p", 5))
-    except (AlgebraError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (AlgebraError, FileNotFoundError, json.JSONDecodeError, ValueError) as err:
         raise InputError(f"cannot load ring {args.ring!r}: {err}") from err
 
 
@@ -217,9 +217,9 @@ def cmd_seq(args):
         if m is None or n is None:
             raise InputError("sequence degrees m, n missing (flags or file)")
         try:
-            m, n = int(m), int(n)
-        except (TypeError, ValueError) as err:
-            raise InputError(f"sequence degrees must be integers: {err}") from err
+            m, n = json_ints([m, n], "sequence degrees")
+        except ValueError as err:
+            raise InputError(str(err)) from err
         if m < 0 or n < 0:
             raise InputError(f"sequence degrees must be nonnegative, got m={m}, n={n}")
         if (comp.lo, comp.hi) != (-n, m + 1):
@@ -239,16 +239,17 @@ def _sequence_from_doc(alg, doc) -> ModuleComplex | FreeComplex:
         raise InputError(f"unknown sequence kind {kind!r}")
     try:
         if kind == "free":
-            ranks = {int(i): r for i, r in doc["ranks"].items()}
-            diffs = {int(i): LambdaMatrix(alg, e) for i, e in doc["differentials"].items()}
+            ranks = {int(i): json_ints(r, "ranks") for i, r in doc["ranks"].items()}
+            diffs = {int(i): LambdaMatrix(alg, json_ints(e, "differential entries"))
+                     for i, e in doc["differentials"].items()}
             return FreeComplex(alg, ranks, diffs)
-        mods = {int(i): ModuleRep(alg, m.get("actions", []), dim=m.get("dim"),
-                                  validate=True)
+        mods = {int(i): ModuleRep(alg, json_ints(m.get("actions", []), "module actions"),
+                                  dim=m.get("dim"), validate=True)
                 for i, m in doc["modules"].items()}
         maps = {}
         for i, mat in doc["maps"].items():
             i = int(i)
-            maps[i] = ModuleMap(mods[i], mods[i - 1], mat)
+            maps[i] = ModuleMap(mods[i], mods[i - 1], json_ints(mat, "map entries"))
         return ModuleComplex(mods, maps, check=True)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad {kind} sequence: {err}") from err

@@ -310,7 +310,7 @@ def resolution_of(mod: ModuleRep) -> MinimalResolution:
     d_1 is the presentation's relation matrix and the first syzygy is
     the kernel of the projective cover, so neither is computed twice.
     """
-    res = MinimalResolution.from_presentation(mod.algebra, minimal_presentation(mod).relations)
+    res = MinimalResolution.from_presentation(mod.algebra, minimal_presentation(mod))
     res.module = mod
     return res
 

@@ -660,19 +660,12 @@ def minimal_generators(algebra: AlgebraRep, rank: int, rows: gf.Cells,
     return lam
 
 
-@dataclass
-class Presentation:
-    cover: ModuleMap
-    relations: LambdaMatrix   # map P1 -> P0 with image the syzygy
-
-
 @cached
-def minimal_presentation(mod: ModuleRep) -> Presentation:
-    """Minimal free presentation P1 -> P0 -> M -> 0."""
+def minimal_presentation(mod: ModuleRep) -> LambdaMatrix:
+    """d_1 of the minimal presentation P1 -> P0 -> M -> 0, whose P0 -> M is the cover."""
     data = projective_cover_and_syzygy(mod)
-    lam = minimal_generators(mod.algebra, data.free.free_rank,
-                             gf.Cells.of(data.inclusion.mat.T), data.pivots)
-    return Presentation(data.cover, lam)
+    return minimal_generators(mod.algebra, data.free.free_rank,
+                              gf.Cells.of(data.inclusion.mat.T), data.pivots)
 
 
 def cokernel_of_lambda_matrix(lam: LambdaMatrix):
@@ -692,7 +685,7 @@ def transpose_module(mod: ModuleRep) -> ModuleRep:
     entry-wise transposed matrix, so tr M = coker of the transposed
     minimal presentation.  Free modules have transpose zero.
     """
-    return cokernel_of_lambda_matrix(minimal_presentation(mod).relations.transpose())[0]
+    return cokernel_of_lambda_matrix(minimal_presentation(mod).transpose())[0]
 
 
 # -- hom spaces -------------------------------------------------------------
@@ -732,7 +725,7 @@ def form_args(target: ModuleRep) -> tuple:
 
 
 @cached
-def _cover_section(mod: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
+def cover_section(mod: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
     """Columns J of the cover pi: Lambda^g -> M that form a basis of M, and
     the inverse of pi[:, J] (cached on M).
 
@@ -768,10 +761,10 @@ def _hom_maps(source: ModuleRep, target: ModuleRep) -> np.ndarray:
         every = np.arange(r)
         maps[every, :, :, every, :] = rho.transpose(2, 1, 0)
         return maps.reshape(r * n, n, r * D)
-    dual = minimal_presentation(source).relations.transpose()
+    dual = minimal_presentation(source).transpose()
     v = np.asarray(dual.kernel_rows(*form_args(target))[0])
     h, g = v.shape[0], dual.cols
-    cols, inverse = _cover_section(source)
+    cols, inverse = cover_section(source)
     gens, elems = np.divmod(cols, D)
     # f = F . s needs F only at the section's columns J: column j of F is
     # rho_N(e_i) v_t for j = t*D + i, built per basis element e_i; e_0 is
@@ -822,7 +815,7 @@ def hom_dim(source: ModuleRep, target: ModuleRep) -> int:
         return 0
     if source.free_rank is not None:
         return source.free_rank * target.dim
-    dual = minimal_presentation(source).relations.transpose()
+    dual = minimal_presentation(source).transpose()
     return dual.cols * target.dim - dual.linear_rank(*form_args(target))
 
 
@@ -877,7 +870,7 @@ def has_free_summand(mod: ModuleRep) -> bool:
     """
     if mod.dim == 0:
         return False
-    dual = minimal_presentation(mod).relations.transpose()
+    dual = minimal_presentation(mod).transpose()
     rows, _ = dual.kernel_rows()
     return bool((rows.cols % mod.algebra.dim == 0).any())
 

@@ -14,10 +14,11 @@ transpose); the verifier checks any candidate sequence and classifies
 the image independently.
 
 Classification, total reflexivity and pushforward read Ext(tr M,
-Lambda) from one resolution of tr(core) per module; the comparison of
-M with coker(d_1) is computed once, on demand.  The verifier classifies
-each distinct image once: equal images (equal action matrices) are one
-cached module per algebra, so its resolutions are computed once.
+Lambda) from one resolution of tr(core) per module.  Every window reads
+the rest off the module's cover: its syzygy rows and its one linear
+section.  Build and verify share one defect routine.  The verifier
+classifies each distinct image once: equal images (equal action
+matrices) are one cached module per algebra.
 
 Infinite vanishing is never claimed: every verdict carries the bound it
 was certified to.
@@ -45,10 +46,12 @@ from .modules import (
     ModuleError,
     ModuleMap,
     ModuleRep,
+    cover_section,
     free_module,
     hom_dim,
     lambda_from_linear,
     minimal_presentation,
+    projective_cover_and_syzygy,
     quotient_module,
     split_free_summands,
     submodule_from_rows,
@@ -110,7 +113,7 @@ def transpose_resolution(mod: ModuleRep) -> MinimalResolution:
 @cached
 def _core_transpose_resolution(core: ModuleRep) -> MinimalResolution:
     return MinimalResolution.from_presentation(
-        core.algebra, minimal_presentation(core).relations.transpose())
+        core.algebra, minimal_presentation(core).transpose())
 
 
 def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
@@ -145,50 +148,47 @@ class PushforwardResult:
     ext_transpose: tuple[int, ...]       # Ext^j(tr core, Lambda) for j = 1..n
     primal_defects: dict[int, int]
     exact_while: int                     # largest j with positions 0..-(j-1) exact
-    dual_defects: dict[int, int] | None
     core_rank: int                       # split-off free rank of M
-    identification: str                  # how coker(dual map) was matched with M
 
     def to_jsonable(self) -> dict:
-        out = {"n": self.n,
-               "ext_transpose": list(self.ext_transpose),
-               "primal_defects": {str(k): v for k, v in self.primal_defects.items()},
-               "exact_while": self.exact_while,
-               "core_free_rank": self.core_rank,
-               "identification": self.identification}
-        if self.dual_defects is not None:
-            out["dual_defects"] = {str(k): v for k, v in self.dual_defects.items()}
-        return out
+        return {"n": self.n,
+                "ext_transpose": list(self.ext_transpose),
+                "primal_defects": {str(k): v for k, v in self.primal_defects.items()},
+                "exact_while": self.exact_while,
+                "core_free_rank": self.core_rank}
 
 
 @cached
-def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
+def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray]:
     """coker(d_1) of M's minimal presentation and the canonical iso M -> coker(d_1).
 
-    Returns (coker, section, iso), the section being the linear lift
-    coker -> P_0.  The cover kills exactly the image of d_1, so the
-    cover composed with the section is invertible; anything else is an
-    invariant failure.  Computed on first use and cached on the module.
+    Both are read off M's cover pi: Lambda^g -> M.  im d_1 = ker pi and
+    the rref of a subspace is unique, so coker(d_1) is the quotient by
+    the cover's syzygy rows, with projection q and section e.  Then
+    pi . e . q = pi, so for the cover's linear section s (nonzero only
+    at rows J, see modules.cover_section) q . s = q[:, J] . inverse is
+    the unique inverse of pi . e.  Cached; the n = 0 window reads it.
     """
-    A = mod.algebra
-    pres = minimal_presentation(mod)
-    rows, piv = gf.row_basis(pres.relations.to_linear().T, A.p)
-    quot, _, embed = quotient_module(free_module(A, pres.relations.rows), rows, piv)
-    q_to_m = gf.mat_mul(pres.cover.mat, embed, A.p)
-    m_to_q = gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
-    if m_to_q is None or quot.dim != mod.dim:
+    data = projective_cover_and_syzygy(mod)
+    quot, proj, _ = quotient_module(data.free, data.inclusion.mat.T, data.pivots)
+    if quot.dim != mod.dim:
         raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
-    return quot, embed, m_to_q
+    cols, inverse = cover_section(mod)
+    return quot, gf.mat_mul(proj.mat[:, cols], inverse, mod.algebra.p)
 
 
-def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> PushforwardResult:
+def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
     """Embed M into a length-n window of frees, exact while Ext^j(tr M) vanishes.
 
-    The sequence is the dual of a minimal resolution of the transpose of
-    the free-summand-free core, padded with an identity splice on the
-    free part.  Position -(j-1) is exact iff Ext^j(tr M, Lambda) = 0;
-    the dual sequence is exact unconditionally (and is checked when
-    dual_check is set).
+    The sequence is the dual of a minimal resolution res_t of the
+    transpose of the free-summand-free core, padded with an identity
+    splice on the free part.  Position -(j-1) is exact iff
+    Ext^j(tr M, Lambda) = 0; the dual sequence is exact unconditionally.
+    On the core, M -> F_{-1} is d_2(res_t)^T . s for the core's linear
+    section s (modules.cover_section).  Any two sections differ by a map
+    into ker pi = im d_1(core), which d_2(res_t)^T kills:
+    d_2(res_t)^T . d_1(core) = (d_1(res_t) . d_2(res_t))^T = 0, as res_t
+    is seeded with d_1(core)^T.  So the map is canonical, entry for entry.
     """
     if n < 1:
         raise ModuleError("pushforward length must be at least 1")
@@ -208,7 +208,6 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
         d3 = tail[-1].nonzero
         tail[-1] = LambdaMatrix(A, gf.Cells(d3.rows, d3.cols, d3.vals,
                                             (d3.shape[0], d3.shape[1] + r, A.dim)))
-    ident = "canonical quotient comparison" if core.dim else "no core (free module)"
 
     modules = {0: mod}
     maps = {}
@@ -220,10 +219,9 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
     f1 = modules[-1]
     top = np.zeros((f1.dim, mod.dim), dtype=np.int64)
     if core.dim:
-        _, embed, core_to_q = _cokernel_comparison(core)
-        core_lift = gf.mat_mul(embed, gf.mat_mul(core_to_q, core_part, p), p)
-        core_map = gf.mat_mul(res_t.diff(2).transpose().to_linear(), core_lift, p)
-        top[:core_map.shape[0], :] = core_map
+        cols, inverse = cover_section(core)
+        d2t = res_t.diff(2).transpose().to_linear()
+        top[:d2t.shape[0], :] = gf.mat_mul(d2t[:, cols], gf.mat_mul(inverse, core_part, p), p)
     if r:
         top[f1.dim - r * D:, :] = free_part
     maps[0] = ModuleMap(mod, f1, top)
@@ -244,13 +242,7 @@ def pushforward(mod: ModuleRep, n: int, *, dual_check: bool = True) -> Pushforwa
             exact_while = j
         else:
             break
-    dual_defects = None
-    if dual_check:
-        dual_defects = comp.dual().exactness_defects(list(range(0, n)))
-        if any(dual_defects.values()):
-            raise AssertionError("the dual of a pushforward must be exact")
-    return PushforwardResult(comp, tail, n, ext_tr, primal, exact_while,
-                             dual_defects, r, ident)
+    return PushforwardResult(comp, tail, n, ext_tr, primal, exact_while, r)
 
 
 # -- window sequences --------------------------------------------------------
@@ -303,13 +295,13 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     if n == 0:
         comp = FreeComplex(A, ranks, diffs, check=True)
         # d_1 is M's minimal presentation, so coker(d_1) is compared with M
-        image_module, _, m_to_q = _cokernel_comparison(mod)
+        image_module, m_to_q = _cokernel_comparison(mod)
         image_witness = ModuleMap(mod, image_module, m_to_q)
     else:
-        pf = pushforward(mod, n, dual_check=False)
+        pf = pushforward(mod, n)
         for j in range(1, n + 1):
             ranks[-j] = pf.complex.modules[-j].free_rank
-        cover = minimal_presentation(mod).cover.mat
+        cover = projective_cover_and_syzygy(mod).cover.mat
         partial = gf.mat_mul(pf.complex.maps[0].mat, cover, A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
         diffs.update(pf.tail)
@@ -320,17 +312,9 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
         if gf.rank(wit, A.p) != mod.dim:
             raise AssertionError("middle image must be isomorphic to the module")
         image_witness = ModuleMap(mod, image_module, wit)
-    primal = check_exactness(comp)
-    if any(primal.values()):
-        raise AssertionError("window must be exact")
-    dual_defects = check_exactness(comp.dual())
-    if n == 0:
-        # exactness of the dual at P_0* needs the augmentation by the image:
-        # ker d_1^T = Ext^0(M, Lambda) must be Hom(image, Lambda)
-        if res.ext_dim(0) != hom_dim(image_module, ring_module(A)):
-            raise AssertionError("dual of augmented window must be exact at P_0*")
-    if any(dual_defects.values()):
-        raise AssertionError("dual of window must be exact")
+    primal, dual_defects = _window_defects(comp, n, image_module)
+    if any(primal.values()) or any(dual_defects.values()):
+        raise AssertionError("window and its dual must be exact")
     return WindowBuild(comp, m, n, image_module, image_witness,
                        primal, dual_defects, cls)
 
@@ -358,6 +342,24 @@ class WindowVerdict:
                     self.image_classification.to_jsonable()
                     if self.image_classification else None,
                 "reasons": self.reasons}
+
+
+def _window_defects(comp: ModuleComplex | FreeComplex, n: int,
+                   image: ModuleRep) -> tuple[dict[int, int], dict[int, int]]:
+    """Exactness defects of a window and of its dual, at interior positions.
+
+    For n = 0 the image is coker(d_1) and the dual is augmented at P_0*
+    by Hom(image, Lambda): ker d_1^* must be Hom(image, Lambda), and a
+    difference is reported at position 0.
+    """
+    dual = comp.dual()
+    primal = check_exactness(comp)
+    dual_defects = check_exactness(dual)
+    if n == 0:
+        excess = dual.exactness_defects([0])[0] - hom_dim(image, ring_module(comp.algebra))
+        if excess:
+            dual_defects[0] = excess
+    return primal, dual_defects
 
 
 def _image_of_middle(comp: ModuleComplex | FreeComplex, n: int):
@@ -392,17 +394,8 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
             f"sequence spans [{comp.lo}, {comp.hi}], expected [{lo_expect}, {hi_expect}]")
     reasons = []
     bound = max(m, n, 1)
-    dual = comp.dual()
-    primal = check_exactness(comp)
-    dual_defects = check_exactness(dual)
-
     image = _image_of_middle(comp, n)
-    if n == 0:
-        # augmented dual exactness at P_0*: ker d_1^* must be Hom(image, Lambda)
-        homs = hom_dim(image, ring_module(comp.algebra))
-        ker_dual = dual.exactness_defects([0])[0]
-        if ker_dual != homs:
-            dual_defects[0] = ker_dual - homs
+    primal, dual_defects = _window_defects(comp, n, image)
 
     membership_failures = []
     if mode == "(3)":
@@ -420,15 +413,13 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
                 {"position": i, "required": [need_m, need_n],
                  "certified": [cls.m_max, cls.n_max]})
 
-    ok = (all(v == 0 for v in primal.values())
-          and all(v == 0 for v in dual_defects.values())
-          and not membership_failures)
     if any(primal.values()):
         reasons.append("sequence is not exact")
     if any(dual_defects.values()):
         reasons.append("dual sequence is not exact")
     if membership_failures:
         reasons.append("a term fails its torsionfree membership")
+    ok = not reasons
 
     image_cls = None
     if ok:

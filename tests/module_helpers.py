@@ -4,7 +4,19 @@ import numpy as np
 
 from redhom import gf
 from redhom.complexes import MinimalResolution, resolution_of
-from redhom.modules import HomModule, HomSpace, ModuleMap, ModuleRep, free_module, hom_module
+from redhom.modules import (
+    HomModule,
+    HomSpace,
+    ModuleMap,
+    ModuleRep,
+    free_module,
+    hom_module,
+    minimal_presentation,
+    projective_cover_and_syzygy,
+    quotient_module,
+    split_free_summands,
+)
+from redhom.torsionfree import transpose_resolution
 
 
 def is_module_map(f: ModuleMap) -> bool:
@@ -79,3 +91,41 @@ def dense_ext_dims(source: ModuleRep, target: ModuleRep, bound: int) -> tuple[in
     res = resolution_of(source)
     ranks = [dense_dual_rank(res, i, target) for i in range(bound + 2)]
     return tuple(res.betti[i] * target.dim - ranks[i + 1] - ranks[i] for i in range(bound + 1))
+
+
+def cokernel_comparison_reference(mod: ModuleRep):
+    """coker(d_1) and the iso M -> coker(d_1), by elimination and a solve.
+
+    coker(d_1) is the quotient of Lambda^g by the row basis of the dense
+    form of d_1's image, and the iso is the solution of (pi . e) x = 1
+    for the quotient's linear section e; the reference for
+    torsionfree._cokernel_comparison.  Returns (coker, e, iso).
+    """
+    A = mod.algebra
+    d1 = minimal_presentation(mod)
+    rows, piv = gf.row_basis(d1.to_linear().T, A.p)
+    quot, _, embed = quotient_module(free_module(A, d1.rows), rows, piv)
+    q_to_m = gf.mat_mul(projective_cover_and_syzygy(mod).cover.mat, embed, A.p)
+    return quot, embed, gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
+
+
+def pushforward_top_reference(mod: ModuleRep) -> np.ndarray:
+    """M -> F_{-1} of a pushforward, lifting the core through its solved comparison.
+
+    On the core it is d_2(res_t)^T . e . iso, with e and iso of
+    cokernel_comparison_reference(core); on the split-off free part it
+    is the identity.  The reference for pushforward's first map.
+    """
+    A, p = mod.algebra, mod.algebra.p
+    split = split_free_summands(mod)
+    core = split.core
+    res_t = transpose_resolution(mod)
+    res_t.extend(2)
+    d2t = res_t.diff(2).transpose().to_linear()
+    top = np.zeros((d2t.shape[0] + split.free_rank * A.dim, mod.dim), dtype=np.int64)
+    if core.dim:
+        _, embed, core_to_q = cokernel_comparison_reference(core)
+        lift = gf.mat_mul(embed, gf.mat_mul(core_to_q, split.iso.mat[:core.dim, :], p), p)
+        top[:d2t.shape[0]] = gf.mat_mul(d2t, lift, p)
+    top[d2t.shape[0]:] = split.iso.mat[core.dim:, :]
+    return top

@@ -72,6 +72,16 @@ def test_ring_validate_good_and_bad(tmp_path, capsys):
     report, err = run_cli(capsys, ["ring", "validate", str(bad)], expect=2)
     assert "witness" in report["error"]
 
+    # numbers that are not exact integers are refused, not truncated
+    line = {"mode": "monomial_quotient", "variables": ["x"], "ideal": ["x^2"]}
+    for doc in (dict(line, p="5"), dict(line, p=5.7),
+                {"mode": "structure_constants", "p": 5, "labels": ["1", "x"],
+                 "products": {"x,x": {"x": 0.5}}}):
+        bad.write_text(json.dumps(doc))
+        for action in ("validate", "show"):
+            report, _ = run_cli(capsys, ["ring", action, str(bad)], expect=2)
+            assert "integers" in report["error"]
+
 
 def test_resolve_betti(capsys):
     report, err = run_cli(capsys, ["resolve", "--ring", "R1q5",
@@ -278,6 +288,13 @@ def test_module_file_input(tmp_path, capsys):
     report, _ = run_cli(capsys, ["classify", "--ring", "R1q5",
                                  "--module", str(spec), "--bound", "2"])
     assert report["results"]["torsionfree"]["m_max"] == 0
+    # a fraction would be truncated, and 10^20 overflows int64: both refused
+    for doc in ({"actions": [[[0.5]], [[0]]]}, {"actions": [[[10**20]], [[0]]]},
+                {"presentation": [[[0, 1.9, 0]]]}, {"presentation": [[[0, 10**20, 0]]]}):
+        spec.write_text(json.dumps(doc))
+        report, _ = run_cli(capsys, ["ext", "--ring", "R1q5", "--module", str(spec),
+                                     "--bound", "2"], expect=2)
+        assert "integers" in report["error"]
 
 
 def test_bad_module_spec_exits_2(capsys):
@@ -515,10 +532,22 @@ _K_R1 = {"dim": 1, "actions": [[[0]], [[0]]]}
     ("R2q5", {"kind": "free", "differentials": {}}, ["--m", "0", "--n", "0"]),
     ("R2q5", [1, 2], ["--m", "0", "--n", "0"]),
     ("R2q5", {"sequence": [1, 2]}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "free", "ranks": {"0": 1, "1": 1},
+            "differentials": {"1": [[[0, 1.5, 0]]]}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "free", "ranks": {"0": 1, "1": 1},
+            "differentials": {"1": [[[0, 10**20, 0]]]}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "free", "ranks": {"0": 1.0, "1": 1},
+            "differentials": {"1": [[[0, 1, 0]]]}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "modules", "modules": {"1": _K_R1, "0": {"actions": [[[0.5]], [[0]]]}},
+            "maps": {"1": [[0]]}}, ["--m", "0", "--n", "0"]),
+    ("R1", {"kind": "modules", "modules": {"1": _K_R1, "0": _K_R1},
+            "maps": {"1": [[10**20]]}}, ["--m", "0", "--n", "0"]),
 ], ids=["map-shape", "map-without-target", "differential-entry-length",
         "actions-break-relations", "dim-disagrees-with-actions", "field-module-without-dim",
         "non-integer-degree", "free-without-ranks",
-        "not-an-object", "sequence-not-an-object"])
+        "not-an-object", "sequence-not-an-object",
+        "differential-entry-fraction", "differential-entry-overflow", "rank-float",
+        "module-action-fraction", "map-entry-overflow"])
 def test_seq_verify_refuses_malformed_documents(tmp_path, capsys, ring, doc, flags):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

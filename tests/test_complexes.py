@@ -120,7 +120,7 @@ def test_resolution_starts_from_the_module_presentation(rid):
         res = resolution_of(mod)
         assert res.syzygy_module(1) is projective_cover_and_syzygy(mod).syzygy
         assert np.array_equal(res.diff(1).entries,
-                              minimal_presentation(mod).relations.entries)
+                              minimal_presentation(mod).entries)
 
 
 def test_resolution_refuses_negative_indices(R1):

@@ -187,7 +187,7 @@ def test_transpose_examples(R1, R2):
     t1 = transpose_module(k1)
     # oracle: dim coker = 2*3 - rank, with rank counted by brute-force span
     pres = minimal_presentation(k1)
-    lin = pres.relations.transpose().to_linear()
+    lin = pres.transpose().to_linear()
     span = {tuple((lin @ np.array(c)) % 5) for c in itertools.product(range(5), repeat=3)}
     rank = 0
     while 5**rank < len(span):

@@ -181,11 +181,14 @@ def test_benchmark_per_layer_metrics_are_traced():
     assert declared <= set(tracing.per_layer_names())
 
 
-@pytest.mark.parametrize("workload", ["certify", "search", "tables"])
-def test_every_benchmark_job_passes_at_seed_0(workload):
+@pytest.mark.parametrize("workload,seed", [
+    pytest.param(w, s, id=w if s == 0 else f"{w}-seed{s}")
+    for s in (0, 1) for w in ("certify", "search", "tables")])
+def test_every_benchmark_job_passes_at_seed_0(workload, seed):
     # a benchmark run fails on any job whose verdict check fails, so an
-    # API change that breaks a job must fail here first
-    jobs = _load_perfbench("workloads").WORKLOADS[workload](0)
+    # API change that breaks a job must fail here first; seed 1 shifts
+    # every sample seed, so the same checks also run on held-out modules
+    jobs = _load_perfbench("workloads").WORKLOADS[workload](seed)
     assert jobs
     failed = []
     for name, job in jobs:

@@ -21,6 +21,7 @@ from redhom.modules import (
 )
 from redhom.torsionfree import (
     TorsionfreeError,
+    _cokernel_comparison,
     build_window_sequence,
     gdim_report,
     is_totally_reflexive_up_to,
@@ -28,6 +29,8 @@ from redhom.torsionfree import (
     torsionfree_classify,
     verify_window_sequence,
 )
+
+from module_helpers import cokernel_comparison_reference, pushforward_top_reference
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +88,7 @@ def test_pushforward_k_over_R2(R2):
     assert pf.ext_transpose == (0, 0)
     assert pf.exact_while == 2
     assert set(pf.primal_defects.values()) == {0}
-    assert set(pf.dual_defects.values()) == {0}
+    assert set(pf.complex.dual().exactness_defects([0, 1]).values()) == {0}
     # embedding k -> Lambda lands in the socle
     assert pf.complex.maps[0].rank() == 1
 
@@ -104,12 +107,29 @@ def test_pushforward_flags_non_torsionfree(R1):
     # k over R1 embeds into the socle, so it is 1-torsionfree; the
     # obstruction shows at the second step
     k = simple_module(R1)
-    pf = pushforward(k, 2, dual_check=False)
+    pf = pushforward(k, 2)
     assert pf.ext_transpose[0] == 0
     assert pf.ext_transpose[1] > 0
     assert pf.primal_defects[0] == 0
     assert pf.primal_defects[-1] == pf.ext_transpose[1]
     assert pf.exact_while == 1
+
+
+@pytest.mark.parametrize("rid", [f"R{i}q{q}" for i in range(1, 6) for q in (2, 5)])
+def test_windows_read_the_cover_as_the_solved_comparison(rid):
+    # coker(d_1), its iso with M and the pushforward's first map are read
+    # off the cover's syzygy rows and linear section; eliminating d_1's
+    # dense form and solving is the reference, entry for entry.  The dual
+    # of every pushforward is exact.
+    for _, mod in sample_modules(catalog_ring(rid), count=6, max_dim=8, seed=20240):
+        coker, _, iso = cokernel_comparison_reference(mod)
+        got, got_iso = _cokernel_comparison(mod)
+        assert got is coker and np.array_equal(got_iso, iso)
+        top = pushforward_top_reference(mod)
+        for n in (1, 2, 3):
+            pf = pushforward(mod, n)
+            assert np.array_equal(pf.complex.maps[0].mat, top)
+            assert set(pf.complex.dual().exactness_defects(range(n)).values()) == {0}
 
 
 def _count_kernels(monkeypatch):
@@ -127,12 +147,12 @@ def _count_kernels(monkeypatch):
 
 
 def test_pushforward_resolves_the_transpose_once(monkeypatch):
-    # tr(core) and its comparison map are cached on the core, so a
-    # second pushforward derives no kernel
+    # tr(core) and the core's cover section are cached on the core, so
+    # a second pushforward derives no kernel
     k = simple_module(catalog_ring("R3", 5))
-    first = pushforward(k, 3, dual_check=False)
+    first = pushforward(k, 3)
     calls = _count_kernels(monkeypatch)
-    second = pushforward(k, 3, dual_check=False)
+    second = pushforward(k, 3)
     assert calls == []
     assert second.to_jsonable() == first.to_jsonable()
     assert all((second.complex.maps[i].mat == first.complex.maps[i].mat).all()
@@ -143,7 +163,7 @@ def test_pushforward_defect_matches_ext_exactly(R1, R2, R4):
     for alg in (R1, R2, R4):
         for mod in (simple_module(alg), free_module(alg, 1),
                     direct_sum([simple_module(alg), free_module(alg, 1)])):
-            pf = pushforward(mod, 3, dual_check=False)
+            pf = pushforward(mod, 3)
             for j in range(1, 4):
                 assert pf.primal_defects[-(j - 1)] == pf.ext_transpose[j - 1]
 
@@ -160,7 +180,7 @@ def test_pushforward_ext_matches_classify_on_window_samples(ring_id, max_dim, co
         for n in (1, 2):
             expected = ext_dims(transpose_module(mod), ring_module(alg), n).dims
             assert torsionfree_classify(mod, n).ext_transpose == expected
-            assert pushforward(mod, n, dual_check=False).ext_transpose == expected[1:]
+            assert pushforward(mod, n).ext_transpose == expected[1:]
 
 
 def test_pushforward_after_classify_derives_no_kernel(monkeypatch):
@@ -168,14 +188,14 @@ def test_pushforward_after_classify_derives_no_kernel(monkeypatch):
     k = simple_module(build_ring(catalog_spec("R3", 5)))
     torsionfree_classify(k, 3)
     calls = _count_kernels(monkeypatch)
-    pushforward(k, 3, dual_check=False)
+    pushforward(k, 3)
     assert calls == []
 
 
 def test_classify_after_pushforward_resolves_only_the_module(monkeypatch):
     # the transpose side is already resolved: every kernel is k's own
     k = simple_module(build_ring(catalog_spec("R3", 2)))
-    pushforward(k, 3, dual_check=False)
+    pushforward(k, 3)
     calls = _count_kernels(monkeypatch)
     torsionfree_classify(k, 3)
     assert len(calls) == 3
