@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__, gf
 from .algebra import AlgebraError, RingSpec, build_ring, json_ints, socle_and_classify
 from .catalog import catalog_listing, load_ring, module_from_spec
@@ -29,7 +31,6 @@ from .complexes import (
 from .modules import (
     LambdaMatrix,
     ModuleError,
-    ModuleMap,
     ModuleRep,
 )
 from .reducing import (
@@ -234,6 +235,14 @@ def cmd_seq(args):
 
 
 def _sequence_from_doc(alg, doc) -> ModuleComplex | FreeComplex:
+    """The complex a sequence document describes, every map checked.
+
+    This is where maps from outside are read: each module map is reduced
+    mod p, must have the shape of its two terms (ModuleComplex checks
+    that) and must commute with every generator's action,
+    f . a_j(M) = a_j(N) . f.  A free sequence's differentials are
+    Lambda-matrices, linear by construction.
+    """
     kind = doc.get("kind")
     if kind not in ("free", "modules"):
         raise InputError(f"unknown sequence kind {kind!r}")
@@ -246,11 +255,17 @@ def _sequence_from_doc(alg, doc) -> ModuleComplex | FreeComplex:
         mods = {int(i): ModuleRep(alg, json_ints(m.get("actions", []), "module actions"),
                                   dim=m.get("dim"), validate=True)
                 for i, m in doc["modules"].items()}
-        maps = {}
-        for i, mat in doc["maps"].items():
-            i = int(i)
-            maps[i] = ModuleMap(mods[i], mods[i - 1], json_ints(mat, "map entries"))
-        return ModuleComplex(mods, maps, check=True)
+        maps = {int(i): np.array(json_ints(mat, "map entries"), dtype=np.int64) % alg.p
+                for i, mat in doc["maps"].items()}
+        comp = ModuleComplex(mods, maps, check=True)
+        for i, f in comp.maps.items():
+            source, target = comp.term(i), comp.term(i - 1)
+            for j in range(alg.num_gens):
+                if (gf.mat_mul(f, source.action_arr(j), alg.p)
+                        != gf.mat_mul(target.action_arr(j), f, alg.p)).any():
+                    raise InputError(f"map at position {i} is not a module map: it does "
+                                     f"not commute with {alg.gen_labels[j]}")
+        return comp
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad {kind} sequence: {err}") from err
 

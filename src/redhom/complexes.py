@@ -29,8 +29,8 @@ from .modules import (
     HomModule,
     LambdaMatrix,
     ModuleError,
-    ModuleMap,
     ModuleRep,
+    _map_rank,
     check_minimal_kernel,
     form_args,
     free_module,
@@ -125,8 +125,7 @@ class FreeComplex(_Complex):
 
     def to_module_complex(self) -> "ModuleComplex":
         mods = {i: self.term(i) for i in self.ranks}
-        maps = {i: ModuleMap(mods[i], mods[i - 1], d.to_linear())
-                for i, d in self.diffs.items()}
+        maps = {i: d.to_linear() for i, d in self.diffs.items()}
         return ModuleComplex(mods, maps, check=False)
 
     def to_jsonable(self) -> dict:
@@ -137,34 +136,40 @@ class FreeComplex(_Complex):
 
 
 class ModuleComplex(_Complex):
-    """A complex of modules; each map's rank is computed once."""
+    """A complex of modules; each map's rank is computed once.
 
-    def __init__(self, modules: dict[int, ModuleRep], maps: dict[int, ModuleMap],
+    maps[i] is the matrix of the map from modules[i] to modules[i-1],
+    reduced mod p.  Construction checks, once for the whole complex,
+    that every term is over one algebra and every map has the shape of
+    its two terms; Lambda-linearity is the caller's (see modules).
+    """
+
+    def __init__(self, modules: dict[int, ModuleRep], maps: dict[int, np.ndarray],
                  *, check: bool = True):
         self.modules = dict(modules)
         self.maps = dict(maps)
         self._check_positions(self.modules, self.maps)
+        self.algebra = self.modules[self.lo].algebra
+        if any(mod.algebra is not self.algebra for mod in self.modules.values()):
+            raise ModuleError("complex of modules over different algebras")
         for i, f in self.maps.items():
-            if f.source.dim != self.modules[i].dim or \
-               f.target.dim != self.modules[i - 1].dim:
-                raise ModuleError(f"map at position {i} does not fit its terms")
+            fits = (self.modules[i - 1].dim, self.modules[i].dim)
+            if f.shape != fits:
+                raise ModuleError(f"map at position {i} of shape {f.shape} does not fit "
+                                  f"its terms, which need {fits}")
         self._cache: dict = {}
         if check:
             self.check_composition()
-
-    @property
-    def algebra(self):
-        return self.modules[self.lo].algebra
 
     def term(self, i: int) -> ModuleRep:
         return self.modules[i]
 
     def linear(self, i: int) -> np.ndarray | None:
-        return self.maps[i].mat if i in self.maps else None
+        return self.maps.get(i)
 
     @cached
     def rank(self, i: int) -> int:
-        return self.maps[i].rank() if i in self.maps else 0
+        return _map_rank(self.maps[i], self.algebra.p) if i in self.maps else 0
 
     def dual(self) -> "ModuleComplex":
         """Term-wise Hom(-, Lambda) on reversed positions (see apply_dual)."""
@@ -174,7 +179,7 @@ class ModuleComplex(_Complex):
         return {"kind": "modules",
                 "positions": [self.lo, self.hi],
                 "modules": {str(i): m.to_jsonable() for i, m in self.modules.items()},
-                "maps": {str(i): f.mat.tolist() for i, f in self.maps.items()}}
+                "maps": {str(i): f.tolist() for i, f in self.maps.items()}}
 
 
 def check_exactness(complex_: ModuleComplex | FreeComplex, positions=None) -> dict[int, int]:
@@ -369,8 +374,7 @@ def apply_dual(complex_: ModuleComplex) -> ModuleComplex:
     for i, f in complex_.maps.items():
         src_h = duals[i - 1]      # Hom(C_{i-1}, Lambda)
         tgt_h = duals[i]          # Hom(C_i, Lambda)
-        mat = src_h.space.precompose(f.mat, tgt_h.space).T
-        maps[-(i - 1)] = ModuleMap(src_h.module, tgt_h.module, mat)
+        maps[-(i - 1)] = src_h.space.precompose(f, tgt_h.space).T
     return ModuleComplex(modules, maps, check=True)
 
 

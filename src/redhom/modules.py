@@ -10,6 +10,12 @@ Free modules use summand-major coordinates: coordinate t*D + i of
 Lambda^r is basis element e_i of the t-th summand.  Submodules are
 always carried by the unique reduced-echelon row basis of their
 subspace, so quotients, syzygies and witnesses are reproducible.
+
+A module map M -> N is its matrix on column vectors, a (dim N, dim M)
+int64 array reduced mod p; the name or field that holds it says its
+source and target, and a map kept in a cached value is read-only.
+Maps built here are Lambda-linear by construction; a map read from
+outside is checked where it is read (cli).
 """
 
 from __future__ import annotations
@@ -225,45 +231,6 @@ class ModuleRep:
         return f"ModuleRep(dim={self.dim}{tag})"
 
 
-class ModuleMap:
-    """A homomorphism of modules, stored as its matrix on column vectors.
-
-    `mat` is a read-only int64 array reduced mod p, copied from the
-    caller's entries.  Maps between modules over different algebras are
-    refused here, which is what keeps moduli from mixing.  f @ g needs
-    g's target to be f's source; modules are interned, so that object is
-    the one module of that content.
-    """
-
-    __slots__ = ("source", "target", "mat")
-
-    def __init__(self, source: ModuleRep, target: ModuleRep, mat):
-        if source.algebra is not target.algebra:
-            raise ModuleError("module map between different algebras")
-        self.source = source
-        self.target = target
-        mat = np.array(mat, dtype=np.int64)
-        if mat.shape != (target.dim, source.dim):
-            raise ModuleError(
-                f"map matrix {'x'.join(map(str, mat.shape))} does not fit "
-                f"{target.dim}x{source.dim}")
-        mat %= source.algebra.p
-        mat.flags.writeable = False
-        self.mat = mat
-
-    def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
-        if other.target is not self.source:
-            raise ModuleError("composition mismatch")
-        return ModuleMap(other.source, self.target,
-                         gf.mat_mul(self.mat, other.mat, self.source.algebra.p))
-
-    def rank(self) -> int:
-        return gf.rank(self.mat, self.source.algebra.p)
-
-    def __repr__(self):
-        return f"ModuleMap({self.source.dim} -> {self.target.dim})"
-
-
 # -- basic constructions ---------------------------------------------------
 
 def free_module(algebra: AlgebraRep, rank: int) -> ModuleRep:
@@ -313,7 +280,8 @@ def submodule_from_rows(ambient: ModuleRep, rows: np.ndarray,
                         pivots: tuple[int, ...]):
     """Module on an action-stable subspace given by its rref row basis.
 
-    Returns (module, inclusion).  Coordinates of a subspace vector v are
+    Returns (module, inclusion), the inclusion module -> ambient being
+    rows^T, a view of the rows.  Coordinates of a subspace vector v are
     v[pivots], which is what makes restriction of the actions cheap.
     """
     A = ambient.algebra
@@ -323,9 +291,7 @@ def submodule_from_rows(ambient: ModuleRep, rows: np.ndarray,
     for j in range(A.num_gens):
         imgs = ambient.act(j, rows.T)
         acts.append(imgs[piv, :] if s else np.zeros((0, 0), dtype=np.int64))
-    sub = ModuleRep(A, acts, dim=s)
-    incl = ModuleMap(sub, ambient, rows.T)
-    return sub, incl
+    return ModuleRep(A, acts, dim=s), rows.T
 
 
 def span_submodule(ambient: ModuleRep, vectors: np.ndarray):
@@ -349,8 +315,9 @@ def quotient_module(ambient: ModuleRep, rows: np.ndarray, pivots: tuple[int, ...
 
     The quotient keeps the non-pivot coordinates, so its basis is the
     image of deterministic standard basis vectors.  Returns
-    (module, projection, section) with section a linear (not module)
-    splitting used to lift representatives.
+    (module, projection, section): the projection ambient -> module, and
+    the section module -> ambient, a linear (not module) splitting used
+    to lift representatives.
     """
     A = ambient.algebra
     d = ambient.dim
@@ -367,17 +334,16 @@ def quotient_module(ambient: ModuleRep, rows: np.ndarray, pivots: tuple[int, ...
         acts.append(reduced[nonpiv, :])
     quot = ModuleRep(A, acts, dim=q)
     proj_full = gf.reduce_mod_rowspace(rows, pivots, np.eye(d, dtype=np.int64), A.p)
-    proj = ModuleMap(ambient, quot, proj_full[nonpiv, :])
-    return quot, proj, embed
+    return quot, proj_full[nonpiv, :], embed
 
 
 # -- covers, syzygies, presentations ---------------------------------------
 
 @dataclass
 class CoverData:
-    cover: ModuleMap          # Lambda^g -> M, minimal
+    cover: np.ndarray         # Lambda^g -> M, minimal
     syzygy: ModuleRep
-    inclusion: ModuleMap      # syzygy -> Lambda^g, columns in rref row form
+    inclusion: np.ndarray     # syzygy -> Lambda^g, columns in rref row form
     pivots: tuple[int, ...]   # pivot columns of those rows
     free: ModuleRep
 
@@ -386,6 +352,12 @@ class CoverData:
 def minimal_generator_coords(mod: ModuleRep) -> tuple[int, ...]:
     pivots = set(mod.radical_rows()[1])
     return tuple(c for c in range(mod.dim) if c not in pivots)
+
+
+def _map_rank(f: np.ndarray, p: int) -> int:
+    """Rank of a module map given by its dense matrix, the rank of a
+    ModuleComplex map (complexes itself ranks only LambdaMatrix forms)."""
+    return gf.rank(f, p)
 
 
 def check_minimal_kernel(rows: gf.Cells, ring_dim: int) -> None:
@@ -397,7 +369,8 @@ def check_minimal_kernel(rows: gf.Cells, ring_dim: int) -> None:
 
 @cached
 def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
-    """Minimal cover and its kernel with the inclusion, all deterministic."""
+    """Minimal cover and its kernel with the inclusion, all deterministic
+    and read-only; neither map refers back to the module."""
     A = mod.algebra
     gens = minimal_generator_coords(mod)
     # column t * dim Lambda + i is e_i times the t-th minimal generator
@@ -407,8 +380,9 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     if phi.shape[1] - rows.shape[0] != mod.dim:     # rank = columns - nullity
         raise AssertionError("projective cover must be surjective")
     check_minimal_kernel(gf.Cells.of(rows), A.dim)
+    phi.flags.writeable = rows.flags.writeable = False
     syz, incl = submodule_from_rows(free, rows, piv)
-    return CoverData(ModuleMap(free, mod, phi), syz, incl, piv, free)
+    return CoverData(phi, syz, incl, piv, free)
 
 
 class LambdaMatrix:
@@ -665,7 +639,7 @@ def minimal_presentation(mod: ModuleRep) -> LambdaMatrix:
     """d_1 of the minimal presentation P1 -> P0 -> M -> 0, whose P0 -> M is the cover."""
     data = projective_cover_and_syzygy(mod)
     return minimal_generators(mod.algebra, data.free.free_rank,
-                              gf.Cells.of(data.inclusion.mat.T), data.pivots)
+                              gf.Cells.of(data.inclusion.T), data.pivots)
 
 
 def cokernel_of_lambda_matrix(lam: LambdaMatrix):
@@ -733,10 +707,12 @@ def cover_section(mod: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
     pi, pi . s = 1: it is the solution of pi . s = 1 with its free
     variables zero, whose rows are nonzero exactly at the pivots.
     """
-    phi = projective_cover_and_syzygy(mod).cover.mat
+    phi = projective_cover_and_syzygy(mod).cover
     section = gf.solve(phi, np.eye(mod.dim, dtype=np.int64), mod.algebra.p)
     cols = np.flatnonzero(section.any(axis=1))
-    return cols, section[cols]
+    inverse = section[cols]
+    cols.flags.writeable = inverse.flags.writeable = False
+    return cols, inverse
 
 
 def _hom_maps(source: ModuleRep, target: ModuleRep) -> np.ndarray:
@@ -850,7 +826,7 @@ def hom_module(source: ModuleRep, target: ModuleRep) -> HomModule:
 class SplitResult:
     core: ModuleRep
     free_rank: int
-    iso: ModuleMap   # M -> core (+) Lambda^free_rank
+    iso: np.ndarray  # M -> target = core (+) Lambda^free_rank, read-only
     target: ModuleRep
 
 
@@ -914,10 +890,10 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
         current = ker_mod
         rank += 1
     target = direct_sum([current] + [free_module(A, 1)] * rank, A)
-    iso = ModuleMap(mod, target, phi)
-    if iso.rank() != mod.dim:
+    if gf.rank(phi, p) != mod.dim:
         raise AssertionError("free-summand splitting must be invertible")
-    return SplitResult(current, rank, iso, target)
+    phi.flags.writeable = False
+    return SplitResult(current, rank, phi, target)
 
 
 # -- isomorphism testing -----------------------------------------------------
@@ -925,7 +901,7 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
 @dataclass
 class IsoVerdict:
     kind: str                      # "yes", "no" or "unknown"
-    witness: ModuleMap | None = None
+    witness: np.ndarray | None = None   # an isomorphism M -> N
     certificate: str | None = None
     method: str | None = None
 
@@ -958,8 +934,7 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
     if m.dim != n.dim:
         return IsoVerdict("no", certificate=f"dimension {m.dim} != {n.dim}")
     if m.dim == 0:
-        zero = np.zeros((0, 0), dtype=np.int64)
-        return IsoVerdict("yes", witness=ModuleMap(m, n, zero), method="trivial")
+        return IsoVerdict("yes", witness=np.zeros((0, 0), dtype=np.int64), method="trivial")
     rm, rn = m.radical_series_dims(), n.radical_series_dims()
     if rm != rn:
         return IsoVerdict("no", certificate=f"radical series {list(rm)} != {list(rn)}")
@@ -989,7 +964,7 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, *, exhaust_cap: int = 2_000_000,
         cands = gf.mat_mul(coeffs, flat, p).reshape(-1, m.dim, m.dim)
         full = np.flatnonzero(gf.batch_rank(cands, p) == m.dim)
         if full.size:
-            return IsoVerdict("yes", witness=ModuleMap(m, n, cands[full[0]]), method=method)
+            return IsoVerdict("yes", witness=cands[full[0]].copy(), method=method)
     if size is not None:
         return IsoVerdict("no", certificate=f"no invertible among all {size} homs",
                           method="exhaustive")

@@ -40,7 +40,6 @@ from .complexes import (
 )
 from .modules import (
     ModuleError,
-    ModuleMap,
     ModuleRep,
     direct_sum,
     hom_space,
@@ -94,7 +93,7 @@ class Ext1Space:
         self.cover = projective_cover_and_syzygy(source)
         self.hom_syz = hom_space(self.cover.syzygy, target)
         hom_free = hom_space(self.cover.free, target)
-        restriction = hom_free.precompose(self.cover.inclusion.mat, self.hom_syz)
+        restriction = hom_free.precompose(self.cover.inclusion, self.hom_syz)
         pivot_set = set(gf.echelon_pivots(restriction, A.p))
         coset = [c for c in range(self.hom_syz.dim) if c not in pivot_set]
         self.coset_basis = self.hom_syz.kernel[:, coset]
@@ -157,15 +156,14 @@ def middle_term(element: ExtElement):
     cov = space.cover
     ambient = direct_sum([A_mod, cov.free])
     syz_dim = cov.syzygy.dim
-    graph = np.vstack([element.rep, (-cov.inclusion.mat) % p])  # columns = graph vectors
+    graph = np.vstack([element.rep, (-cov.inclusion) % p])  # columns = graph vectors
     rows, piv = gf.row_basis(graph.T, p)
     if rows.shape[0] != syz_dim:
         raise AssertionError("graph of the extension class must be embedded")
     middle, proj, embed = quotient_module(ambient, rows, piv)
-    # A enters the sum as its first A.dim coordinates
-    left = ModuleMap(A_mod, middle, proj.mat[:, :A_mod.dim])
-    right = ModuleMap(middle, C,
-                      gf.mat_mul(cov.cover.mat, embed[A_mod.dim:, :], p))
+    # A enters the sum as its first A.dim coordinates: A -> N, then N -> C
+    left = proj[:, :A_mod.dim]
+    right = gf.mat_mul(cov.cover, embed[A_mod.dim:, :], p)
     seq = ModuleComplex({2: A_mod, 1: middle, 0: C}, {2: left, 1: right})
     defects = seq.exactness_defects([2, 1, 0])
     if set(defects.values()) != {0}:

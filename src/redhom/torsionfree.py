@@ -44,11 +44,9 @@ from .complexes import (
 from .modules import (
     LambdaMatrix,
     ModuleError,
-    ModuleMap,
     ModuleRep,
     cover_section,
     free_module,
-    hom_dim,
     lambda_from_linear,
     minimal_presentation,
     projective_cover_and_syzygy,
@@ -167,14 +165,17 @@ def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray]:
     the cover's syzygy rows, with projection q and section e.  Then
     pi . e . q = pi, so for the cover's linear section s (nonzero only
     at rows J, see modules.cover_section) q . s = q[:, J] . inverse is
-    the unique inverse of pi . e.  Cached; the n = 0 window reads it.
+    the unique inverse of pi . e.  Cached, so the iso is read-only; the
+    n = 0 window reads it.
     """
     data = projective_cover_and_syzygy(mod)
-    quot, proj, _ = quotient_module(data.free, data.inclusion.mat.T, data.pivots)
+    quot, proj, _ = quotient_module(data.free, data.inclusion.T, data.pivots)
     if quot.dim != mod.dim:
         raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
     cols, inverse = cover_section(mod)
-    return quot, gf.mat_mul(proj.mat[:, cols], inverse, mod.algebra.p)
+    iso = gf.mat_mul(proj[:, cols], inverse, mod.algebra.p)
+    iso.flags.writeable = False
+    return quot, iso
 
 
 def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
@@ -196,8 +197,8 @@ def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
     p = A.p
     split = split_free_summands(mod)
     core, r = split.core, split.free_rank
-    core_part = split.iso.mat[:core.dim, :]
-    free_part = split.iso.mat[core.dim:, :]
+    core_part = split.iso[:core.dim, :]
+    free_part = split.iso[core.dim:, :]
     res_t = transpose_resolution(mod)
     ext_tr = tuple(res_t.ext_dim(j) for j in range(1, n + 1))
     g = res_t.betti[:n + 2]
@@ -224,9 +225,9 @@ def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
         top[:d2t.shape[0], :] = gf.mat_mul(d2t[:, cols], gf.mat_mul(inverse, core_part, p), p)
     if r:
         top[f1.dim - r * D:, :] = free_part
-    maps[0] = ModuleMap(mod, f1, top)
+    maps[0] = top
     for j in range(1, n):
-        maps[-j] = ModuleMap(modules[-j], modules[-(j + 1)], tail[-j].to_linear())
+        maps[-j] = tail[-j].to_linear()
     comp = ModuleComplex(modules, maps, check=True)
 
     check_positions = [-(j - 1) for j in range(1, n + 1)]
@@ -253,7 +254,7 @@ class WindowBuild:
     m: int
     n: int
     image_module: ModuleRep
-    image_witness: ModuleMap | None      # M -> image of the middle map
+    image_witness: np.ndarray            # M -> image_module, an isomorphism
     primal_defects: dict[int, int]
     dual_defects: dict[int, int]
     classification: TorsionfreeVerdict
@@ -295,24 +296,22 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     if n == 0:
         comp = FreeComplex(A, ranks, diffs, check=True)
         # d_1 is M's minimal presentation, so coker(d_1) is compared with M
-        image_module, m_to_q = _cokernel_comparison(mod)
-        image_witness = ModuleMap(mod, image_module, m_to_q)
+        image_module, image_witness = _cokernel_comparison(mod)
     else:
         pf = pushforward(mod, n)
         for j in range(1, n + 1):
             ranks[-j] = pf.complex.modules[-j].free_rank
-        cover = projective_cover_and_syzygy(mod).cover.mat
-        partial = gf.mat_mul(pf.complex.maps[0].mat, cover, A.p)
+        top = pf.complex.maps[0]
+        partial = gf.mat_mul(top, projective_cover_and_syzygy(mod).cover, A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
         diffs.update(pf.tail)
         comp = FreeComplex(A, ranks, diffs, check=True)
-        img_rows, img_piv = gf.row_basis(pf.complex.maps[0].mat.T, A.p)
+        img_rows, img_piv = gf.row_basis(top.T, A.p)
         image_module, _ = submodule_from_rows(pf.complex.modules[-1], img_rows, img_piv)
-        wit = pf.complex.maps[0].mat[list(img_piv), :]
-        if gf.rank(wit, A.p) != mod.dim:
+        image_witness = top[list(img_piv), :]
+        if gf.rank(image_witness, A.p) != mod.dim:
             raise AssertionError("middle image must be isomorphic to the module")
-        image_witness = ModuleMap(mod, image_module, wit)
-    primal, dual_defects = _window_defects(comp, n, image_module)
+    primal, dual_defects = _window_defects(comp)
     if any(primal.values()) or any(dual_defects.values()):
         raise AssertionError("window and its dual must be exact")
     return WindowBuild(comp, m, n, image_module, image_witness,
@@ -344,22 +343,17 @@ class WindowVerdict:
                 "reasons": self.reasons}
 
 
-def _window_defects(comp: ModuleComplex | FreeComplex, n: int,
-                   image: ModuleRep) -> tuple[dict[int, int], dict[int, int]]:
+def _window_defects(comp: ModuleComplex | FreeComplex) -> tuple[dict[int, int], dict[int, int]]:
     """Exactness defects of a window and of its dual, at interior positions.
 
-    For n = 0 the image is coker(d_1) and the dual is augmented at P_0*
-    by Hom(image, Lambda): ker d_1^* must be Hom(image, Lambda), and a
-    difference is reported at position 0.
+    For n = 0 the image is coker(d_1), and the dual needs no augmentation
+    at P_0* by Hom(image, Lambda): Hom(-, Lambda) is left exact, so
+    0 -> Hom(coker d_1, Lambda) -> C_0* -> C_1* is exact and
+    Hom(coker d_1, Lambda) = ker d_1^* whatever the window, as long as
+    d_1 is Lambda-linear.  The maps of a built window are, and a map read
+    from outside is checked when it is read (cli).
     """
-    dual = comp.dual()
-    primal = check_exactness(comp)
-    dual_defects = check_exactness(dual)
-    if n == 0:
-        excess = dual.exactness_defects([0])[0] - hom_dim(image, ring_module(comp.algebra))
-        if excess:
-            dual_defects[0] = excess
-    return primal, dual_defects
+    return check_exactness(comp), check_exactness(comp.dual())
 
 
 def _image_of_middle(comp: ModuleComplex | FreeComplex, n: int):
@@ -395,7 +389,7 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
     reasons = []
     bound = max(m, n, 1)
     image = _image_of_middle(comp, n)
-    primal, dual_defects = _window_defects(comp, n, image)
+    primal, dual_defects = _window_defects(comp)
 
     membership_failures = []
     if mode == "(3)":

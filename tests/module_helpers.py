@@ -7,7 +7,6 @@ from redhom.complexes import MinimalResolution, resolution_of
 from redhom.modules import (
     HomModule,
     HomSpace,
-    ModuleMap,
     ModuleRep,
     free_module,
     hom_module,
@@ -19,23 +18,22 @@ from redhom.modules import (
 from redhom.torsionfree import transpose_resolution
 
 
-def is_module_map(f: ModuleMap) -> bool:
-    """f commutes with the action of every ring generator."""
-    p = f.source.algebra.p
-    for j in range(f.source.algebra.num_gens):
-        lhs = gf.mat_mul(f.mat, f.source.action_arr(j), p)
-        rhs = gf.mat_mul(f.target.action_arr(j), f.mat, p)
+def is_module_map(source: ModuleRep, target: ModuleRep, f: np.ndarray) -> bool:
+    """The matrix f: source -> target commutes with every generator's action."""
+    p = source.algebra.p
+    for j in range(source.algebra.num_gens):
+        lhs = gf.mat_mul(f, source.action_arr(j), p)
+        rhs = gf.mat_mul(target.action_arr(j), f, p)
         if not (lhs == rhs).all():
             return False
     return True
 
 
-def map_from_coords(space: HomSpace, coeffs) -> ModuleMap:
+def map_from_coords(space: HomSpace, coeffs) -> np.ndarray:
     """The map of `space` with the given coordinates in its basis."""
     p = space.source.algebra.p
     vec = gf.mat_mul(space.kernel, np.asarray(coeffs, dtype=np.int64)[:, None] % p, p)
-    return ModuleMap(space.source, space.target,
-                     vec.reshape(space.target.dim, space.source.dim))
+    return vec.reshape(space.target.dim, space.source.dim)
 
 
 def commuting_system(source: ModuleRep, target: ModuleRep) -> np.ndarray:
@@ -105,7 +103,7 @@ def cokernel_comparison_reference(mod: ModuleRep):
     d1 = minimal_presentation(mod)
     rows, piv = gf.row_basis(d1.to_linear().T, A.p)
     quot, _, embed = quotient_module(free_module(A, d1.rows), rows, piv)
-    q_to_m = gf.mat_mul(projective_cover_and_syzygy(mod).cover.mat, embed, A.p)
+    q_to_m = gf.mat_mul(projective_cover_and_syzygy(mod).cover, embed, A.p)
     return quot, embed, gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
 
 
@@ -125,7 +123,7 @@ def pushforward_top_reference(mod: ModuleRep) -> np.ndarray:
     top = np.zeros((d2t.shape[0] + split.free_rank * A.dim, mod.dim), dtype=np.int64)
     if core.dim:
         _, embed, core_to_q = cokernel_comparison_reference(core)
-        lift = gf.mat_mul(embed, gf.mat_mul(core_to_q, split.iso.mat[:core.dim, :], p), p)
+        lift = gf.mat_mul(embed, gf.mat_mul(core_to_q, split.iso[:core.dim, :], p), p)
         top[:d2t.shape[0]] = gf.mat_mul(d2t, lift, p)
-    top[d2t.shape[0]:] = split.iso.mat[core.dim:, :]
+    top[d2t.shape[0]:] = split.iso[core.dim:, :]
     return top

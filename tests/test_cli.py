@@ -427,6 +427,29 @@ def test_seq_verify_module_form(tmp_path, capsys):
     assert report["results"]["verify"]["ok"]
 
 
+def test_seq_verify_refuses_a_map_that_is_not_lambda_linear(tmp_path, capsys):
+    # k -> Lambda with 1 -> 1 over R2 has the right shape, and the window
+    # would pass, but x kills k while x * 1 = x in Lambda
+    doc = {"m": 0, "n": 0, "sequence": {
+        "kind": "modules", "positions": [0, 1],
+        "modules": {"1": {"dim": 1, "actions": [[[0]]]},
+                    "0": {"dim": 2, "actions": [[[0, 0], [1, 0]]]}},
+        "maps": {"1": [[1], [0]]}}}
+    f = tmp_path / "seq.json"
+    f.write_text(json.dumps(doc))
+    report, err = run_cli(capsys, ["seq", "verify", "--ring", "R2q5", "--file", str(f)],
+                          expect=2)
+    assert "results" not in report
+    assert "not a module map" in report["error"] and err.startswith("error: ")
+    # the socle inclusion, 1 -> x, is a module map; entries are read mod 5
+    doc["sequence"]["maps"]["1"] = [[5], [-4]]
+    comp = cli._sequence_from_doc(catalog.catalog_ring("R2q5"), doc["sequence"])
+    assert comp.maps[1].tolist() == [[0], [1]]
+    f.write_text(json.dumps(doc))
+    report, _ = run_cli(capsys, ["seq", "verify", "--ring", "R2q5", "--file", str(f)])
+    assert report["results"]["verify"]["ok"]
+
+
 def test_regular_case_field(capsys):
     # over the field every module is free: reducing dimensions are zero
     report, _ = run_cli(capsys, ["reduce", "--mode", "red", "--target", "pd",

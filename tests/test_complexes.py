@@ -28,7 +28,6 @@ from redhom.complexes import (
 from redhom.modules import (
     LambdaMatrix,
     ModuleError,
-    ModuleMap,
     ModuleRep,
     direct_sum,
     free_module,
@@ -251,8 +250,8 @@ def socle_sequence(R2):
     """0 -> k -> Lambda -> k -> 0 over GF(5)[x]/(x^2)."""
     k = simple_module(R2)
     F = free_module(R2, 1)
-    inc = ModuleMap(k, F, np.array([[0], [1]], dtype=np.int64))
-    proj = ModuleMap(F, k, np.array([[1, 0]], dtype=np.int64))
+    inc = np.array([[0], [1]], dtype=np.int64)      # k -> Lambda
+    proj = np.array([[1, 0]], dtype=np.int64)       # Lambda -> k
     return ModuleComplex({2: k, 1: F, 0: k}, {2: inc, 1: proj})
 
 
@@ -261,10 +260,17 @@ def test_exactness_of_socle_sequence(R2):
     assert check_exactness(comp, [2, 1, 0]) == {2: 0, 1: 0, 0: 0}
 
 
+def test_module_complex_refuses_a_map_that_does_not_fit_its_terms(R2):
+    # each map must have shape (dim of its target, dim of its source)
+    k, F = simple_module(R2), free_module(R2, 1)
+    for wrong in (np.array([[0, 1]], dtype=np.int64), np.zeros((1, 1), dtype=np.int64)):
+        with pytest.raises(ModuleError, match="does not fit its terms"):
+            ModuleComplex({1: k, 0: F}, {1: wrong})
+
+
 def test_non_exact_zero_maps(R2):
     k = simple_module(R2)
-    zero = ModuleMap(k, k, np.zeros((1, 1), dtype=np.int64))
-    comp = ModuleComplex({1: k, 0: k}, {1: zero})
+    comp = ModuleComplex({1: k, 0: k}, {1: np.zeros((1, 1), dtype=np.int64)})
     assert check_exactness(comp, [1, 0]) == {1: 1, 0: 1}
 
 
@@ -279,7 +285,7 @@ def test_dual_of_multiplication_complex(R2):
     mc = comp.to_module_complex()
     dual_mc = apply_dual(mc)
     assert dual_mc.modules[0].dim == 2 and dual_mc.modules[-1].dim == 2
-    assert dual_mc.maps[0].rank() == 1
+    assert dual_mc.rank(0) == 1
 
 
 def test_dual_of_socle_sequence_is_exact(R2):

@@ -144,6 +144,17 @@ def test_only_gf_names_matrix():
     assert not found, f"Matrix named outside gf.py: {found}"
 
 
+def test_module_maps_are_plain_arrays():
+    # a module map is its read-only matrix; the wrapper class that copied
+    # and re-reduced every map must not come back, in the package or tests
+    word = re.compile(r"\bModule[M]ap\b")     # [M] keeps this file out of a grep
+    files = sorted(SRC.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py"))
+    found = [f"{path.name}:{lineno}" for path in files
+             for lineno, line in enumerate(path.read_text().splitlines(), 1)
+             if word.search(line)]
+    assert not found, f"module map class named at {found}"
+
+
 def _load_perfbench(name):
     """perfbench/<name>.py as a private module (read only, nothing installed)."""
     import importlib.util

@@ -11,17 +11,21 @@ from redhom.algebra import (
 from redhom.catalog import catalog_ring, catalog_spec, sample_modules
 from redhom.complexes import ext_dims, resolution_of, ring_module
 from redhom.modules import (
-    ModuleMap,
     ModuleRep,
+    cover_section,
     direct_sum,
     free_module,
+    hom_dim,
     is_isomorphic,
+    projective_cover_and_syzygy,
     simple_module,
+    split_free_summands,
     transpose_module,
 )
 from redhom.torsionfree import (
     TorsionfreeError,
     _cokernel_comparison,
+    _image_of_middle,
     build_window_sequence,
     gdim_report,
     is_totally_reflexive_up_to,
@@ -90,7 +94,7 @@ def test_pushforward_k_over_R2(R2):
     assert set(pf.primal_defects.values()) == {0}
     assert set(pf.complex.dual().exactness_defects([0, 1]).values()) == {0}
     # embedding k -> Lambda lands in the socle
-    assert pf.complex.maps[0].rank() == 1
+    assert pf.complex.rank(0) == 1
 
 
 def test_pushforward_free_identity_splice(R1):
@@ -100,7 +104,7 @@ def test_pushforward_free_identity_splice(R1):
     assert pf.complex.modules[-1].free_rank == 1
     assert pf.complex.modules[-2].free_rank == 0
     assert pf.exact_while == 2
-    assert pf.complex.maps[0].rank() == 3
+    assert pf.complex.rank(0) == 3
 
 
 def test_pushforward_flags_non_torsionfree(R1):
@@ -128,8 +132,45 @@ def test_windows_read_the_cover_as_the_solved_comparison(rid):
         top = pushforward_top_reference(mod)
         for n in (1, 2, 3):
             pf = pushforward(mod, n)
-            assert np.array_equal(pf.complex.maps[0].mat, top)
+            assert np.array_equal(pf.complex.maps[0], top)
             assert set(pf.complex.dual().exactness_defects(range(n)).values()) == {0}
+
+
+def test_cached_maps_are_read_only():
+    # a cached value is shared by every caller, so the maps it keeps are
+    # read-only: the cover and its inclusion, the cover section, the split
+    # iso and the iso M -> coker(d_1); the samples include k + Lambda
+    for rid in ("R1q5", "R2q5", "R3q2"):
+        for _, mod in sample_modules(catalog_ring(rid), count=6, max_dim=8, seed=20240):
+            data = projective_cover_and_syzygy(mod)
+            maps = [data.cover, data.inclusion, *cover_section(mod),
+                    split_free_summands(mod).iso, _cokernel_comparison(mod)[1]]
+            assert not any(f.flags.writeable for f in maps)
+
+
+@pytest.mark.parametrize("rid,max_dim,count", [("R1", 5, 5), ("R2", 12, 6), ("R3", 8, 5),
+                                               ("R4", 4, 5)])
+def test_n0_window_dual_needs_no_augmentation(rid, max_dim, count):
+    # Hom(-, Lambda) is left exact, so the dual of an n = 0 window has
+    # defect dim Hom(coker d_1, Lambda) at P_0*, which the defect routine
+    # therefore does not compare; checked on the tables benchmark's window
+    # samples, for the free window and for it as a module complex, whose
+    # dual is built from Hom bases
+    alg = catalog_ring(rid, 5)
+    checked = 0
+    for _, mod in sample_modules(alg, count=count, max_dim=max_dim, seed=20240):
+        for m in range(3):
+            try:
+                build = build_window_sequence(mod, m, 0)
+            except TorsionfreeError:
+                continue
+            for comp in (build.complex, build.complex.to_module_complex()):
+                image = _image_of_middle(comp, 0)
+                assert image is build.image_module
+                assert comp.dual().exactness_defects([0])[0] == \
+                    hom_dim(image, ring_module(alg))
+            checked += 1
+    assert checked >= count
 
 
 def _count_kernels(monkeypatch):
@@ -155,7 +196,7 @@ def test_pushforward_resolves_the_transpose_once(monkeypatch):
     second = pushforward(k, 3)
     assert calls == []
     assert second.to_jsonable() == first.to_jsonable()
-    assert all((second.complex.maps[i].mat == first.complex.maps[i].mat).all()
+    assert all((second.complex.maps[i] == first.complex.maps[i]).all()
                for i in first.complex.maps)
 
 
@@ -246,7 +287,7 @@ def test_build_window_n_zero(R1):
     build = build_window_sequence(k, 0, 0)
     assert build.complex.lo == 0 and build.complex.hi == 1
     assert build.image_module.dim == 1
-    assert build.image_witness.rank() == 1
+    assert gf.rank(build.image_witness, R1.p) == 1
     assert verify_window_sequence(build.complex, 0, 0, "(4)").ok
 
 
@@ -265,7 +306,7 @@ def test_build_refused_with_failing_index(R1):
 
 def test_verify_rejects_non_exact(R2):
     k = simple_module(R2)
-    zero = ModuleMap(k, k, np.zeros((1, 1), dtype=np.int64))
+    zero = np.zeros((1, 1), dtype=np.int64)
     from redhom.complexes import ModuleComplex
     comp = ModuleComplex({1: k, 0: k, -1: k},
                          {1: zero, 0: zero}, check=True)
