@@ -13,6 +13,7 @@ explicit witness on failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import weakref
@@ -25,7 +26,10 @@ from . import gf
 def cached(fn):
     """Compute fn(obj, *args) once and keep it in obj._cache, under fn's
     qualified name (with the args, if any); a call that raises stores
-    nothing.  The value is freed with obj, e.g. with a search's middles."""
+    nothing.  The value is freed with obj, e.g. with a search's middles.
+    The one cache policy: every array of a stored value (the value, a
+    tuple's items or a dataclass's fields) is made read-only, and no
+    stored value refers back to obj, so obj dies with its last reference."""
     name = fn.__qualname__
 
     @functools.wraps(fn)
@@ -36,6 +40,10 @@ def cached(fn):
         except KeyError:
             pass
         value = obj._cache[key] = fn(obj, *args)
+        for part in (vars(value).values() if dataclasses.is_dataclass(value) else
+                     value if isinstance(value, tuple) else (value,)):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
         return value
     return wrapper
 
@@ -234,7 +242,6 @@ class AlgebraRep:
         stack = np.zeros((self.num_gens, self.dim, self.dim), dtype=np.int64)
         for j in range(self.num_gens):
             stack[j] = self.L_of(self.gens[j])
-        stack.flags.writeable = False
         return stack
 
     def unit(self) -> np.ndarray:

@@ -208,7 +208,7 @@ class MinimalResolution:
 
     def __init__(self, algebra: AlgebraRep):
         self.algebra = algebra
-        self.module: ModuleRep | None = None
+        self.first_syzygy: ModuleRep | None = None     # the cover's, not the module
         self.betti: list[int] = []
         self.diffs: list[LambdaMatrix] = []      # diffs[i] = d_{i+1}
         self._cache: dict = {}
@@ -264,16 +264,13 @@ class MinimalResolution:
 
     @cached
     def syzygy_module(self, n: int) -> ModuleRep:
-        """The n-th syzygy as an abstract module (n >= 1; n = 0 is the module).
-
-        The first syzygy is the kernel of the module's cached cover.
-        """
+        """The n-th syzygy as an abstract module, n >= 1; the first is the cover's kernel."""
         if n < 0:
             raise ModuleError(f"syzygy index must be nonnegative, got {n}")
         if n <= 1:
-            if self.module is None:
-                raise ModuleError(f"seeded resolution has no {('0-th', 'first')[n]} syzygy module")
-            return projective_cover_and_syzygy(self.module).syzygy if n else self.module
+            if n == 0 or self.first_syzygy is None:
+                raise ModuleError(f"the resolution holds no {('0-th', 'first')[n]} syzygy module")
+            return self.first_syzygy
         rows, piv = self._kernel(n - 1)
         ambient = free_module(self.algebra, self.betti[n - 1])
         return submodule_from_rows(ambient, np.asarray(rows), piv)[0]
@@ -316,7 +313,7 @@ def resolution_of(mod: ModuleRep) -> MinimalResolution:
     the kernel of the projective cover, so neither is computed twice.
     """
     res = MinimalResolution.from_presentation(mod.algebra, minimal_presentation(mod))
-    res.module = mod
+    res.first_syzygy = projective_cover_and_syzygy(mod).syzygy
     return res
 
 

@@ -120,7 +120,6 @@ class ModuleRep:
         big = np.zeros((r * D, r * D), dtype=np.int64)
         for t in range(r):
             big[t * D:(t + 1) * D, t * D:(t + 1) * D] = L
-        big.flags.writeable = False
         return big
 
     def act(self, j: int, vecs: np.ndarray) -> np.ndarray:
@@ -152,9 +151,7 @@ class ModuleRep:
         for w, (parent, j) in enumerate(A.words):
             if w:
                 ops[w] = gf.mat_mul(ops[parent], self.action_arr(j), A.p)
-        rho = gf.mat_mul(A.word_coords.T, ops.reshape(A.dim, -1), A.p).reshape(A.dim, d, d)
-        rho.flags.writeable = False
-        return rho
+        return gf.mat_mul(A.word_coords.T, ops.reshape(A.dim, -1), A.p).reshape(A.dim, d, d)
 
     @cached
     def radical_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -380,7 +377,6 @@ def projective_cover_and_syzygy(mod: ModuleRep) -> CoverData:
     if phi.shape[1] - rows.shape[0] != mod.dim:     # rank = columns - nullity
         raise AssertionError("projective cover must be surjective")
     check_minimal_kernel(gf.Cells.of(rows), A.dim)
-    phi.flags.writeable = rows.flags.writeable = False
     syz, incl = submodule_from_rows(free, rows, piv)
     return CoverData(phi, syz, incl, piv, free)
 
@@ -476,9 +472,7 @@ class LambdaMatrix:
     @cached
     def to_linear(self) -> np.ndarray:
         """The underlying GF(p)-matrix in summand-major coordinates."""
-        lin = self._form()
-        lin.flags.writeable = False
-        return lin
+        return self._form()
 
     @cached
     def transpose(self) -> "LambdaMatrix":
@@ -666,8 +660,7 @@ def transpose_module(mod: ModuleRep) -> ModuleRep:
 
 @dataclass
 class HomSpace:
-    source: ModuleRep
-    target: ModuleRep
+    p: int
     basis: np.ndarray              # (dim, dn, dm); slice t is kernel column t
     kernel: np.ndarray             # columns: the canonical basis of Hom(M, N)
     free_coords: tuple[int, ...]
@@ -680,7 +673,7 @@ class HomSpace:
         """Coordinates of one map, or of each map in a stack of maps."""
         mat = np.asarray(mat, dtype=np.int64)
         flat = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
-        return flat[..., list(self.free_coords)] % self.source.algebra.p
+        return flat[..., list(self.free_coords)] % self.p
 
     def precompose(self, g: np.ndarray, onto: "HomSpace") -> np.ndarray:
         """Coordinates in `onto` = Hom(W, N) of f . g for g: W -> M.
@@ -688,7 +681,7 @@ class HomSpace:
         One row per basis map f of this space Hom(M, N).
         """
         h, dn, dm = self.basis.shape
-        comps = gf.mat_mul(self.basis.reshape(h * dn, dm), g, self.source.algebra.p)
+        comps = gf.mat_mul(self.basis.reshape(h * dn, dm), g, self.p)
         return onto.coords(comps.reshape(h, dn, g.shape[1]))
 
 
@@ -710,9 +703,7 @@ def cover_section(mod: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
     phi = projective_cover_and_syzygy(mod).cover
     section = gf.solve(phi, np.eye(mod.dim, dtype=np.int64), mod.algebra.p)
     cols = np.flatnonzero(section.any(axis=1))
-    inverse = section[cols]
-    cols.flags.writeable = inverse.flags.writeable = False
-    return cols, inverse
+    return cols, section[cols]
 
 
 def _hom_maps(source: ModuleRep, target: ModuleRep) -> np.ndarray:
@@ -780,7 +771,7 @@ def hom_space(source: ModuleRep, target: ModuleRep) -> HomSpace:
         k, free = rows[::-1, ::-1].T, tuple(dn * dm - 1 - c for c in reversed(lead))
     basis = k.T.reshape(k.shape[1], dn, dm)
     k.flags.writeable = basis.flags.writeable = False
-    return HomSpace(source, target, basis, k, free)
+    return HomSpace(A.p, basis, k, free)
 
 
 def hom_dim(source: ModuleRep, target: ModuleRep) -> int:
@@ -826,8 +817,7 @@ def hom_module(source: ModuleRep, target: ModuleRep) -> HomModule:
 class SplitResult:
     core: ModuleRep
     free_rank: int
-    iso: np.ndarray  # M -> target = core (+) Lambda^free_rank, read-only
-    target: ModuleRep
+    iso: np.ndarray  # M -> core (+) Lambda^free_rank, read-only
 
 
 def has_free_summand(mod: ModuleRep) -> bool:
@@ -851,21 +841,30 @@ def has_free_summand(mod: ModuleRep) -> bool:
     return bool((rows.cols % mod.algebra.dim == 0).any())
 
 
-@cached
 def split_free_summands(mod: ModuleRep) -> SplitResult:
     """Write M as core (+) Lambda^r with the core free-summand-free.
 
     A free summand exists exactly when some homomorphism M -> Lambda
     hits a unit; each round splits one off, so the loop ends after at
     most dim/D rounds.  `has_free_summand` decides the first round
-    without a Hom space, so a free-summand-free M costs no hom_space.
+    without a Hom space, so a free-summand-free M costs no hom_space,
+    and its split (core M, the identity) is not cached on M.
     """
+    if has_free_summand(mod):
+        return _split_off_free(mod)
+    identity = np.eye(mod.dim, dtype=np.int64)
+    identity.flags.writeable = False
+    return SplitResult(mod, 0, identity)
+
+
+@cached
+def _split_off_free(mod: ModuleRep) -> SplitResult:
     A = mod.algebra
     p = A.p
     current = mod
     phi = np.eye(mod.dim, dtype=np.int64)
     rank = 0
-    while current.dim > 0 and (rank or has_free_summand(mod)):
+    while current.dim > 0:
         maps = hom_space(current, free_module(A, 1)).basis
         hits = np.flatnonzero(maps[:, 0].any(axis=1))
         if not hits.size:
@@ -889,11 +888,9 @@ def split_free_summands(mod: ModuleRep) -> SplitResult:
         phi = lift
         current = ker_mod
         rank += 1
-    target = direct_sum([current] + [free_module(A, 1)] * rank, A)
     if gf.rank(phi, p) != mod.dim:
         raise AssertionError("free-summand splitting must be invertible")
-    phi.flags.writeable = False
-    return SplitResult(current, rank, phi, target)
+    return SplitResult(current, rank, phi)
 
 
 # -- isomorphism testing -----------------------------------------------------

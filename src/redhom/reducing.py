@@ -140,10 +140,6 @@ class Ext1Space:
             yield self.element(tuple(rng.integers(0, p, size=self.dim, dtype=np.int64)))
 
 
-def ext1_elements(source: ModuleRep, target: ModuleRep, cap: int = 200_000) -> Ext1Space:
-    return Ext1Space(source, target, cap)
-
-
 def middle_term(element: ExtElement):
     """Pushout middle module: 0 -> A -> N -> C -> 0 for the given class.
 
@@ -304,7 +300,7 @@ def _step_space(x: ModuleRep, n: int, a: int, b: int, cap: int) -> Ext1Space:
     """Ext^1((syz^n X)^b, X^a): the classes of one (n, a, b) step from X."""
     syz = x if n == 0 else resolution_of(x).syzygy_module(n)
     right, left = direct_sum([syz] * b, x.algebra), direct_sum([x] * a, x.algebra)
-    return ext1_elements(right, left, cap=cap)
+    return Ext1Space(right, left, cap)
 
 
 def _fingerprint(mod: ModuleRep) -> tuple:

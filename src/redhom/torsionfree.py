@@ -156,28 +156,6 @@ class PushforwardResult:
                 "core_free_rank": self.core_rank}
 
 
-@cached
-def _cokernel_comparison(mod: ModuleRep) -> tuple[ModuleRep, np.ndarray]:
-    """coker(d_1) of M's minimal presentation and the canonical iso M -> coker(d_1).
-
-    Both are read off M's cover pi: Lambda^g -> M.  im d_1 = ker pi and
-    the rref of a subspace is unique, so coker(d_1) is the quotient by
-    the cover's syzygy rows, with projection q and section e.  Then
-    pi . e . q = pi, so for the cover's linear section s (nonzero only
-    at rows J, see modules.cover_section) q . s = q[:, J] . inverse is
-    the unique inverse of pi . e.  Cached, so the iso is read-only; the
-    n = 0 window reads it.
-    """
-    data = projective_cover_and_syzygy(mod)
-    quot, proj, _ = quotient_module(data.free, data.inclusion.T, data.pivots)
-    if quot.dim != mod.dim:
-        raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
-    cols, inverse = cover_section(mod)
-    iso = gf.mat_mul(proj[:, cols], inverse, mod.algebra.p)
-    iso.flags.writeable = False
-    return quot, iso
-
-
 def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
     """Embed M into a length-n window of frees, exact while Ext^j(tr M) vanishes.
 
@@ -185,20 +163,12 @@ def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
     transpose of the free-summand-free core, padded with an identity
     splice on the free part.  Position -(j-1) is exact iff
     Ext^j(tr M, Lambda) = 0; the dual sequence is exact unconditionally.
-    On the core, M -> F_{-1} is d_2(res_t)^T . s for the core's linear
-    section s (modules.cover_section).  Any two sections differ by a map
-    into ker pi = im d_1(core), which d_2(res_t)^T kills:
-    d_2(res_t)^T . d_1(core) = (d_1(res_t) . d_2(res_t))^T = 0, as res_t
-    is seeded with d_1(core)^T.  So the map is canonical, entry for entry.
+    Its first map M -> F_{-1} is _first_map(M), the same for every n.
     """
     if n < 1:
         raise ModuleError("pushforward length must be at least 1")
     A = mod.algebra
-    p = A.p
-    split = split_free_summands(mod)
-    core, r = split.core, split.free_rank
-    core_part = split.iso[:core.dim, :]
-    free_part = split.iso[core.dim:, :]
+    r = split_free_summands(mod).free_rank
     res_t = transpose_resolution(mod)
     ext_tr = tuple(res_t.ext_dim(j) for j in range(1, n + 1))
     g = res_t.betti[:n + 2]
@@ -211,21 +181,9 @@ def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
                                             (d3.shape[0], d3.shape[1] + r, A.dim)))
 
     modules = {0: mod}
-    maps = {}
+    maps = {0: _first_map(mod)}
     for j in range(1, n + 1):
         modules[-j] = free_module(A, g[j + 1] + (r if j == 1 else 0))
-    # M -> F_{-1}: through the transpose-resolution dual on the core,
-    # identity on the split-off free part
-    D = A.dim
-    f1 = modules[-1]
-    top = np.zeros((f1.dim, mod.dim), dtype=np.int64)
-    if core.dim:
-        cols, inverse = cover_section(core)
-        d2t = res_t.diff(2).transpose().to_linear()
-        top[:d2t.shape[0], :] = gf.mat_mul(d2t[:, cols], gf.mat_mul(inverse, core_part, p), p)
-    if r:
-        top[f1.dim - r * D:, :] = free_part
-    maps[0] = top
     for j in range(1, n):
         maps[-j] = tail[-j].to_linear()
     comp = ModuleComplex(modules, maps, check=True)
@@ -244,6 +202,60 @@ def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
         else:
             break
     return PushforwardResult(comp, tail, n, ext_tr, primal, exact_while, r)
+
+
+@cached
+def _first_map(mod: ModuleRep) -> np.ndarray:
+    """M -> F_{-1} of every pushforward of M, whatever its length (cached on M):
+    d_2(res_t)^T . s on the core, for the core's linear section s
+    (modules.cover_section), and the identity on the split-off free part.
+    Two sections differ by a map into ker pi = im d_1(core), and
+    d_2(res_t)^T . d_1(core) = (d_1(res_t) . d_2(res_t))^T = 0, as res_t is
+    seeded with d_1(core)^T: the map is canonical, entry for entry."""
+    A, p = mod.algebra, mod.algebra.p
+    split = split_free_summands(mod)
+    core, r = split.core, split.free_rank
+    res_t = transpose_resolution(mod)
+    top = np.zeros(((res_t.betti_numbers(2)[2] + r) * A.dim, mod.dim), dtype=np.int64)
+    if core.dim:
+        cols, inverse = cover_section(core)
+        d2t = res_t.diff(2).transpose().to_linear()
+        lift = gf.mat_mul(inverse, split.iso[:core.dim, :], p)
+        top[:d2t.shape[0], :] = gf.mat_mul(d2t[:, cols], lift, p)
+    if r:
+        top[-r * A.dim:, :] = split.iso[core.dim:, :]
+    return top
+
+
+@cached
+def _window_image(mod: ModuleRep, n: int) -> tuple[ModuleRep | None, np.ndarray]:
+    """The middle image of M's windows of right length n (n = 1 stands for
+    every n >= 1) and the iso M -> it; None stands for M itself, which M's
+    cache must not hold.  Cached on M, so M's windows and the verifier's
+    image of them (the same module by interning) share it and its
+    resolutions.  For n >= 1 it is the span of _first_map(M) in rref
+    coordinates.  For n = 0 it is coker(d_1), read off M's cover
+    pi: Lambda^g -> M: im d_1 = ker pi and the rref of a subspace is unique,
+    so coker(d_1) is the quotient by the cover's syzygy rows, with
+    projection q and section e.  Then pi . e . q = pi, so for the cover's
+    linear section s (nonzero only at rows J, see modules.cover_section)
+    q . s = q[:, J] . inverse is the unique inverse of pi . e."""
+    A = mod.algebra
+    if n == 0:
+        data = projective_cover_and_syzygy(mod)
+        image, proj, _ = quotient_module(data.free, data.inclusion.T, data.pivots)
+        if image.dim != mod.dim:
+            raise AssertionError("coker(d_1) must be the module: the cover kills exactly im d_1")
+        cols, inverse = cover_section(mod)
+        witness = gf.mat_mul(proj[:, cols], inverse, A.p)
+    else:
+        top = _first_map(mod)
+        rows, piv = gf.row_basis(top.T, A.p)
+        image, _ = submodule_from_rows(free_module(A, top.shape[0] // A.dim), rows, piv)
+        witness = top[list(piv), :]
+        if gf.rank(witness, A.p) != mod.dim:
+            raise AssertionError("middle image must be isomorphic to the module")
+    return (None if image is mod else image), witness
 
 
 # -- window sequences --------------------------------------------------------
@@ -293,28 +305,20 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     res.extend(m + 1)
     ranks = {i: res.betti[i] for i in range(m + 2)}
     diffs = {i: res.diff(i) for i in range(1, m + 2)}
-    if n == 0:
-        comp = FreeComplex(A, ranks, diffs, check=True)
-        # d_1 is M's minimal presentation, so coker(d_1) is compared with M
-        image_module, image_witness = _cokernel_comparison(mod)
-    else:
+    if n:
         pf = pushforward(mod, n)
         for j in range(1, n + 1):
             ranks[-j] = pf.complex.modules[-j].free_rank
-        top = pf.complex.maps[0]
-        partial = gf.mat_mul(top, projective_cover_and_syzygy(mod).cover, A.p)
+        partial = gf.mat_mul(pf.complex.maps[0], projective_cover_and_syzygy(mod).cover, A.p)
         diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
         diffs.update(pf.tail)
-        comp = FreeComplex(A, ranks, diffs, check=True)
-        img_rows, img_piv = gf.row_basis(top.T, A.p)
-        image_module, _ = submodule_from_rows(pf.complex.modules[-1], img_rows, img_piv)
-        image_witness = top[list(img_piv), :]
-        if gf.rank(image_witness, A.p) != mod.dim:
-            raise AssertionError("middle image must be isomorphic to the module")
+    comp = FreeComplex(A, ranks, diffs, check=True)
+    # for n = 0, d_1 is M's minimal presentation, so coker(d_1) is compared with M
+    image, witness = _window_image(mod, min(n, 1))
     primal, dual_defects = _window_defects(comp)
     if any(primal.values()) or any(dual_defects.values()):
         raise AssertionError("window and its dual must be exact")
-    return WindowBuild(comp, m, n, image_module, image_witness,
+    return WindowBuild(comp, m, n, mod if image is None else image, witness,
                        primal, dual_defects, cls)
 
 
@@ -359,9 +363,9 @@ def _window_defects(comp: ModuleComplex | FreeComplex) -> tuple[dict[int, int], 
 def _image_of_middle(comp: ModuleComplex | FreeComplex, n: int):
     """Image of the middle map (or for n = 0 the cokernel convention).
 
-    Modules are interned by content (see ModuleRep), so an image equal
-    to one built for another window is that module, with its
-    resolutions already computed.
+    Modules are interned by content (see ModuleRep), so the image of a
+    built window is the image its module M keeps (_window_image), with
+    its resolutions already computed, for as long as M lives.
     """
     A = comp.algebra
     rows, piv = gf.row_basis(comp.linear(1 if n == 0 else 0).T, A.p)

@@ -8,6 +8,8 @@ from redhom.modules import (
     HomModule,
     HomSpace,
     ModuleRep,
+    SplitResult,
+    direct_sum,
     free_module,
     hom_module,
     minimal_presentation,
@@ -31,9 +33,15 @@ def is_module_map(source: ModuleRep, target: ModuleRep, f: np.ndarray) -> bool:
 
 def map_from_coords(space: HomSpace, coeffs) -> np.ndarray:
     """The map of `space` with the given coordinates in its basis."""
-    p = space.source.algebra.p
+    p = space.p
     vec = gf.mat_mul(space.kernel, np.asarray(coeffs, dtype=np.int64)[:, None] % p, p)
-    return vec.reshape(space.target.dim, space.source.dim)
+    return vec.reshape(space.basis.shape[1:])
+
+
+def split_target(split: SplitResult) -> ModuleRep:
+    """core (+) Lambda^free_rank, the target of the split's iso."""
+    A = split.core.algebra
+    return direct_sum([split.core] + [free_module(A, 1)] * split.free_rank, A)
 
 
 def commuting_system(source: ModuleRep, target: ModuleRep) -> np.ndarray:

@@ -33,6 +33,8 @@ from redhom.torsionfree import (
     verify_window_sequence,
 )
 
+from module_helpers import split_target
+
 LEDGER = Path(__file__).with_name("ledger.json")
 
 CLI_REPORTS = {
@@ -99,7 +101,7 @@ def splits(mods):
     for name, mod in mods:
         split = split_free_summands(mod)
         out.append([name, split.core.to_jsonable(), split.free_rank, split.iso.tolist(),
-                    split.target.to_jsonable()])
+                    split_target(split).to_jsonable()])
     return out
 
 
@@ -133,7 +135,8 @@ def windows(mods):
 def isomorphisms(mods):
     """Every pair of samples, and each sample against its split form."""
     pairs = [(a, b) for i, a in enumerate(mods) for b in mods[i:]]
-    pairs += [((name, mod), ("split", split_free_summands(mod).target)) for name, mod in mods]
+    pairs += [((name, mod), ("split", split_target(split_free_summands(mod))))
+              for name, mod in mods]
     out = []
     for (na, a), (nb, b) in pairs:
         verdict = is_isomorphic(a, b)

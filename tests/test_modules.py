@@ -48,6 +48,7 @@ from module_helpers import (
     is_module_map,
     map_from_coords,
     ring_by_actions,
+    split_target,
 )
 
 
@@ -212,7 +213,7 @@ def test_split_free_summands(R2):
     assert res.free_rank == 1
     assert res.core.dim == 1
     assert is_isomorphic(res.core, k).kind == "yes"
-    assert is_module_map(M, res.target, res.iso)
+    assert is_module_map(M, split_target(res), res.iso)
     kk = direct_sum([k, k])
     assert split_free_summands(kk).free_rank == 0
     FF = free_module(R2, 2)
@@ -458,9 +459,21 @@ def test_unequal_modules_stay_distinct():
     assert direct_sum([lam, lam]) is not free_module(alg, 2)
 
 
+def test_cached_radical_rows_and_socle_are_read_only():
+    # a cached value is shared by every later caller, so algebra.cached
+    # makes the arrays it stores read-only; these two were once writable,
+    # and a write to one changed what the next call returned
+    alg = catalog_ring("R1q5")
+    _, mod = sample_modules(alg, count=6, max_dim=6, seed=20240)[-1]
+    for rows in (mod.radical_rows()[0], alg.socle()[0]):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[...] = 0
+
+
 def test_interned_module_is_freed_with_its_last_reference():
-    # the table holds modules weakly: a module no one holds (with the
-    # reference cycles its cover makes) is freed, and its entry goes too
+    # the table holds modules weakly: a module no one holds is freed, and
+    # its entry goes too
     alg = build_ring(catalog_spec("R3", 5))
     mod = ModuleRep(alg, [np.array([[0, 0], [1, 0]], dtype=np.int64),
                           np.array([[0, 0], [2, 0]], dtype=np.int64)], validate=True)
@@ -587,8 +600,8 @@ def test_hom_functoriality_random(R3):
     F = free_module(R3, 1)
     hk = hom_space(k, F)
     hf = hom_space(F, F)
-    for space in (hk, hf):
-        assert space.basis.shape == (space.dim, space.target.dim, space.source.dim)
+    for space, source, target in ((hk, k, F), (hf, F, F)):
+        assert space.basis.shape == (space.dim, target.dim, source.dim)
         assert not space.basis.flags.writeable
         for t, f in enumerate(space.basis):
             assert np.array_equal(f.reshape(-1), space.kernel[:, t])

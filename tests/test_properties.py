@@ -18,8 +18,8 @@ from redhom.modules import (
     transpose_module,
 )
 from redhom.reducing import (
+    Ext1Space,
     connecting_rank,
-    ext1_elements,
     free_middle_rank,
     middle_term,
     pd_is_finite,
@@ -101,8 +101,8 @@ def test_dimension_filter_soundness_gf2(R1q2, R3q2):
     cases = [(k1, 0, 4), (k1, 2, 256), (k1, 1, 16), (k3, 1, 8)]
     for left, n, classes in cases:
         assert free_middle_rank(left, n, 1, 1) is None
-        right = resolution_of(left).syzygy_module(n)
-        space = ext1_elements(right, left, cap=300_000)
+        right = left if n == 0 else resolution_of(left).syzygy_module(n)
+        space = Ext1Space(right, left, 300_000)
         assert space.exhaustive and 2 ** space.dim == classes
         for element in space.elements():
             middle, _ = middle_term(element)
@@ -134,7 +134,7 @@ def test_free_middle_rank_is_betti_arithmetic():
         mods += [m for _, m in sample_modules(alg, count=4, max_dim=5, seed=8)]
         for x in mods:
             for n in range(3):
-                syz = resolution_of(x).syzygy_module(n)
+                syz = x if n == 0 else resolution_of(x).syzygy_module(n)
                 for a in (1, 2):
                     for b in (1, 2):
                         expected = _pair_free_middle_rank(direct_sum([x] * a),
@@ -159,7 +159,7 @@ def test_connecting_rank_oracle_exhaustive():
         mods += [_basis_changed(m, rng) for m in mods[1:]]
         for left in mods:
             for right in mods:
-                space = ext1_elements(right, left, cap=64)
+                space = Ext1Space(right, left, 64)
                 if not space.exhaustive:
                     continue
                 needed = _pair_free_middle_rank(left, right)
@@ -176,7 +176,7 @@ def test_connecting_rank_oracle_exhaustive():
 
 def test_scalar_orbit_middles_isomorphic(R1):
     k = simple_module(R1)
-    space = ext1_elements(k, k)
+    space = Ext1Space(k, k, 200_000)
     rng = np.random.default_rng(0)
     for _ in range(4):
         coeffs = tuple(int(c) for c in rng.integers(0, 5, size=space.dim))
@@ -194,7 +194,7 @@ def test_split_element_gives_direct_sum_on_samples(R1, R3):
         mods = [m for _, m in sample_modules(alg, count=3, max_dim=4, seed=99)]
         for a in mods:
             for c in mods:
-                space = ext1_elements(c, a, cap=10_000)
+                space = Ext1Space(c, a, 10_000)
                 zero = space.element((0,) * space.dim)
                 middle, _ = middle_term(zero)
                 verdict = is_isomorphic(middle, direct_sum([a, c]), samples=256)
@@ -209,7 +209,7 @@ def test_ext1_dimension_against_resolution_path(R1, R3):
         mods = [m for _, m in sample_modules(alg, count=4, max_dim=5, seed=17)]
         for c in mods:
             for a in mods:
-                space = ext1_elements(c, a, cap=10)
+                space = Ext1Space(c, a, 10)
                 table = ext_dims(c, a, 1)
                 assert space.dim == table.dims[1], (c.dim, a.dim)
 
@@ -268,7 +268,7 @@ def _gdim_oracle_modules(alg):
     k = simple_module(alg)
     syz_k = projective_cover_and_syzygy(k).syzygy
     for left, right in ((k, k), (k, syz_k), (syz_k, syz_k)):
-        space = ext1_elements(right, left, cap=64)
+        space = Ext1Space(right, left, 64)
         mods += [middle_term(e)[0] for e in space.elements(
             scalar_orbits=space.exhaustive, samples=4)]
     return [m for m in mods if m.dim]

@@ -5,8 +5,8 @@ from redhom.algebra import RingSpec, build_monomial_quotient
 from redhom.catalog import catalog_ring, module_from_spec
 from redhom.modules import ModuleError, direct_sum, free_module, is_isomorphic, simple_module
 from redhom.reducing import (
+    Ext1Space,
     SearchLimits,
-    ext1_elements,
     growth_estimate,
     middle_term,
     pd_is_finite,
@@ -46,7 +46,7 @@ def R3():
 
 
 def test_ext1_projective_source_is_zero(R1):
-    space = ext1_elements(free_module(R1, 1), simple_module(R1))
+    space = Ext1Space(free_module(R1, 1), simple_module(R1), 200_000)
     assert space.dim == 0
     elements = list(space.elements())
     assert len(elements) == 1 and elements[0].is_zero
@@ -54,13 +54,13 @@ def test_ext1_projective_source_is_zero(R1):
 
 def test_ext1_dims_match_first_betti(R1, R2):
     # Ext^1(k, k) has dimension beta_1(k) here (the restriction map is zero)
-    assert ext1_elements(simple_module(R2), simple_module(R2)).dim == 1
-    assert ext1_elements(simple_module(R1), simple_module(R1)).dim == 2
+    assert Ext1Space(simple_module(R2), simple_module(R2), 200_000).dim == 1
+    assert Ext1Space(simple_module(R1), simple_module(R1), 200_000).dim == 2
 
 
 def test_middle_term_split(R1):
     k = simple_module(R1)
-    space = ext1_elements(k, k)
+    space = Ext1Space(k, k, 200_000)
     zero = space.element((0, 0))
     middle, seq = middle_term(zero)
     assert middle.dim == 2
@@ -69,7 +69,7 @@ def test_middle_term_split(R1):
 
 def test_middle_term_generator_gives_ring(R2):
     k = simple_module(R2)
-    space = ext1_elements(k, k)
+    space = Ext1Space(k, k, 200_000)
     middle, seq = middle_term(space.element((1,)))
     assert middle.dim == 2
     assert is_isomorphic(middle, free_module(R2, 1)).kind == "yes"
@@ -80,7 +80,7 @@ def test_paper_extension_exists_over_R1(R1):
     # some class in Ext^1(k, k^2) has the ring as its middle term
     k = simple_module(R1)
     kk = direct_sum([k, k])
-    space = ext1_elements(k, kk)
+    space = Ext1Space(k, kk, 200_000)
     assert space.dim == 4
     hit = None
     for element in space.elements(scalar_orbits=True):

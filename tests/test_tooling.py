@@ -82,6 +82,54 @@ def test_derived_data_is_cached_only_through_the_helper():
     assert not bad, f"hand-written caches: {bad}"
 
 
+def test_cached_functions_leave_freezing_to_the_helper():
+    # algebra.cached makes every array of a value it stores read-only, so
+    # no function it wraps sets flags.writeable by hand
+    wrapped, bad = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "cached" for d in node.decorator_list):
+                wrapped += 1
+                bad += [f"{path.name}:{sub.lineno} in {node.name}" for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute) and sub.attr == "writeable"]
+    assert wrapped >= 20
+    assert not bad, f"cached functions that freeze by hand: {bad}"
+
+
+def _arrays_one_level_in(value):
+    """The value if it is an array, else the arrays among a tuple's items
+    or a dataclass's fields."""
+    import dataclasses
+
+    import numpy as np
+
+    parts = (vars(value).values() if dataclasses.is_dataclass(value) else
+             value if isinstance(value, tuple) else (value,))
+    return [part for part in parts if isinstance(part, np.ndarray)]
+
+
+def test_every_cached_array_is_read_only_after_the_tables_jobs():
+    # every value in every `_cache` is shared by all later callers, so no
+    # array in one may be writable; the tables jobs fill covers, sections,
+    # splits, resolutions, forms and window images
+    import gc
+
+    for name, job in _load_perfbench("workloads").WORKLOADS["tables"](0):
+        assert job()[0], name
+    seen, writable = 0, []
+    for obj in gc.get_objects():
+        owner = type(obj).__module__      # a descriptor on some metaclasses
+        if not (isinstance(owner, str) and owner.startswith("redhom.")):
+            continue
+        for key, value in getattr(obj, "_cache", {}).items():
+            arrays = _arrays_one_level_in(value)
+            seen += len(arrays)
+            writable += [f"{type(obj).__name__} {key}" for a in arrays if a.flags.writeable]
+    assert seen >= 500
+    assert not writable, f"writable cached arrays: {writable[:10]}"
+
+
 def test_content_is_keyed_only_by_the_module_intern_table():
     # equal modules are one object (ModuleRep.__new__), so a side table
     # keyed by a module's content, as window images once had, must not
@@ -207,6 +255,63 @@ def test_every_benchmark_job_passes_at_seed_0(workload, seed):
         if not ok:
             failed.append(f"{name}: {detail}")
     assert not failed, failed
+
+
+_COUNT_GF_CALLS = """
+import collections, functools, gc, json, sys, types
+sys.path.insert(0, sys.argv[1])
+from redhom import gf
+import workloads
+
+calls = collections.Counter()
+
+def counted(name, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name, fn in list(vars(gf).items()):
+    if isinstance(fn, types.FunctionType) and fn.__module__ == gf.__name__:
+        setattr(gf, name, counted(name, fn))
+jobs = workloads.WORKLOADS["tables"](0)
+{collector}
+assert all(job()[0] for _, job in jobs)
+print(json.dumps(calls, sort_keys=True))
+"""
+
+
+def test_tables_work_does_not_depend_on_when_the_collector_runs():
+    # no cached value refers back to its owner, so a module dies with its
+    # last reference and what a later equal module shares does not depend
+    # on whether a collection has run: one pass of the tables jobs makes
+    # the same gf calls with the collector on, off and after every
+    # allocation (each in a fresh process, as a benchmark pass runs)
+    import json
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH")])))
+    perfbench = str(SRC.parent.parent / "perfbench")
+    runs = [subprocess.Popen([sys.executable, "-c", _COUNT_GF_CALLS.format(collector=collector),
+                              perfbench], env=env, stdout=subprocess.PIPE, text=True)
+            for collector in ("", "gc.disable()", "gc.set_threshold(1, 1, 1)")]
+    counts = []
+    try:
+        for run in runs:
+            out, _ = run.communicate(timeout=300)
+            assert run.returncode == 0
+            counts.append(json.loads(out))
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
+    assert counts[0]["row_basis"] > 0 and counts[0]["rank"] > 0
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_traced_search_counts_do_not_depend_on_hash_seed():
