@@ -8,10 +8,11 @@ number s of short exact sequences
 starting at M_0 = M and ending at a module of finite projective (resp.
 G-) dimension; the upper variant forces a_i = b_i = 1.  Over an
 artinian local algebra "finite projective dimension" means free, which
-is decidable, and "finite G-dimension" means totally reflexive, which
-is tested only up to a bound (Ext^i(M, R) = Ext^i(tr M, R) = 0 for
-1 <= i <= tr_bound), except over a non-Gorenstein ring with m^2 = 0,
-where it means free (see totally_reflexive_means_free).  Each
+is decidable, and "finite G-dimension" means totally reflexive
+(torsionfree.is_totally_reflexive_up_to).  That holds for every module
+over a Gorenstein ring and means free over a non-Gorenstein ring with
+m^2 = 0; over any other ring it is tested only up to a bound
+(Ext^i(M, R) = Ext^i(tr M, R) = 0 for 1 <= i <= tr_bound).  Each
 candidate sequence is classified by an element of Ext^1, realized here
 as a pushout of the cover sequence of its right-hand term.
 
@@ -30,7 +31,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gf
-from .algebra import AlgebraRep
 from .complexes import (
     ModuleComplex,
     bass_numbers,
@@ -49,7 +49,11 @@ from .modules import (
     quotient_module,
     simple_module,
 )
-from .torsionfree import is_totally_reflexive_up_to
+from .torsionfree import (
+    is_totally_reflexive_up_to,
+    pd_is_finite,
+    totally_reflexive_means_free,
+)
 
 
 @dataclass
@@ -168,31 +172,6 @@ def middle_term(element: ExtElement):
 
 
 # -- terminal tests ----------------------------------------------------------
-
-def pd_is_finite(mod: ModuleRep) -> bool:
-    """Over an artinian local algebra, finite projective dimension = free."""
-    rows, _ = mod.radical_rows()
-    gens = mod.dim - rows.shape[0]
-    return gens * mod.algebra.dim == mod.dim
-
-
-def totally_reflexive_means_free(alg: AlgebraRep) -> bool:
-    """True when alg is not Gorenstein and m^2 = 0.
-
-    Over such a ring is_totally_reflexive_up_to(M, t) with t >= 1 holds
-    exactly when M is free, so a gdim search may use pd_is_finite and
-    the Tor-rank criterion.  Free modules always pass.  Conversely, let
-    the test hold for some t >= 1.  Then Ext^1(tr M, R) = 0, so M is
-    torsionless.  Write M = M' + R^f with M' having no free summand.
-    Every map M' -> R then lands in m (a map onto R would split off a
-    free summand), so every such map kills mM', as m^2 = 0.  M' embeds
-    in a free module, so mM' = 0 and M' = k^a.  Then Ext^1(M, R)
-    contains Ext^1(k, R)^a, and mu^1(R) = e^2 - 1 >= 3, where
-    e = dim m = socle dimension >= 2 (e <= 1 with m^2 = 0 is
-    Gorenstein).  As Ext^1(M, R) = 0, a = 0 and M is free.
-    """
-    return not alg.is_gorenstein and not alg.table[1:, 1:].any()
-
 
 def connecting_rank(element: ExtElement) -> int:
     """Rank of the connecting map delta: Tor_1(k, C) -> A/mA of the class.
@@ -352,8 +331,9 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     totally reflexive means free (see totally_reflexive_means_free)
     has the same terminal modules, so it takes the same path and
     prunes the same triples.  Over any other ring a gdim search builds
-    every middle and tests it with is_totally_reflexive_up_to, since
-    total reflexivity is then a property of the module.  A frontier
+    every middle and tests it with is_totally_reflexive_up_to, which
+    passes every module over a Gorenstein ring without computing Ext
+    and runs the bounded test elsewhere.  A frontier
     module is skipped only when is_isomorphic certifies it isomorphic
     to one already expanded.
     """
@@ -366,7 +346,7 @@ def search_reducing(mod: ModuleRep, mode: str, target: str,
     exact = target == "pd" or totally_reflexive_means_free(alg)
 
     def terminal(x: ModuleRep) -> bool:
-        if exact:
+        if target == "pd":
             return pd_is_finite(x)
         return is_totally_reflexive_up_to(x, limits.tr_bound)
 
@@ -449,7 +429,8 @@ def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:
     Each extension class is rebuilt from its stored coefficients against
     the deterministic cover and coset bases, so the middles must match
     the stored ones entry for entry.  A gdim terminal is re-checked
-    with the bounded is_totally_reflexive_up_to on every ring.
+    with is_totally_reflexive_up_to: by theorem over a Gorenstein ring
+    and over a non-Gorenstein ring with m^2 = 0, bounded elsewhere.
     """
     limits = result.limits
     _check_target(result.target, limits)

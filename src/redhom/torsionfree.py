@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
-from .algebra import cached
+from .algebra import AlgebraRep, cached
 from .complexes import (
     FreeComplex,
     MinimalResolution,
@@ -128,8 +128,49 @@ def torsionfree_classify(mod: ModuleRep, bound: int) -> TorsionfreeVerdict:
                               ext_self, ext_tr)
 
 
+def pd_is_finite(mod: ModuleRep) -> bool:
+    """Over an artinian local algebra, finite projective dimension = free."""
+    rows, _ = mod.radical_rows()
+    gens = mod.dim - rows.shape[0]
+    return gens * mod.algebra.dim == mod.dim
+
+
+def totally_reflexive_means_free(alg: AlgebraRep) -> bool:
+    """True when alg is not Gorenstein and m^2 = 0.
+
+    Over such a ring Ext^i(M, R) = Ext^i(tr M, R) = 0 for 1 <= i <= t,
+    with t >= 1, holds exactly when M is free, so
+    is_totally_reflexive_up_to reads pd_is_finite there and a gdim
+    search may use the Tor-rank criterion.  Free modules pass.
+    Conversely, let the vanishing hold for some t >= 1.  Then
+    Ext^1(tr M, R) = 0, so M is torsionless.  Write M = M' + R^f with
+    M' having no free summand.
+    Every map M' -> R then lands in m (a map onto R would split off a
+    free summand), so every such map kills mM', as m^2 = 0.  M' embeds
+    in a free module, so mM' = 0 and M' = k^a.  Then Ext^1(M, R)
+    contains Ext^1(k, R)^a, and mu^1(R) = e^2 - 1 >= 3, where
+    e = dim m = socle dimension >= 2 (e <= 1 with m^2 = 0 is
+    Gorenstein).  As Ext^1(M, R) = 0, a = 0 and M is free.
+    """
+    return not alg.is_gorenstein and not alg.table[1:, 1:].any()
+
+
 def is_totally_reflexive_up_to(mod: ModuleRep, bound: int) -> bool:
-    """Early-exit total reflexivity test (both Ext sides vanish to the bound)."""
+    """Whether Ext^i(M, R) = Ext^i(tr M, R) = 0 for 1 <= i <= bound.
+
+    Two kinds of ring are decided by theorem, with no Ext computed.  A
+    zero-dimensional local ring is Gorenstein iff its socle is simple
+    iff it is self-injective (Bruns-Herzog, Cohen-Macaulay Rings,
+    ch. 3).  So over a Gorenstein ring (is_gorenstein: socle dimension
+    1) Ext^{>=1}(X, R) = 0 for every X, here X = M and X = tr M.  Over
+    a non-Gorenstein ring with m^2 = 0 the test holds exactly when M is
+    free (totally_reflexive_means_free).  Every other ring, and every
+    bound < 1, runs the bounded test, stopping at the first nonzero Ext.
+    """
+    if bound >= 1 and mod.algebra.is_gorenstein:
+        return True
+    if bound >= 1 and totally_reflexive_means_free(mod.algebra):
+        return pd_is_finite(mod)
     if any(resolution_of(mod).ext_dim(i) for i in range(1, bound + 1)):
         return False
     res_t = transpose_resolution(mod)

@@ -115,6 +115,18 @@ def cokernel_comparison_reference(mod: ModuleRep):
     return quot, embed, gf.solve(q_to_m, np.eye(mod.dim, dtype=np.int64), A.p)
 
 
+def bounded_total_reflexivity(mod: ModuleRep, bound: int) -> bool:
+    """Ext^i(M, R) = Ext^i(tr M, R) = 0 for 1 <= i <= bound, by computing Ext.
+
+    The bounded loop on every ring; the reference for the theorems that
+    torsionfree.is_totally_reflexive_up_to decides by.
+    """
+    if any(resolution_of(mod).ext_dim(i) for i in range(1, bound + 1)):
+        return False
+    res_t = transpose_resolution(mod)
+    return not any(res_t.ext_dim(j) for j in range(1, bound + 1))
+
+
 def pushforward_top_reference(mod: ModuleRep) -> np.ndarray:
     """M -> F_{-1} of a pushforward, lifting the core through its solved comparison.
 

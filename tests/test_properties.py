@@ -26,6 +26,8 @@ from redhom.reducing import (
 )
 from redhom.torsionfree import is_totally_reflexive_up_to
 
+from module_helpers import bounded_total_reflexivity
+
 
 @pytest.fixture(scope="module")
 def R1():
@@ -276,16 +278,33 @@ def _gdim_oracle_modules(alg):
 
 @pytest.mark.parametrize("p", [2, 5])
 def test_totally_reflexive_is_free_over_square_zero_non_gorenstein(p):
-    # the exact rule a gdim search uses over R1, against the bounded test
+    # the exact rule a gdim search uses over R1, against the computed Ext
     mods = _gdim_oracle_modules(catalog_ring("R1", p))
     free = [pd_is_finite(m) for m in mods]
     assert any(free) and not all(free)
     for t in (1, 2, 3):
-        assert [is_totally_reflexive_up_to(m, t) for m in mods] == free
+        assert [bounded_total_reflexivity(m, t) for m in mods] == free
 
 
-@pytest.mark.parametrize("ring_id", ["R2", "R3", "R4"])
+@pytest.mark.parametrize("ring_id", ["R2", "R3", "R4", "R5"])
 @pytest.mark.parametrize("p", [2, 5])
 def test_every_module_totally_reflexive_over_artinian_gorenstein(ring_id, p):
-    for m in _gdim_oracle_modules(catalog_ring(ring_id, p)):
+    # the self-injectivity theorem is_totally_reflexive_up_to decides by,
+    # against the computed Ext of the modules and of their transposes
+    mods = _gdim_oracle_modules(catalog_ring(ring_id, p))
+    mods += [t for t in map(transpose_module, mods) if t.dim]
+    for m in mods:
+        assert bounded_total_reflexivity(m, 3)
         assert is_totally_reflexive_up_to(m, 3)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_bounded_ring_total_reflexivity_computes_ext(t):
+    # GF(2)[x,y]/(x^2, xy, y^3) is neither Gorenstein nor of m^2 = 0, so
+    # no theorem applies and the test is the computed Ext
+    alg = build_monomial_quotient(RingSpec(
+        "monomial_quotient", 2, variables=["x", "y"], ideal=["x^2", "xy", "y^3"]))
+    mods = _gdim_oracle_modules(alg)
+    got = [is_totally_reflexive_up_to(m, t) for m in mods]
+    assert got == [bounded_total_reflexivity(m, t) for m in mods]
+    assert any(got) and not all(got)

@@ -1,6 +1,7 @@
 import pytest
 
-from redhom import reducing
+from redhom import reducing, torsionfree
+from redhom.acceptance import _gorenstein_samples
 from redhom.algebra import RingSpec, build_monomial_quotient
 from redhom.catalog import catalog_ring, module_from_spec
 from redhom.modules import ModuleError, direct_sum, free_module, is_isomorphic, simple_module
@@ -16,6 +17,7 @@ from redhom.reducing import (
     upper_reduction_vs_gorenstein_complexity,
     verify_witness,
 )
+from redhom.torsionfree import is_totally_reflexive_up_to
 
 
 def two_var_square_zero(p):
@@ -281,6 +283,36 @@ def test_totally_reflexive_means_free_only_on_square_zero_non_gorenstein():
     for rid in ("R1", "R2", "R3", "R4", "R5"):
         assert reducing.totally_reflexive_means_free(catalog_ring(rid, 5)) == \
             (rid == "R1")
+
+
+def test_gdim_terminal_is_decided_without_ext(monkeypatch, R1):
+    # over Gorenstein rings and over R1 (not Gorenstein, m^2 = 0) total
+    # reflexivity is decided by theorem: no resolution is computed for
+    # the terminal test of a gdim search or of its re-check
+    def refuse(mod):
+        raise AssertionError("total reflexivity resolved a module")
+
+    k = simple_module(R1)
+    assert is_totally_reflexive_up_to(k, 0) and not pd_is_finite(k)
+    monkeypatch.setattr(torsionfree, "resolution_of", refuse)
+    monkeypatch.setattr(torsionfree, "transpose_resolution", refuse)
+    for rid in ("R2", "R3", "R4", "R5"):
+        for p in (2, 5):
+            alg = catalog_ring(rid, p)
+            # the field R5 has no x, so only k and the ring are sampled
+            samples = [m for _, m in _gorenstein_samples(alg)] if alg.dim > 1 \
+                else [simple_module(alg), free_module(alg, 2)]
+            for mod in filter(lambda m: m.dim, samples):
+                for mode in ("red", "ured"):
+                    result = search_reducing(mod, mode, "gdim",
+                                             SearchLimits(tr_bound=3))
+                    assert result.found and result.witness.depth == 0
+                    assert verify_witness(mod, result)
+    result = search_reducing(k, "red", "gdim",
+                             SearchLimits(max_steps=2, n_max=1, ab_max=2,
+                                          tr_bound=3))
+    assert result.found and result.witness.depth == 1
+    assert verify_witness(k, result)
 
 
 def test_search_depth_zero_for_free(R1):

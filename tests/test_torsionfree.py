@@ -37,7 +37,11 @@ from redhom.torsionfree import (
     verify_window_sequence,
 )
 
-from module_helpers import cokernel_comparison_reference, pushforward_top_reference
+from module_helpers import (
+    bounded_total_reflexivity,
+    cokernel_comparison_reference,
+    pushforward_top_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +74,7 @@ def test_classify_k_over_gorenstein(R2):
     assert verdict.m_max == 6 and verdict.n_max == 6
     assert verdict.totally_reflexive_up_to_bound
     assert is_totally_reflexive_up_to(simple_module(R2), 6)
+    assert bounded_total_reflexivity(simple_module(R2), 6)
 
 
 def test_classify_k_over_R1(R1):
