@@ -39,13 +39,7 @@ from .reducing import (
     upper_reduction_vs_complexity,
     verify_witness,
 )
-from .torsionfree import (
-    TorsionfreeError,
-    build_window_sequence,
-    gdim_report,
-    torsionfree_classify,
-    verify_window_sequence,
-)
+from .torsionfree import gdim_report, window_roundtrip
 
 
 @dataclass
@@ -118,7 +112,7 @@ def criterion_4_complexity_equalities():
     alg2 = catalog_ring("R2", 5)
     k2 = simple_module(alg2)
     rep2 = upper_reduction_vs_complexity(
-        k2, SearchLimits(max_steps=1, n_max=1), bound=12, imax=10)
+        k2, SearchLimits(max_steps=1, n_max=1), bound=12)
     ok2 = (rep2["cx_estimate"]["verdict"] == "poly(1)"
            and rep2["search"]["found"]
            and rep2["search"]["witness"]["depth"] == 1
@@ -128,7 +122,7 @@ def criterion_4_complexity_equalities():
     alg3 = catalog_ring("R3", 5)
     k3 = simple_module(alg3)
     rep3 = upper_reduction_vs_complexity(
-        k3, SearchLimits(max_steps=2, n_max=3, cap=200_000), bound=12, imax=10)
+        k3, SearchLimits(max_steps=2, n_max=3, cap=200_000), bound=12)
     ok3 = (rep3["cx_estimate"]["verdict"] == "poly(2)"
            and rep3["search"]["found"]
            and rep3["search"]["witness"]["depth"] <= 2
@@ -152,24 +146,10 @@ def criterion_5_window_roundtrip():
         samples = sample_modules(alg, count=count, max_dim=max_dim, seed=20240)
         total_modules += len(samples)
         for name, mod in samples:
-            cls = torsionfree_classify(mod, 3)
-            for m in range(4):
-                for n in range(4):
-                    cases += 1
-                    if cls.member(m, n):
-                        try:
-                            build = build_window_sequence(mod, m, n)
-                            verdict = verify_window_sequence(build.complex, m, n, "(4)")
-                            if not verdict.ok:
-                                failures.append((ring_id, name, m, n, verdict.reasons))
-                        except TorsionfreeError as err:
-                            failures.append((ring_id, name, m, n, str(err)))
-                    else:
-                        try:
-                            build_window_sequence(mod, m, n)
-                            failures.append((ring_id, name, m, n, "build not refused"))
-                        except TorsionfreeError:
-                            pass
+            _, outcomes = window_roundtrip(mod, 3, 3)
+            cases += len(outcomes)
+            failures += [(ring_id, name, m, n, outcome)
+                         for (m, n), outcome in outcomes.items() if outcome is not None]
     ok = total_modules >= 20 and not failures
     return ok, (f"{total_modules} modules, {cases} (m,n) cases, "
                 f"{len(failures)} disagreements"
@@ -206,9 +186,9 @@ def _gorenstein_samples(alg):
     socle_vec = np.zeros((1, 1, alg.dim), dtype=np.int64)
     socle_vec[0, 0, alg.dim - 1] = 1
     yield "ring/socle", cokernel_of_lambda_matrix(LambdaMatrix(alg, socle_vec))[0]
-    x_vec = np.zeros((1, 1, alg.dim), dtype=np.int64)
-    x_vec[0, 0, 1] = 1
-    yield "ring/(x)", cokernel_of_lambda_matrix(LambdaMatrix(alg, x_vec))[0]
+    if alg.num_gens:
+        x_vec = alg.gens[0].reshape(1, 1, alg.dim)
+        yield "ring/(x)", cokernel_of_lambda_matrix(LambdaMatrix(alg, x_vec))[0]
 
 
 def criterion_7_gorenstein_suite():

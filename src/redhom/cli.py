@@ -32,6 +32,7 @@ from .modules import (
     LambdaMatrix,
     ModuleError,
     ModuleRep,
+    noncommuting_generator,
 )
 from .reducing import (
     SearchLimits,
@@ -49,6 +50,7 @@ from .torsionfree import (
     gdim_report,
     torsionfree_classify,
     verify_window_sequence,
+    window_roundtrip,
 )
 
 
@@ -259,12 +261,10 @@ def _sequence_from_doc(alg, doc) -> ModuleComplex | FreeComplex:
                 for i, mat in doc["maps"].items()}
         comp = ModuleComplex(mods, maps, check=True)
         for i, f in comp.maps.items():
-            source, target = comp.term(i), comp.term(i - 1)
-            for j in range(alg.num_gens):
-                if (gf.mat_mul(f, source.action_arr(j), alg.p)
-                        != gf.mat_mul(target.action_arr(j), f, alg.p)).any():
-                    raise InputError(f"map at position {i} is not a module map: it does "
-                                     f"not commute with {alg.gen_labels[j]}")
+            j = noncommuting_generator(comp.term(i), comp.term(i - 1), f)
+            if j is not None:
+                raise InputError(f"map at position {i} is not a module map: it does "
+                                 f"not commute with {alg.gen_labels[j]}")
         return comp
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad {kind} sequence: {err}") from err
@@ -319,8 +319,7 @@ def cmd_check(args):
         line = (f"complexity vs upper reduction (pd): "
                 f"consistent={report['consistent']}")
     elif args.what == "prop7":
-        report = upper_reduction_vs_gorenstein_complexity(
-            mod, limits, bound=min(args.bound, 8), bass_bound=min(args.bound, 8))
+        report = upper_reduction_vs_gorenstein_complexity(mod, limits, bound=min(args.bound, 8))
         line = (f"gorenstein complexity vs upper reduction (gdim): "
                 f"consistent={report['consistent']}")
     elif args.what == "cor20":
@@ -332,17 +331,10 @@ def cmd_check(args):
                       "holds": not rep.totally_reflexive or rep.sup_positive == 0}}
         line = f"gdim sup-formula instance: {rep.verdict}"
     elif args.what == "thm3":
-        cls = torsionfree_classify(mod, args.bound)
-        roundtrip = []
-        ok = True
-        for m in range(0, min(args.bound, 3) + 1):
-            for n in range(0, min(args.bound, 3) + 1):
-                if not cls.member(m, n):
-                    continue
-                build = build_window_sequence(mod, m, n)
-                verdict = verify_window_sequence(build.complex, m, n, "(4)")
-                roundtrip.append({"m": m, "n": n, "ok": verdict.ok})
-                ok = ok and verdict.ok
+        cls, outcomes = window_roundtrip(mod, args.bound, min(args.bound, 3))
+        roundtrip = [{"m": m, "n": n, "ok": outcome is None}
+                     for (m, n), outcome in outcomes.items() if cls.member(m, n)]
+        ok = all(pair["ok"] for pair in roundtrip)
         report = {"classification": cls.to_jsonable(), "roundtrip": roundtrip,
                   "all_ok": ok}
         line = f"window round-trip over certified (m,n): all_ok={ok}"

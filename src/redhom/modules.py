@@ -230,6 +230,15 @@ class ModuleRep:
 
 # -- basic constructions ---------------------------------------------------
 
+def noncommuting_generator(source: ModuleRep, target: ModuleRep, f: np.ndarray) -> int | None:
+    """The first generator j with f . a_j(source) != a_j(target) . f; None
+    when f is a module map, i.e. Lambda-linear."""
+    p = source.algebra.p
+    return next((j for j in range(source.algebra.num_gens)
+                 if (gf.mat_mul(f, source.action_arr(j), p) != target.act(j, f)).any()), None)
+
+
+
 def free_module(algebra: AlgebraRep, rank: int) -> ModuleRep:
     if rank < 0:
         raise ModuleError(f"free rank must be nonnegative, got {rank}")
@@ -535,21 +544,6 @@ class LambdaMatrix:
 
     def __repr__(self):
         return f"LambdaMatrix({self.rows}x{self.cols})"
-
-
-def lambda_from_linear(algebra: AlgebraRep, mat: np.ndarray,
-                       target_rank: int, source_rank: int) -> LambdaMatrix:
-    """Recover the algebra-entry matrix of a module map between frees."""
-    D = algebra.dim
-    mat = np.asarray(mat, dtype=np.int64)
-    if mat.shape != (target_rank * D, source_rank * D):
-        raise ModuleError(f"linear matrix {mat.shape} does not match ranks "
-                          f"({target_rank}, {source_rank})")
-    entries = mat.reshape(target_rank, D, source_rank, D)[:, :, :, 0].transpose(0, 2, 1)
-    lam = LambdaMatrix(algebra, entries)
-    if (lam.to_linear() != mat % algebra.p).any():
-        raise AssertionError("matrix is not a module map between free modules")
-    return lam
 
 
 def _radical_pivots(algebra: AlgebraRep, rows: gf.Cells,

@@ -457,6 +457,7 @@ def verify_witness(mod: ModuleRep, result: SearchResult) -> bool:
 # -- growth estimation -------------------------------------------------------
 
 GROWTH_RATIO_EPS = 0.15     # an exponential tail grows by at least this ratio
+BETTI_IMAX = 10             # the syzygy Betti inequality is checked for i <= this
 
 
 @dataclass
@@ -563,12 +564,12 @@ def syzygy_betti_inequality(source: ModuleRep, middle: ModuleRep, n: int,
 
 
 def upper_reduction_vs_complexity(mod: ModuleRep, limits: SearchLimits | None = None,
-                                  *, bound: int = 12, imax: int = 10) -> dict:
+                                  *, bound: int = 12) -> dict:
     """Compare the complexity estimate with an upper-reduction search (pd).
 
     When a witness of depth s exists the complexity estimate must be at
     most s; each witness step is additionally checked against the
-    syzygy Betti inequality.
+    syzygy Betti inequality for i <= BETTI_IMAX.
     """
     limits = limits or SearchLimits()
     cx = betti_growth(mod, bound)
@@ -584,7 +585,7 @@ def upper_reduction_vs_complexity(mod: ModuleRep, limits: SearchLimits | None = 
         current = mod
         for step in search.witness.steps:
             if step.a == 1 and step.b == 1:
-                ineq = syzygy_betti_inequality(current, step.middle, step.n, imax)
+                ineq = syzygy_betti_inequality(current, step.middle, step.n, BETTI_IMAX)
                 report["betti_inequalities"].append(ineq)
                 report["consistent"] = report["consistent"] and ineq["ok"]
             current = step.middle
@@ -599,19 +600,19 @@ def upper_reduction_vs_complexity(mod: ModuleRep, limits: SearchLimits | None = 
 
 def upper_reduction_vs_gorenstein_complexity(mod: ModuleRep,
                                              limits: SearchLimits | None = None,
-                                             *, bound: int = 8,
-                                             bass_bound: int = 8) -> dict:
+                                             *, bound: int = 8) -> dict:
     """Gorenstein-side comparison: gcx estimate vs upper-reduction (gdim) search.
 
     Also reports the plexity estimate of the ring (Bass number growth)
     and the residue-field instance tying finite upper reducing
-    G-dimension of k to finite plexity.
+    G-dimension of k to finite plexity.  Ext lengths and Bass numbers
+    are both read to the bound.
     """
     limits = limits or SearchLimits()
     alg = mod.algebra
     gcx = ext_length_growth(mod, bound)
     search = search_reducing(mod, "ured", "gdim", limits)
-    px_ring = bass_growth(ring_module(alg), bass_bound)
+    px_ring = bass_growth(ring_module(alg), bound)
     k = simple_module(alg)
     k_search = search if mod is k else search_reducing(k, "ured", "gdim", limits)
     consistent = True

@@ -8,14 +8,15 @@ exact sequence of projectives
 
     P_{m+1} -> ... -> P_0 -> P_{-1} -> ... -> P_{-n}
 
-whose dual is also exact.  The builder splices a minimal resolution
-with the classical pushforward (the dual of a resolution of the
-transpose); the verifier checks any candidate sequence and classifies
+whose dual is also exact.  The builder splices M's minimal resolution
+to the dual of a resolution of tr M, the right half that the classical
+pushforward shares, by d_0: the first map M -> F_{-1} at the cover's
+generators.  The verifier checks any candidate sequence and classifies
 the image independently.
 
-Classification, total reflexivity and pushforward read Ext(tr M,
-Lambda) from one resolution of tr(core) per module.  Every window reads
-the rest off the module's cover: its syzygy rows and its one linear
+Classification, total reflexivity and the right half read tr M from one
+resolution of tr(core) per module.  Every window reads the rest off the
+module's cover: its generators, its syzygy rows and its one linear
 section.  Build and verify share one defect routine.  The verifier
 classifies each distinct image once: equal images (equal action
 matrices) are one cached module per algebra.
@@ -26,6 +27,7 @@ was certified to.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +49,9 @@ from .modules import (
     ModuleRep,
     cover_section,
     free_module,
-    lambda_from_linear,
+    minimal_generator_coords,
     minimal_presentation,
+    noncommuting_generator,
     projective_cover_and_syzygy,
     quotient_module,
     split_free_summands,
@@ -200,64 +203,63 @@ class PushforwardResult:
 def pushforward(mod: ModuleRep, n: int) -> PushforwardResult:
     """Embed M into a length-n window of frees, exact while Ext^j(tr M) vanishes.
 
-    The sequence is the dual of a minimal resolution res_t of the
-    transpose of the free-summand-free core, padded with an identity
-    splice on the free part.  Position -(j-1) is exact iff
+    The sequence is M -> F_{-1} by _first_map(M), then the right half of
+    M's windows (_right_half).  Position -(j-1) is exact iff
     Ext^j(tr M, Lambda) = 0; the dual sequence is exact unconditionally.
-    Its first map M -> F_{-1} is _first_map(M), the same for every n.
     """
     if n < 1:
         raise ModuleError("pushforward length must be at least 1")
     A = mod.algebra
+    ext_tr = tuple(transpose_resolution(mod).ext_dim(j) for j in range(1, n + 1))
+    ranks, tail = _right_half(mod, n)
+    modules = {0: mod, **{j: free_module(A, rank) for j, rank in ranks.items()}}
+    maps = {0: _first_map(mod), **{j: d.to_linear() for j, d in tail.items()}}
+    comp = ModuleComplex(modules, maps, check=True)
+    primal = comp.exactness_defects([-j for j in range(n)])
+    # the defect at -j is dim Ext^{j+1}(tr core, Lambda), down to the last term
+    if tuple(primal[-j] for j in range(n)) != ext_tr:
+        raise AssertionError("pushforward defect disagrees with Ext of the transpose")
+    exact_while = next((j for j in range(n) if primal[-j]), n)
+    return PushforwardResult(comp, tail, n, ext_tr, primal, exact_while,
+                             split_free_summands(mod).free_rank)
+
+
+def _right_half(mod: ModuleRep, n: int) -> tuple[dict[int, int], dict[int, LambdaMatrix]]:
+    """Ranks of F_{-1} .. F_{-n} and maps F_{-j} -> F_{-(j+1)}, j < n, of M's
+    windows and pushforwards: F_{-j} = P_{j+1}(res_t)^* and d_{j+2}(res_t)^T
+    for res_t of tr(core), spliced with the identity on the free part: F_{-1}
+    also holds M's split-off free rank r, where d_3(res_t)^T is zero."""
+    A = mod.algebra
     r = split_free_summands(mod).free_rank
     res_t = transpose_resolution(mod)
-    ext_tr = tuple(res_t.ext_dim(j) for j in range(1, n + 1))
-    g = res_t.betti[:n + 2]
-    # F_{-j} -> F_{-(j+1)} is d_{j+2}^T, zero on the split-off free part of F_{-1}
+    g = res_t.betti_numbers(n + 1)
+    ranks = {-j: g[j + 1] + (r if j == 1 else 0) for j in range(1, n + 1)}
     tail = {-j: res_t.diff(j + 2).transpose() for j in range(1, n)}
     if r and n > 1:
         # r zero columns appended: the cells keep their row-major order
         d3 = tail[-1].nonzero
         tail[-1] = LambdaMatrix(A, gf.Cells(d3.rows, d3.cols, d3.vals,
                                             (d3.shape[0], d3.shape[1] + r, A.dim)))
-
-    modules = {0: mod}
-    maps = {0: _first_map(mod)}
-    for j in range(1, n + 1):
-        modules[-j] = free_module(A, g[j + 1] + (r if j == 1 else 0))
-    for j in range(1, n):
-        maps[-j] = tail[-j].to_linear()
-    comp = ModuleComplex(modules, maps, check=True)
-
-    check_positions = [-(j - 1) for j in range(1, n + 1)]
-    primal = comp.exactness_defects(check_positions)
-    # defect at -(j-1) equals dim Ext^j(tr core, Lambda), down to the last term
-    for j in range(1, n + 1):
-        if primal[-(j - 1)] != ext_tr[j - 1]:
-            raise AssertionError("pushforward defect disagrees with Ext of the transpose")
-    exact_while = 0
-    for j in range(1, n + 1):
-        pos = -(j - 1)
-        if pos in primal and primal[pos] == 0:
-            exact_while = j
-        else:
-            break
-    return PushforwardResult(comp, tail, n, ext_tr, primal, exact_while, r)
+    return ranks, tail
 
 
 @cached
 def _first_map(mod: ModuleRep) -> np.ndarray:
-    """M -> F_{-1} of every pushforward of M, whatever its length (cached on M):
+    """M -> F_{-1} of every window and pushforward of M (cached on M):
     d_2(res_t)^T . s on the core, for the core's linear section s
     (modules.cover_section), and the identity on the split-off free part.
     Two sections differ by a map into ker pi = im d_1(core), and
     d_2(res_t)^T . d_1(core) = (d_1(res_t) . d_2(res_t))^T = 0, as res_t is
-    seeded with d_1(core)^T: the map is canonical, entry for entry."""
+    seeded with d_1(core)^T: the map is canonical, entry for entry.  So
+    without a free summand first_map . pi = d_2(res_t)^T, as s . pi - 1
+    maps into ker pi.  Checked Lambda-linear here, once per module, so a
+    window reads it off its values on the cover's generators."""
     A, p = mod.algebra, mod.algebra.p
     split = split_free_summands(mod)
     core, r = split.core, split.free_rank
     res_t = transpose_resolution(mod)
-    top = np.zeros(((res_t.betti_numbers(2)[2] + r) * A.dim, mod.dim), dtype=np.int64)
+    rank = res_t.betti_numbers(2)[2] + r
+    top = np.zeros((rank * A.dim, mod.dim), dtype=np.int64)
     if core.dim:
         cols, inverse = cover_section(core)
         d2t = res_t.diff(2).transpose().to_linear()
@@ -265,6 +267,8 @@ def _first_map(mod: ModuleRep) -> np.ndarray:
         top[:d2t.shape[0], :] = gf.mat_mul(d2t[:, cols], lift, p)
     if r:
         top[-r * A.dim:, :] = split.iso[core.dim:, :]
+    if noncommuting_generator(mod, free_module(A, rank), top) is not None:
+        raise AssertionError("the first map of a window must be Lambda-linear")
     return top
 
 
@@ -347,12 +351,13 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     ranks = {i: res.betti[i] for i in range(m + 2)}
     diffs = {i: res.diff(i) for i in range(1, m + 2)}
     if n:
-        pf = pushforward(mod, n)
-        for j in range(1, n + 1):
-            ranks[-j] = pf.complex.modules[-j].free_rank
-        partial = gf.mat_mul(pf.complex.maps[0], projective_cover_and_syzygy(mod).cover, A.p)
-        diffs[0] = lambda_from_linear(A, partial, ranks[-1], ranks[0])
-        diffs.update(pf.tail)
+        right, tail = _right_half(mod, n)
+        ranks.update(right)
+        # d_0 is the first map on the cover's generators (column t * dim Lambda
+        # is the unit vector at generator coordinate t): entry (s, t) is block s
+        gens = _first_map(mod)[:, list(minimal_generator_coords(mod))]
+        diffs[0] = LambdaMatrix(A, gens.reshape(ranks[-1], A.dim, ranks[0]).transpose(0, 2, 1))
+        diffs.update(tail)
     comp = FreeComplex(A, ranks, diffs, check=True)
     # for n = 0, d_1 is M's minimal presentation, so coker(d_1) is compared with M
     image, witness = _window_image(mod, min(n, 1))
@@ -467,6 +472,27 @@ def verify_window_sequence(comp: ModuleComplex | FreeComplex, m: int, n: int,
             raise AssertionError("verified window must classify its image as (m, n)-torsionfree")
     return WindowVerdict(ok, m, n, mode, primal, dual_defects,
                          membership_failures, image.dim, image_cls, reasons)
+
+
+def window_roundtrip(mod: ModuleRep, bound: int, upto: int) -> tuple[TorsionfreeVerdict, dict]:
+    """Classify M to the bound (>= upto), then build every window with
+    m, n <= upto: a certified pair's is verified in mode "(4)", any
+    other's must be refused.  The outcome of (m, n) is None when they
+    agree, else the verifier's reasons, the refusal or "build not refused"."""
+    cls = torsionfree_classify(mod, bound)
+    outcomes = {}
+    for m, n in itertools.product(range(upto + 1), repeat=2):
+        try:
+            build = build_window_sequence(mod, m, n)
+        except TorsionfreeError as err:
+            outcomes[m, n] = str(err) if cls.member(m, n) else None
+            continue
+        if not cls.member(m, n):
+            outcomes[m, n] = "build not refused"
+            continue
+        verdict = verify_window_sequence(build.complex, m, n, "(4)")
+        outcomes[m, n] = None if verdict.ok else verdict.reasons
+    return cls, outcomes
 
 
 # -- G-dimension -------------------------------------------------------------

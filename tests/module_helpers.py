@@ -2,11 +2,13 @@
 
 import numpy as np
 
-from redhom import gf
+from redhom import catalog, gf
 from redhom.complexes import MinimalResolution, resolution_of
 from redhom.modules import (
     HomModule,
     HomSpace,
+    LambdaMatrix,
+    ModuleError,
     ModuleRep,
     SplitResult,
     direct_sum,
@@ -20,6 +22,20 @@ from redhom.modules import (
 from redhom.torsionfree import transpose_resolution
 
 
+# (ring, max_dim, count) of the tables benchmark's window samples, at both
+# fields: the samples of tests/ledger.json
+SAMPLE_RINGS = [(f"{rid}q{q}", max_dim, count) for q in (2, 5)
+                for rid, max_dim, count in (("R1", 5, 5), ("R2", 12, 6), ("R3", 8, 5),
+                                            ("R4", 4, 5))]
+SAMPLE_SEED = 20240
+WINDOW_BOUND = 2
+
+
+def ledger_samples(ring_id: str, max_dim: int, count: int):
+    alg = catalog.load_ring(ring_id)
+    return catalog.sample_modules(alg, count=count, max_dim=max_dim, seed=SAMPLE_SEED)
+
+
 def is_module_map(source: ModuleRep, target: ModuleRep, f: np.ndarray) -> bool:
     """The matrix f: source -> target commutes with every generator's action."""
     p = source.algebra.p
@@ -29,6 +45,26 @@ def is_module_map(source: ModuleRep, target: ModuleRep, f: np.ndarray) -> bool:
         if not (lhs == rhs).all():
             return False
     return True
+
+
+def lambda_from_linear(algebra, mat: np.ndarray, target_rank: int,
+                       source_rank: int) -> LambdaMatrix:
+    """Recover the algebra-entry matrix of a module map between frees.
+
+    Entry (s, t) is block s of the image of the t-th generator, column
+    t * dim Lambda; the whole linear map must be the form of the result.
+    The reference for the first differential of a window.
+    """
+    D = algebra.dim
+    mat = np.asarray(mat, dtype=np.int64)
+    if mat.shape != (target_rank * D, source_rank * D):
+        raise ModuleError(f"linear matrix {mat.shape} does not match ranks "
+                          f"({target_rank}, {source_rank})")
+    entries = mat.reshape(target_rank, D, source_rank, D)[:, :, :, 0].transpose(0, 2, 1)
+    lam = LambdaMatrix(algebra, entries)
+    if (lam.to_linear() != mat % algebra.p).any():
+        raise AssertionError("matrix is not a module map between free modules")
+    return lam
 
 
 def map_from_coords(space: HomSpace, coeffs) -> np.ndarray:

@@ -7,7 +7,9 @@ pass/fail lines, or `redhom suite acceptance` for the CLI equivalent.
 
 import pytest
 
-from redhom.acceptance import CRITERIA, run_criterion
+from redhom.acceptance import CRITERIA, _gorenstein_samples, run_criterion
+from redhom.catalog import catalog_ring
+from redhom.modules import is_isomorphic, simple_module
 
 
 @pytest.mark.parametrize("name,fn,limit", CRITERIA,
@@ -19,3 +21,12 @@ def test_acceptance_criterion(name, fn, limit, capsys):
     with capsys.disabled():
         print(line)
     assert outcome.ok, line
+
+
+def test_gorenstein_samples_over_a_field():
+    # the field R5 has no generator, so no ring/(x); over R2 = k[x]/(x^2)
+    # ring/(x) is k
+    assert [name for name, _ in _gorenstein_samples(catalog_ring("R5", 2))] == \
+        ["k", "ring", "ring/socle"]
+    r2 = dict(_gorenstein_samples(catalog_ring("R2", 5)))
+    assert is_isomorphic(r2["ring/(x)"], simple_module(catalog_ring("R2", 5))).kind == "yes"

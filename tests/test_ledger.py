@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from redhom import catalog, cli
+from redhom import cli, torsionfree
 from redhom.modules import is_isomorphic, projective_cover_and_syzygy, split_free_summands
 from redhom.torsionfree import (
     TorsionfreeError,
@@ -33,7 +33,7 @@ from redhom.torsionfree import (
     verify_window_sequence,
 )
 
-from module_helpers import split_target
+from module_helpers import SAMPLE_RINGS, WINDOW_BOUND, ledger_samples, split_target
 
 LEDGER = Path(__file__).with_name("ledger.json")
 
@@ -60,13 +60,6 @@ CLI_REPORTS = {
                             "--bound", "5", "--window", "3"],
 }
 
-# (ring, max_dim, count) of the tables benchmark's window samples, at both fields
-SAMPLE_RINGS = [(f"{rid}q{q}", max_dim, count) for q in (2, 5)
-                for rid, max_dim, count in (("R1", 5, 5), ("R2", 12, 6), ("R3", 8, 5),
-                                            ("R4", 4, 5))]
-SAMPLE_SEED = 20240
-WINDOW_BOUND = 2
-
 
 def digest(obj) -> str:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -80,11 +73,6 @@ def cli_report(argv) -> dict:
     report = json.loads(out.getvalue())
     report.pop("timing", None)
     return {"exit": code, "report": report}
-
-
-def samples(ring_id: str, max_dim: int, count: int):
-    alg = catalog.load_ring(ring_id)
-    return catalog.sample_modules(alg, count=count, max_dim=max_dim, seed=SAMPLE_SEED)
 
 
 def covers(mods):
@@ -155,8 +143,8 @@ def entries() -> dict:
            for name, argv in CLI_REPORTS.items()}
     for ring_id, max_dim, count in SAMPLE_RINGS:
         for kind, compute in SAMPLE_KINDS.items():
-            out[f"{ring_id} {kind}"] = (
-                lambda compute=compute, key=(ring_id, max_dim, count): compute(samples(*key)))
+            out[f"{ring_id} {kind}"] = (lambda compute=compute, key=(ring_id, max_dim, count):
+                                        compute(ledger_samples(*key)))
     return out
 
 
@@ -174,6 +162,17 @@ def test_ledger_names_every_entry():
 @pytest.mark.parametrize("name", list(ENTRIES))
 def test_output_matches_ledger(name):
     assert digest(ENTRIES[name]()) == recorded()[name]
+
+
+@pytest.mark.parametrize("ring", SAMPLE_RINGS, ids=[ring[0] for ring in SAMPLE_RINGS])
+def test_windows_build_no_pushforward(ring, monkeypatch):
+    # a window reads its right half and d_0 off the module itself: with no
+    # pushforward to call, every window is built and verified as recorded
+    def refused(*args):
+        raise AssertionError("a window must not build a pushforward")
+
+    monkeypatch.setattr(torsionfree, "pushforward", refused)
+    assert digest(windows(ledger_samples(*ring))) == recorded()[f"{ring[0]} windows"]
 
 
 if __name__ == "__main__":

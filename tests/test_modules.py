@@ -30,7 +30,6 @@ from redhom.modules import (
     hom_module,
     hom_space,
     is_isomorphic,
-    lambda_from_linear,
     minimal_presentation,
     projective_cover_and_syzygy,
     quotient_module,
@@ -46,6 +45,7 @@ from module_helpers import (
     commuting_system,
     dual_module,
     is_module_map,
+    lambda_from_linear,
     map_from_coords,
     ring_by_actions,
     split_target,

@@ -423,7 +423,7 @@ def test_gorenstein_side_checks(R2, R1q2):
 
     k1 = simple_module(R1q2)
     rep1 = upper_reduction_vs_gorenstein_complexity(
-        k1, SearchLimits(max_steps=1, n_max=1, tr_bound=2), bound=8, bass_bound=8)
+        k1, SearchLimits(max_steps=1, n_max=1, tr_bound=2), bound=8)
     assert rep1["gcx_estimate"]["verdict"] == "exponential"
     assert not rep1["search"]["found"]
     assert rep1["search"]["exhaustive"]

@@ -27,6 +27,7 @@ from redhom.modules import (
 )
 from redhom.torsionfree import (
     TorsionfreeError,
+    _first_map,
     _image_of_middle,
     _window_image,
     build_window_sequence,
@@ -34,12 +35,17 @@ from redhom.torsionfree import (
     is_totally_reflexive_up_to,
     pushforward,
     torsionfree_classify,
+    transpose_resolution,
     verify_window_sequence,
 )
 
 from module_helpers import (
+    SAMPLE_RINGS,
+    WINDOW_BOUND,
     bounded_total_reflexivity,
     cokernel_comparison_reference,
+    lambda_from_linear,
+    ledger_samples,
     pushforward_top_reference,
 )
 
@@ -283,6 +289,49 @@ def test_classify_after_pushforward_resolves_only_the_module(monkeypatch):
     calls = _count_kernels(monkeypatch)
     torsionfree_classify(k, 3)
     assert len(calls) == 3
+
+
+def test_first_differential_is_the_first_map_at_the_generators():
+    # d_0 of every window with n >= 1 is the first map on the cover's
+    # generators; the reference recovers it from the whole product
+    # first_map . pi.  Without a free summand first_map . pi is
+    # d_2(res_t)^T (see _first_map), so d_0 is that differential too.
+    # Over the ledger's samples, 74 such windows have a free summand.
+    built = {True: 0, False: 0}
+    for ring in SAMPLE_RINGS:
+        for _, mod in ledger_samples(*ring):
+            alg, top = mod.algebra, _first_map(mod)
+            cover = projective_cover_and_syzygy(mod).cover
+            ref = lambda_from_linear(alg, gf.mat_mul(top, cover, alg.p),
+                                     top.shape[0] // alg.dim, cover.shape[1] // alg.dim)
+            free = split_free_summands(mod).free_rank > 0
+            for m in range(WINDOW_BOUND + 1):
+                for n in range(1, WINDOW_BOUND + 1):
+                    try:
+                        d0 = build_window_sequence(mod, m, n).complex.diffs[0]
+                    except TorsionfreeError:
+                        continue
+                    assert np.array_equal(d0.entries, ref.entries)
+                    if not free:
+                        d2t = transpose_resolution(mod).diff(2).transpose()
+                        assert np.array_equal(d0.entries, d2t.entries)
+                    built[free] += 1
+    assert built == {True: 74, False: 138}
+
+
+def test_first_map_is_checked_linear(monkeypatch):
+    # a first map that is not Lambda-linear is refused where it is made,
+    # once per module: here the section's rows are swapped, so it is no
+    # section of the cover of syz k over a fresh R3
+    syz = resolution_of(simple_module(build_ring(catalog_spec("R3", 5)))).syzygy_module(1)
+
+    def swapped(core):
+        cols, inverse = cover_section(core)
+        return cols, inverse[::-1]
+
+    monkeypatch.setattr("redhom.torsionfree.cover_section", swapped)
+    with pytest.raises(AssertionError, match="Lambda-linear"):
+        _first_map(syz)
 
 
 def test_build_window_k_over_R2(R2):
