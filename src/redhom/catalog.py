@@ -88,8 +88,8 @@ def catalog_listing() -> list[dict]:
 
 
 def load_ring(ref: str, p: int = 5) -> AlgebraRep:
-    """A catalog id, or a path to a RingSpec JSON document."""
-    if os.path.exists(ref):
+    """A path to a RingSpec JSON document, or else a catalog id."""
+    if os.path.isfile(ref):
         with open(ref, "r", encoding="utf-8") as fh:
             return build_ring(RingSpec.from_dict(json.load(fh)))
     return catalog_ring(ref, p)
@@ -101,10 +101,11 @@ def module_from_spec(algebra: AlgebraRep, spec) -> ModuleRep:
     Strings: 'k', 'ring', 'free:r', 'syzygy:n:<spec>'.  Documents: a dict
     with either 'actions' (list of square matrices, validated) or
     'presentation' (a matrix of coefficient vectors whose cokernel is
-    taken).  A path to a JSON file holding such a document also works.
+    taken).  A path to a JSON file holding such a document also works; a
+    file shadows a shorthand of the same name, a directory does not.
     """
     if isinstance(spec, str):
-        if os.path.exists(spec):
+        if os.path.isfile(spec):
             with open(spec, "r", encoding="utf-8") as fh:
                 return module_from_spec(algebra, json.load(fh))
         if spec in ("k", "simple"):

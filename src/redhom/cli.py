@@ -61,16 +61,23 @@ class InputError(ValueError):
 _LIMIT_DEFAULTS = asdict(SearchLimits())
 
 
-def _limits_from_args(args) -> SearchLimits:
-    """Effective limits: built-in defaults, then config file, then flags."""
-    values = dict(_LIMIT_DEFAULTS)
+def _read_json(path: str, what: str):
+    """The JSON document at a user-supplied path; a path that cannot be
+    read (missing, a directory, unreadable) or parsed is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:     # JSONDecodeError and UnicodeDecodeError
+        raise InputError(f"cannot read {what}: {err}") from err
+
+
+def _limits_from_args(args, defaults: dict | None = None) -> SearchLimits:
+    """Effective limits: built-in defaults, then the command's own
+    defaults, then the config file, then the flags."""
+    values = {**_LIMIT_DEFAULTS, **(defaults or {})}
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError) as err:
-            raise InputError(f"cannot read limits config: {err}") from err
+        config = _read_json(config_path, "limits config")
         if not isinstance(config, dict):
             raise InputError("limits config must be a JSON object")
         unknown = set(config) - set(values)
@@ -105,14 +112,14 @@ def _check_at_least(args, flag: str, minimum: int) -> None:
 def _load_ring(args):
     try:
         return load_ring(args.ring, getattr(args, "p", 5))
-    except (AlgebraError, FileNotFoundError, json.JSONDecodeError, ValueError) as err:
+    except (AlgebraError, OSError, ValueError) as err:
         raise InputError(f"cannot load ring {args.ring!r}: {err}") from err
 
 
 def _load_module(algebra, spec):
     try:
         return module_from_spec(algebra, spec)
-    except (ModuleError, AlgebraError, ValueError) as err:
+    except (ModuleError, AlgebraError, OSError, ValueError) as err:
         raise InputError(f"cannot load module {spec!r}: {err}") from err
 
 
@@ -131,13 +138,10 @@ def cmd_ring(args):
             f"{args.ring}: dim {alg.dim}, socle dim {alg.socle_dim}, "
             f"gorenstein={alg.is_gorenstein}"], alg
     if args.action == "validate":
+        doc = _read_json(args.ring, "ring spec")
         try:
-            with open(args.ring, "r", encoding="utf-8") as fh:
-                spec = RingSpec.from_dict(json.load(fh))
-            alg = build_ring(spec)
-        except FileNotFoundError as err:
-            raise InputError(str(err)) from err
-        except (AlgebraError, json.JSONDecodeError, ValueError) as err:
+            alg = build_ring(RingSpec.from_dict(doc))
+        except (AlgebraError, ValueError) as err:
             witness = getattr(err, "witness", None)
             raise InputError(
                 f"invalid ring spec: {err}"
@@ -199,19 +203,18 @@ def cmd_seq(args):
             raise InputError(f"refused: {err}") from err
         results = {"build": build.to_jsonable()}
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"ring": alg.spec.to_dict() if alg.spec else None,
-                           "m": args.m, "n": args.n,
-                           "sequence": build.complex.to_jsonable()}, fh, indent=2)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump({"ring": alg.spec.to_dict() if alg.spec else None,
+                               "m": args.m, "n": args.n,
+                               "sequence": build.complex.to_jsonable()}, fh, indent=2)
+            except OSError as err:
+                raise InputError(f"cannot write sequence file: {err}") from err
         ranks = [build.complex.ranks[i]
                  for i in range(build.complex.hi, build.complex.lo - 1, -1)]
         return results, [f"window built, ranks {ranks}"], alg
     if args.action == "verify":
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError) as err:
-            raise InputError(f"cannot read sequence file: {err}") from err
+        doc = _read_json(args.file, "sequence file")
         if not isinstance(doc, dict) or not isinstance(doc.get("sequence", doc), dict):
             raise InputError("sequence file must hold a JSON object")
         comp = _sequence_from_doc(alg, doc.get("sequence", doc))
@@ -311,9 +314,7 @@ def cmd_check(args):
     _check_at_least(args, "bound", 1 if args.what == "thm3" else 0)
     alg = _load_ring(args)
     mod = _load_module(alg, args.module)
-    if args.max_steps is None and not getattr(args, "config", None):
-        args.max_steps = 2
-    limits = _limits_from_args(args)
+    limits = _limits_from_args(args, {"max_steps": 2})
     if args.what == "thm4":
         report = upper_reduction_vs_complexity(mod, limits, bound=args.bound)
         line = (f"complexity vs upper reduction (pd): "

@@ -467,16 +467,9 @@ class LambdaMatrix:
         r, c, D = self.nonzero.shape
         d = D if module is None else module.dim
         self._check_budget(r * d * c * d, "the linear form", module)
-        dual = self._cache.get(LambdaMatrix.transpose.__qualname__) if module is None else None
-        partner = None if dual is None else dual._cache.get(LambdaMatrix.to_linear.__qualname__)
-        if partner is not None:
-            # block (s, t) of the linear form is L(entry (s, t)), so the
-            # transpose's form is the partner's with its blocks swapped
-            lin = partner.reshape(c, d, r, d).transpose(2, 1, 0, 3)
-        else:
-            lin = np.zeros((r, d, c, d), dtype=np.int64)
-            lin[self.nonzero.rows, :, self.nonzero.cols, :] = self._blocks(module)
-        return np.ascontiguousarray(lin.reshape(r * d, c * d))
+        lin = np.zeros((r, d, c, d), dtype=np.int64)
+        lin[self.nonzero.rows, :, self.nonzero.cols, :] = self._blocks(module)
+        return lin.reshape(r * d, c * d)
 
     @cached
     def to_linear(self) -> np.ndarray:
@@ -895,9 +888,6 @@ class IsoVerdict:
     witness: np.ndarray | None = None   # an isomorphism M -> N
     certificate: str | None = None
     method: str | None = None
-
-    def __bool__(self):
-        return self.kind == "yes"
 
 
 # Entries of candidate matrices built and ranked at once by the exhaustive

@@ -78,10 +78,6 @@ class ExtElement:
     coeffs: tuple[int, ...]
     rep: np.ndarray                 # syzygy(C) -> A, coset representative
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 class Ext1Space:
     """Ext^1(C, A) = Hom(syz C, A) / restrictions of Hom(P_0, A).
@@ -470,10 +466,6 @@ class GrowthEstimate:
     verdict: str
     note: str = ("window estimate of an asymptotic infimum; "
                  "never asserted as the true value")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.verdict == "poly(0)"
 
     @property
     def is_finite(self) -> bool:

@@ -11,8 +11,10 @@ exact sequence of projectives
 whose dual is also exact.  The builder splices M's minimal resolution
 to the dual of a resolution of tr M, the right half that the classical
 pushforward shares, by d_0: the first map M -> F_{-1} at the cover's
-generators.  The verifier checks any candidate sequence and classifies
-the image independently.
+generators.  d_0 is built once per module and cached on it, so all of
+M's windows with n >= 1 share it, with its form, transpose and ranks.
+The verifier checks any candidate sequence and classifies the image
+independently.
 
 Classification, total reflexivity and the right half read tr M from one
 resolution of tr(core) per module.  Every window reads the rest off the
@@ -273,6 +275,19 @@ def _first_map(mod: ModuleRep) -> np.ndarray:
 
 
 @cached
+def _first_differential(mod: ModuleRep) -> LambdaMatrix:
+    """d_0: P_0 -> F_{-1} of every window of M with n >= 1 (cached on M, so
+    they share it with its form, transpose and ranks): the first map on the
+    cover's generators.  Column t * dim Lambda of the cover is the unit
+    vector at generator coordinate t, so entry (s, t) is block s of the
+    first map's column at generator t."""
+    A, top = mod.algebra, _first_map(mod)
+    gens = top[:, list(minimal_generator_coords(mod))]
+    return LambdaMatrix(A, gens.reshape(top.shape[0] // A.dim, A.dim, gens.shape[1])
+                        .transpose(0, 2, 1))
+
+
+@cached
 def _window_image(mod: ModuleRep, n: int) -> tuple[ModuleRep | None, np.ndarray]:
     """The middle image of M's windows of right length n (n = 1 stands for
     every n >= 1) and the iso M -> it; None stands for M itself, which M's
@@ -353,10 +368,7 @@ def build_window_sequence(mod: ModuleRep, m: int, n: int) -> WindowBuild:
     if n:
         right, tail = _right_half(mod, n)
         ranks.update(right)
-        # d_0 is the first map on the cover's generators (column t * dim Lambda
-        # is the unit vector at generator coordinate t): entry (s, t) is block s
-        gens = _first_map(mod)[:, list(minimal_generator_coords(mod))]
-        diffs[0] = LambdaMatrix(A, gens.reshape(ranks[-1], A.dim, ranks[0]).transpose(0, 2, 1))
+        diffs[0] = _first_differential(mod)
         diffs.update(tail)
     comp = FreeComplex(A, ranks, diffs, check=True)
     # for n = 0, d_1 is M's minimal presentation, so coker(d_1) is compared with M

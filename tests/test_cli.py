@@ -410,6 +410,68 @@ def test_limits_config_is_read_once(tmp_path, capsys, monkeypatch):
         assert report["limits"]["max_steps"] == 1 and report["limits"]["n_max"] == 0
 
 
+def test_check_config_keeps_the_check_default_max_steps(tmp_path, capsys):
+    # limits layer as built-in defaults, the command's own defaults (check:
+    # max_steps 2), the config, then the flags; a config that sets no
+    # max_steps keeps the check's 2
+    config = tmp_path / "limits.json"
+    config.write_text(json.dumps({"n_max": 1}))
+    argv = ["check", "thm4", "--ring", "R2q5", "--module", "k"]
+    plain, _ = run_cli(capsys, argv)
+    configured, _ = run_cli(capsys, argv + ["--config", str(config)])
+    assert plain["limits"]["max_steps"] == configured["limits"]["max_steps"] == 2
+    assert configured["limits"]["n_max"] == 1
+    flagged, _ = run_cli(capsys, argv + ["--config", str(config), "--max-steps", "1"])
+    assert flagged["limits"]["max_steps"] == 1
+
+
+def test_directories_are_never_read_as_documents(tmp_path, capsys, monkeypatch):
+    # a directory named after a catalog id or a module shorthand does not
+    # shadow it, and a directory given where a document is read or written
+    # is invalid input: exit 2 with the JSON error report
+    for name in ("R1", "k", "d"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    report, _ = run_cli(capsys, ["ring", "show", "R1"])
+    assert report["results"]["ring"]["dim"] == 3
+    report, _ = run_cli(capsys, ["resolve", "--ring", "R1", "--module", "k", "--steps", "2"])
+    assert report["results"]["betti"] == [1, 2, 4]
+    for argv, message in [
+            (["ring", "show", "d"], "unknown catalog ring"),
+            (["resolve", "--ring", "R1", "--module", "d"], "unknown module shorthand"),
+            (["seq", "verify", "--ring", "R2q5", "--file", "k"], "cannot read sequence file"),
+            (["reduce", "--mode", "red", "--target", "pd", "--ring", "R1q5", "--module", "k",
+              "--config", "k"], "cannot read limits config"),
+            (["ring", "validate", "k"], "cannot read ring spec"),
+            (["seq", "build", "--ring", "R2q5", "--module", "k", "--m", "0", "--n", "0",
+              "--out", "k"], "cannot write sequence file")]:
+        report, err = run_cli(capsys, argv, expect=2)
+        assert message in report["error"] and "results" not in report, argv
+        assert err.startswith("error: ")
+
+
+def test_unreadable_files_exit_2(tmp_path, capsys, monkeypatch):
+    binary = tmp_path / "limits.json"
+    binary.write_bytes(b"\x80\x81")
+    report, _ = run_cli(capsys, ["reduce", "--mode", "red", "--target", "pd", "--ring", "R1q5",
+                                 "--module", "k", "--config", str(binary)], expect=2)
+    assert "cannot read limits config" in report["error"]
+    # a ring or module file that cannot be opened
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(catalog_spec("R2", 5).to_dict()))
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"presentation": [[[0, 1]]]}))
+
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(catalog, "open", refused, raising=False)
+    for argv in (["ring", "show", str(ring)],
+                 ["resolve", "--ring", "R2q5", "--module", str(module)]):
+        report, _ = run_cli(capsys, argv, expect=2)
+        assert "Permission denied" in report["error"]
+
+
 def test_seq_verify_module_form(tmp_path, capsys):
     # a short exact module sequence 0 -> k -> Lambda -> k -> 0 over R2 is a
     # valid (0,1)-window once positions are arranged as 1, 0, -1

@@ -51,7 +51,7 @@ def test_ext1_projective_source_is_zero(R1):
     space = Ext1Space(free_module(R1, 1), simple_module(R1), 200_000)
     assert space.dim == 0
     elements = list(space.elements())
-    assert len(elements) == 1 and elements[0].is_zero
+    assert len(elements) == 1 and not any(elements[0].coeffs)
 
 
 def test_ext1_dims_match_first_betti(R1, R2):
@@ -372,7 +372,7 @@ def test_growth_estimates():
     constant = growth_estimate([1] * 9, "betti")
     assert constant.verdict == "poly(1)"
     finite = growth_estimate([1, 2, 0, 0, 0, 0, 0, 0], "betti")
-    assert finite.verdict == "poly(0)" and finite.is_zero
+    assert finite.verdict == "poly(0)"
     short = growth_estimate([1, 2, 3], "betti")
     assert short.verdict == "inconclusive"
 

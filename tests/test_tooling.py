@@ -52,7 +52,8 @@ def _scoped_nodes(tree):
 
 def _cache_uses(tree):
     """(enclosing qualname, lineno, kind) of each membership test against an
-    object's `_cache` and of each item written into one."""
+    object's `_cache`, of each item written into one and of each read of
+    one: a method call on it (`.get`) or an item loaded from it."""
     def is_cache(node):
         return isinstance(node, ast.Attribute) and node.attr == "_cache"
 
@@ -66,19 +67,27 @@ def _cache_uses(tree):
                    [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
         found.extend((scope, node.lineno, "write") for target in targets
                      if isinstance(target, ast.Subscript) and is_cache(target.value))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and is_cache(node.func.value)) or (
+                isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and is_cache(node.value)):
+            found.append((scope, node.lineno, "read"))
     return found
 
 
 def test_derived_data_is_cached_only_through_the_helper():
     # algebra.cached is the one memo: no hand-written `key in obj._cache`
-    # block, and items go into a `_cache` only there and where a transpose
-    # hands itself to its partner
-    allowed = {("algebra.py", "cached.wrapper"), ("modules.py", "LambdaMatrix.transpose")}
+    # block, a `_cache` is read only there (no object reads another's
+    # cached values), and items go into one only there and where a
+    # transpose hands itself to its partner
+    writers = {("algebra.py", "cached.wrapper"), ("modules.py", "LambdaMatrix.transpose")}
+    readers = {("algebra.py", "cached.wrapper")}
     bad = []
     for path in sorted(SRC.glob("*.py")):
         uses = _cache_uses(ast.parse(path.read_text(), filename=str(path)))
         bad += [f"{path.name}:{line} {kind} in {scope}" for scope, line, kind in uses
-                if kind == "membership" or (path.name, scope) not in allowed]
+                if kind == "membership" or (path.name, scope) not in
+                (readers if kind == "read" else writers)]
     assert not bad, f"hand-written caches: {bad}"
 
 

@@ -296,7 +296,8 @@ def test_first_differential_is_the_first_map_at_the_generators():
     # generators; the reference recovers it from the whole product
     # first_map . pi.  Without a free summand first_map . pi is
     # d_2(res_t)^T (see _first_map), so d_0 is that differential too.
-    # Over the ledger's samples, 74 such windows have a free summand.
+    # Over the ledger's samples, 74 such windows have a free summand.  d_0
+    # is kept on the module, so all its windows share one object.
     built = {True: 0, False: 0}
     for ring in SAMPLE_RINGS:
         for _, mod in ledger_samples(*ring):
@@ -305,6 +306,7 @@ def test_first_differential_is_the_first_map_at_the_generators():
             ref = lambda_from_linear(alg, gf.mat_mul(top, cover, alg.p),
                                      top.shape[0] // alg.dim, cover.shape[1] // alg.dim)
             free = split_free_summands(mod).free_rank > 0
+            shared = []
             for m in range(WINDOW_BOUND + 1):
                 for n in range(1, WINDOW_BOUND + 1):
                     try:
@@ -316,6 +318,8 @@ def test_first_differential_is_the_first_map_at_the_generators():
                         d2t = transpose_resolution(mod).diff(2).transpose()
                         assert np.array_equal(d0.entries, d2t.entries)
                     built[free] += 1
+                    shared.append(d0)
+            assert all(d0 is shared[0] for d0 in shared)
     assert built == {True: 74, False: 138}
 
 
